@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -347,8 +348,19 @@ def _cmd_batch(args):
     return None
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reads a token that starts with '-' and a digit, such as ``-49/6``, as
+    a value rather than an option (argparse before Python 3.13 admits only
+    ``-49`` and ``-4.9``), so ``--u -49/6`` parses like ``--u=-49/6``.
+    Subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def _build_argparser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="superelliptic",
         description="Exact arithmetic for cyclic covers of the line with extra automorphisms",
     )

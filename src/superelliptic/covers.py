@@ -98,15 +98,6 @@ class CyclicCover:
         """Degree of the defining polynomial prod g_j^{d_j}."""
         return sum(int(g.degree()) * dj for g, dj in self.factors)
 
-    def branch_polynomial(self) -> UniPoly:
-        out = UniPoly.one(self.domain, self.factors[0][0].var)
-        for g, dj in self.factors:
-            out = out * g**dj
-        return out
-
-    def ramification_indices(self) -> list[int]:
-        return [self.n // gcd(self.n, dj) for _, dj in self.factors]
-
     def genus(self) -> int:
         return self.genus_report()[0]
 

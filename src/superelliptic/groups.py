@@ -198,10 +198,6 @@ class GroupFixture:
 
     # -- generic templates ------------------------------------------------
 
-    def template_domain(self, param: str = "a") -> FunctionField:
-        """Tower extended by one symbolic parameter for the generic family."""
-        return FunctionField(self.domain, (param,))
-
     def generic_template(self, dom: Domain, a: El, var: str = "x") -> UniPoly:
         """The generic-orbit polynomial at parameter value ``a`` over ``dom``
         (a domain the fixture tower embeds into), monic, expanded."""
@@ -326,16 +322,6 @@ class OrbitReport:
     cofactor: UniPoly
     matched_by: str = "division"
     warnings: tuple[str, ...] = ()
-
-    @property
-    def fully_decomposed(self) -> bool:
-        return self.cofactor.is_constant()
-
-    def branch_count(self, fixture: GroupFixture) -> int:
-        total = self.t_generic * fixture.generic_size
-        for orb in fixture.special_orbits:
-            total += self.counts.get(orb.name, 0) * orb.size
-        return total
 
 
 def _solve_unique(dom: Domain, rows: list[list[El]], rhs: list[El]) -> list[El] | None:

@@ -212,11 +212,6 @@ class Rationals(Domain):
     def from_int(self, n):
         return mpq(n)
 
-    def from_ratio(self, num: int, den: int):
-        if den == 0:
-            raise ZeroDivisionError("rational with zero denominator")
-        return mpq(num, den)
-
     def add(self, a, b):
         return a + b
 
@@ -361,10 +356,6 @@ class PrimeField(Domain):
 # dense univariate helpers over an arbitrary base domain (coefficient lists,
 # constant term first) -- shared by QuotientRing reduction and inversion
 # ---------------------------------------------------------------------------
-
-
-def _ul_trim(c: list) -> None:
-    pass  # lists used internally always carry explicit length
 
 
 def _ul_deg(base: Domain, c: list) -> int:
@@ -618,10 +609,6 @@ def _grlex_key(e: tuple) -> tuple:
     return (sum(e), e)
 
 
-def mp_zero() -> dict:
-    return {}
-
-
 def mp_const(base: Domain, c: El, nvars: int) -> dict:
     if base.is_zero(c):
         return {}
@@ -686,19 +673,6 @@ def mp_scale(base: Domain, f: dict, c: El) -> dict:
     return {e: mul(v, c) for e, v in f.items()}
 
 
-def mp_pow(base: Domain, f: dict, n: int) -> dict:
-    if n < 0:
-        raise ValueError("negative power of a polynomial")
-    nv = len(next(iter(f))) if f else 0
-    out = mp_const(base, base.one(), nv)
-    while n:
-        if n & 1:
-            out = mp_mul(base, out, f)
-        f = mp_mul(base, f, f)
-        n >>= 1
-    return out
-
-
 def mp_lead(f: dict) -> tuple:
     return max(f, key=_grlex_key)
 
@@ -713,6 +687,10 @@ def mp_exact_div(base: Domain, f: dict, g: dict) -> dict | None:
         raise ZeroDivisionError("division by zero polynomial")
     if not f:
         return {}
+    if len(g) == 1:
+        (ge, gc), = g.items()
+        if not any(ge):
+            return mp_scale(base, f, base.inv(gc))
     rem = dict(f)
     out: dict = {}
     ge = mp_lead(g)
@@ -726,18 +704,6 @@ def mp_exact_div(base: Domain, f: dict, g: dict) -> dict | None:
         q = base.mul(rem[re], gc_inv)
         out[diff] = q
         rem = mp_sub(base, rem, mp_mul(base, {diff: q}, g))
-    return out
-
-
-def mp_eval(base: Domain, f: dict, dst: Domain, values: list) -> El:
-    """Evaluate a term dict at raws of dst; base raws must embed into dst."""
-    out = dst.zero()
-    for e, c in f.items():
-        term = embed(base, dst, c)
-        for i, ei in enumerate(e):
-            if ei:
-                term = dst.mul(term, dst.pow(values[i], ei))
-        out = dst.add(out, term)
     return out
 
 
@@ -1056,9 +1022,6 @@ class FunctionField(Domain):
                 r = self.base.nth_root(c, n)
                 return self.from_base(r) if r is not None else None
         return None
-
-    def is_polynomial(self, a) -> bool:
-        return self._den_is_one(self.base, a[1])
 
     def numerator(self, a) -> dict:
         return a[0]

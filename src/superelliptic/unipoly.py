@@ -22,9 +22,21 @@ does not re-monicize.
 from __future__ import annotations
 
 import threading
-from typing import Any
 
-from .rings import QQ as QQ_, Domain, DomainMismatchError, El, embed
+from .rings import (
+    Domain,
+    DomainMismatchError,
+    El,
+    FunctionField,
+    PrimeField,
+    QuotientRing,
+    Rationals,
+    ZeroDivisorError,
+    embed,
+    mp_exact_div,
+    mp_gcd,
+    mp_mul,
+)
 
 NEG_INF = float("-inf")
 
@@ -131,17 +143,11 @@ class UniPoly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[max(self.coeffs)]
 
-    def constant_term(self) -> El:
-        return self.coeff(0)
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.domain.is_one(self.lc())
 
     def is_constant(self) -> bool:
         return not self.coeffs or max(self.coeffs) == 0
-
-    def exponent_support(self) -> list[int]:
-        return sorted(self.coeffs)
 
     def to_list(self) -> list[El]:
         """Coefficient list, constant term first."""
@@ -235,10 +241,6 @@ class UniPoly:
         mul = dom.mul
         return UniPoly(dom, {e: mul(v, c) for e, v in self.coeffs.items()}, self.var)
 
-    def shift_exp(self, k: int) -> "UniPoly":
-        """Multiply by x^k."""
-        return UniPoly(self.domain, {e + k: c for e, c in self.coeffs.items()}, self.var)
-
     def monic(self) -> "UniPoly":
         if not self.coeffs:
             return self
@@ -330,9 +332,6 @@ class UniPoly:
         src = self.domain
         return UniPoly(dst, {e: embed(src, dst, c) for e, c in self.coeffs.items()}, self.var)
 
-    def rename(self, var: str) -> "UniPoly":
-        return UniPoly(self.domain, dict(self.coeffs), var)
-
     # -- printing ----------------------------------------------------------
 
     def __repr__(self):
@@ -369,180 +368,59 @@ def compose(f: UniPoly, g: UniPoly) -> UniPoly:
 
 
 def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Monic gcd over a field coefficient domain.
+    """Monic gcd over a field coefficient domain; gcd(0, 0) = 0.
 
-    Rational coefficients go through a primitive pseudo-remainder sequence
-    over the integers and rational-function coefficients through the
-    multivariate gcd with x adjoined as an extra variable; both avoid the
-    coefficient explosion of naive Euclid.  Other field domains (finite
-    fields, number-field towers) use monic Euclid directly.
+    Over a finite domain (F_p, F_q towers) coefficients cannot grow, so
+    monic Euclid runs directly.  Over every other field (Q, number-field
+    towers, rational functions over any field) x is adjoined as the last
+    variable of a term dict, over the domain itself or over the base of
+    its parameters, and ``mp_gcd`` runs its primitive remainder sequence,
+    which keeps the coefficients from exploding (Brown, JACM 18, 1971).
     """
-    from .rings import FunctionField, Rationals, mpq
-
     f._same(g)
     dom = f.domain
-    if isinstance(dom, Rationals):
-        return _qq_gcd(f, g)
-    if isinstance(dom, FunctionField):
-        return _ff_gcd(f, g)
-    if dom.char == 0:
-        return _tower_gcd(f, g)
-    a, b = f, g
-    while b.coeffs:
-        a, b = b, a % b
-    if not a.coeffs:
-        return a
-    return a.monic()
-
-
-def _iter_rational_leaves(raw):
-    if isinstance(raw, tuple):
-        for part in raw:
-            yield from _iter_rational_leaves(part)
-    else:
-        yield raw
-
-
-def _strip_rational_content(f: UniPoly) -> UniPoly:
-    """Divide out the gcd of all rational coordinates (numerators over the
-    lcm of denominators); keeps pseudo-remainder chains from exploding."""
-    from math import gcd as igcd
-
-    from .rings import mpq
-
-    num_gcd = 0
-    den_lcm = 1
-    for c in f.coeffs.values():
-        for leaf in _iter_rational_leaves(c):
-            num_gcd = igcd(num_gcd, abs(int(leaf.numerator)))
-            d = int(leaf.denominator)
-            den_lcm = den_lcm * d // igcd(den_lcm, d)
-    if num_gcd in (0, den_lcm):
-        return f
-    return f.scale(_embed_mpq(f.domain, mpq(den_lcm, num_gcd)))
-
-
-def _embed_mpq(dom, q):
-    return dom.div(dom.from_int(int(q.numerator)), dom.from_int(int(q.denominator)))
-
-
-def _tower_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Primitive pseudo-remainder gcd for characteristic-zero quotient
-    towers, avoiding the coefficient growth of naive monic Euclid."""
-    a, b = _strip_rational_content(f), _strip_rational_content(g)
-    if not a.coeffs:
-        return b.monic() if b.coeffs else b
-    if not b.coeffs:
+    if dom.is_finite:
+        a, b = f, g
+        while b.coeffs:
+            a, b = b, a % b
         return a.monic()
-    if a.degree() < b.degree():
-        a, b = b, a
-    while b.coeffs:
-        r = _prem(a, b)
-        r = _strip_rational_content(r)
-        a, b = b, r
-    return a.monic()
+    is_ff = isinstance(dom, FunctionField)
+    big = mp_gcd(dom.base if is_ff else dom, _adjoin_x(f), _adjoin_x(g))
+    parts: dict[int, dict] = {}
+    for mono, c in big.items():
+        parts.setdefault(mono[-1], {})[mono[:-1]] = c
+    coeff = dom.from_poly if is_ff else (lambda part: part[()])
+    return UniPoly(dom, {e: coeff(part) for e, part in parts.items()}, f.var).monic()
 
 
-def _qq_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
-    from math import gcd as igcd
-
-    from .rings import mpq
-
-    def primitive_ints(p: UniPoly) -> dict[int, int]:
-        if not p.coeffs:
-            return {}
-        den = 1
-        for c in p.coeffs.values():
-            den = den * int(c.denominator) // igcd(den, int(c.denominator))
-        ints = {e: int(c * den) for e, c in p.coeffs.items()}
-        content = 0
-        for v in ints.values():
-            content = igcd(content, abs(v))
-        return {e: v // content for e, v in ints.items()}
-
-    a, b = primitive_ints(f), primitive_ints(g)
-    if not a or not b:
-        chosen = a or b
-        out = UniPoly(QQ_, {e: mpq(c) for e, c in chosen.items()}, f.var)
-        return out.monic() if out.coeffs else out
-    if max(a) < max(b):
-        a, b = b, a
-    while b:
-        # pseudo-remainder of a by b, then primitive part
-        da, db = max(a), max(b)
-        lb = b[db]
-        r = dict(a)
-        while r and max(r) >= db:
-            dr = max(r)
-            lr = r.pop(dr)
-            new = {e: c * lb for e, c in r.items()}
-            for e, c in b.items():
-                if e == db:
-                    continue
-                t = e + dr - db
-                v = new.get(t, 0) - lr * c
-                if v:
-                    new[t] = v
-                else:
-                    new.pop(t, None)
-            r = new
-        content = 0
-        for v in r.values():
-            content = igcd(content, abs(v))
-        if content:
-            r = {e: v // content for e, v in r.items()}
-        a, b = b, r
-    out = UniPoly(QQ_, {e: mpq(c) for e, c in a.items()}, f.var)
-    return out.monic()
-
-
-def _ff_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
-    from .rings import mp_gcd, mp_mul
-
-    dom = f.domain
+def _adjoin_x(p: UniPoly) -> dict:
+    """p as a term dict with x as the last variable.  Over a function field
+    the coefficients are first cleared of denominators (multiplied through
+    by their product) so the terms lie over the field's base."""
+    dom = p.domain
+    if not isinstance(dom, FunctionField):
+        return {(e,): c for e, c in p.coeffs.items()}
     base = dom.base
-    nv = dom.nvars
-
-    def as_poly_dict(p: UniPoly) -> dict:
-        # clear denominators: multiply through by the product of them
-        den = {(0,) * nv: base.one()}
-        for c in p.coeffs.values():
-            den = mp_mul(base, den, c[1])
-        out: dict = {}
-        for e, c in p.coeffs.items():
-            num, cden = c
-            q = mp_mul(base, num, _mp_quotient(base, den, cden))
-            for mono, coeff in q.items():
-                out[mono + (e,)] = coeff
-        return {k: v for k, v in out.items() if not base.is_zero(v)}
-
-    def _mp_quotient(bb, num, den):
-        from .rings import mp_exact_div
-
-        q = mp_exact_div(bb, num, den)
-        assert q is not None
-        return q
-
-    big = mp_gcd(base, as_poly_dict(f), as_poly_dict(g))
-    out_coeffs: dict[int, Any] = {}
-    for mono, coeff in big.items():
-        e = mono[-1]
-        part = out_coeffs.setdefault(e, {})
-        part[mono[:-1]] = coeff
-    result = UniPoly(
-        dom, {e: dom.from_poly(part) for e, part in out_coeffs.items()}, f.var
-    )
-    return result.monic()
+    den = dom._one_dict()
+    for _, d in p.coeffs.values():
+        den = mp_mul(base, den, d)
+    out = {}
+    for e, (num, d) in p.coeffs.items():
+        for mono, c in mp_mul(base, num, mp_exact_div(base, den, d)).items():
+            out[mono + (e,)] = c
+    return out
 
 
 def polys_coprime(f: UniPoly, g: UniPoly) -> bool:
     """Exact coprimality test.
 
-    In characteristic zero a reduction modulo a prime can only enlarge the
-    gcd, so a constant gcd after reduction certifies coprimality; when no
-    usable prime is found (bad denominators, modulus collisions) the exact
-    gcd decides.  This keeps the hot squarefree and disjointness checks off
-    the coefficient-explosion path of number-field Euclid.
+    In characteristic zero a reduction modulo a prime that keeps both
+    degrees can only enlarge the gcd, so a constant gcd of the images
+    certifies coprimality.  The images are coprime for almost every prime
+    and their gcd is finite-field Euclid, several times cheaper than the
+    exact ``mp_gcd`` route; so the hot squarefree and disjointness checks
+    reach ``poly_gcd`` over the original domain only when no prime decides
+    (bad denominators, modulus collisions, a common factor mod p).
     """
     if f.is_zero() or g.is_zero():
         return False
@@ -559,8 +437,6 @@ def polys_coprime(f: UniPoly, g: UniPoly) -> bool:
 
 
 def _coprime_mod_p(f: UniPoly, g: UniPoly, p: int) -> bool | None:
-    from .rings import PrimeField, ZeroDivisorError
-
     try:
         dom_p = _mod_p_domain(f.domain, p)
         fp = UniPoly(dom_p, {e: _mod_p_raw(f.domain, c, dom_p) for e, c in f.coeffs.items()}, f.var)
@@ -573,8 +449,6 @@ def _coprime_mod_p(f: UniPoly, g: UniPoly, p: int) -> bool | None:
 
 
 def _mod_p_domain(dom: Domain, p: int) -> Domain:
-    from .rings import FunctionField, PrimeField, QuotientRing, Rationals
-
     if isinstance(dom, Rationals):
         return PrimeField(p)
     if isinstance(dom, QuotientRing):
@@ -587,8 +461,6 @@ def _mod_p_domain(dom: Domain, p: int) -> Domain:
 
 
 def _mod_p_raw(dom: Domain, raw, dom_p: Domain):
-    from .rings import FunctionField, QuotientRing, Rationals
-
     if isinstance(dom, Rationals):
         den = int(raw.denominator) % dom_p.p  # type: ignore[attr-defined]
         if den == 0:

@@ -107,6 +107,18 @@ def test_orbit_cli():
     assert json.loads(text)["result"]["orbit_polynomial"] == "x"
 
 
+def test_negative_rational_option_values():
+    # "-49/6" after an option is its value, as in the "--u=-49/6" spelling
+    spaced = run(["reconstruct", "--delta", "1", "--u", "-49/6", "--u", "2"])
+    assert spaced == run(["reconstruct", "--delta", "1", "--u=-49/6", "--u", "2"])
+    assert spaced[0] == 0 and json.loads(spaced[1])["result"]["modulus"] == "t^2 = -49/12"
+    code, text = run(["orbit", "--fixture", "cyclic(3)", "--seed", "-3/2"])
+    assert code == 0 and json.loads(text)["result"]["orbit_polynomial"] == "x^3 + 27/8"
+    # misspelt options and missing required ones are still usage errors
+    assert run(["catalog", "--bogus"])[0] == 2
+    assert run(["genus", "x^2 + 1"])[0] == 2
+
+
 def test_catalog_and_custom_fixture_loading(tmp_path):
     out = tmp_path / "cat.json"
     code, _ = run(["catalog", "--out", str(out)])

@@ -198,15 +198,47 @@ def test_squarefree():
     assert not squarefree_test(UniPoly.from_int_list(F3, [1, 0, 0, 1]))  # x^3 + 1 = (x+1)^3
 
 
+GCD_DOMAINS = (
+    # (characteristic, extension steps, parameters, generator names)
+    (0, [], (), ()),
+    (0, [("i", "t^2 + 1")], (), ("i",)),
+    (0, [("i", "t^2 + 1"), ("s3", "t^2 - 3")], (), ("i", "s3")),
+    (0, [], ("a",), ("a",)),
+    (7, [], (), ()),
+    (3, [("i", "t^2 + 1")], (), ("i",)),  # F_9
+    (7, [], ("a",), ("a",)),
+)
+
+
 def test_gcd_of_random_products(rng):
-    for _ in range(40):
+    # Every domain class poly_gcd routes: Q, number-field towers and Q(a)
+    # through mp_gcd; F_7 and F_9 through Euclid; F_7(a) through mp_gcd.
+    for char, exts, params, gens in GCD_DOMAINS:
+        dom = build_domain(char, exts, params)
+
+        def rand_coeff():
+            terms = [str(rng.randint(-3, 3))] + [f"{rng.randint(-2, 2)}*{g}" for g in gens]
+            den = rng.choice(["1", "2"] + [f"({rng.choice([1, 2])} + {g})" for g in gens])
+            return "(" + " + ".join(terms) + f")/{den}"
+
         def rand_poly(deg):
-            return UniPoly(QQ, {e: mpq(rng.randint(-3, 3)) for e in range(deg)} | {deg: mpq(1)})
-        a, b, c = rand_poly(rng.randint(1, 3)), rand_poly(rng.randint(1, 3)), rand_poly(rng.randint(1, 3))
-        g = poly_gcd(a * c, b * c)
-        assert g.divides_exactly(a * c) is not None or (a * c).divides_exactly(g) is not None
-        # c divides the gcd
-        assert c.monic().divides_exactly(g) is not None
+            text = " + ".join(f"{rand_coeff()}*x^{e}" for e in range(deg + 1))
+            p = parse_expression(text, dom)
+            return p if p.degree() == deg else rand_poly(deg)
+
+        coprime_seen = 0
+        for _ in range(12):
+            a, b, c = (rand_poly(rng.randint(1, 3)) for _ in range(3))
+            g = poly_gcd(a * c, b * c)
+            assert c.monic().divides_exactly(g) is not None
+            assert g.divides_exactly(a * c) is not None and g.divides_exactly(b * c) is not None
+            if not dom.is_zero(resultant(a, b)):
+                assert g == c.monic()
+                coprime_seen += 1
+        assert coprime_seen
+        f, zero = rand_poly(2), UniPoly.zero(dom)
+        assert poly_gcd(zero, f) == f.monic() and poly_gcd(f, zero) == f.monic()
+        assert poly_gcd(zero, zero) == zero
 
 
 def test_proportional():
