@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -349,14 +348,21 @@ def _cmd_batch(args):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Reads a token that starts with '-' and a digit, such as ``-49/6``, as
-    a value rather than an option (argparse before Python 3.13 admits only
-    ``-49`` and ``-4.9``), so ``--u -49/6`` parses like ``--u=-49/6``.
-    Subparsers inherit the class."""
+    """Reads a token that starts with a single '-', such as ``-49/6`` or
+    ``-a``, as a value unless it is one of the parser's option strings
+    (argparse admits only ``-49`` and ``-4.9``), so ``--u -49/6`` parses
+    like ``--u=-49/6`` and ``--entry -a 0 0 1`` takes four values.  Tokens
+    that start with '--' are left to argparse, so a misspelt long option is
+    still a usage error.  Subparsers inherit the class."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+    def _parse_optional(self, arg_string):
+        if (
+            arg_string[:1] == "-"
+            and arg_string[1:2] not in ("", "-")
+            and arg_string not in self._option_string_actions
+        ):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _build_argparser() -> argparse.ArgumentParser:

@@ -36,6 +36,7 @@ from .rings import (
     mp_exact_div,
     mp_gcd,
     mp_mul,
+    tower_chain,
 )
 
 NEG_INF = float("-inf")
@@ -594,16 +595,108 @@ class Mobius:
 
 
 def mobius_transport(f: UniPoly, m: Mobius) -> UniPoly:
-    """Numerator of f((a x + b)/(c x + d)) * (c x + d)^deg(f).
+    """Numerator of f((a x + b)/(c x + d)) * (c x + d)^deg(f), that is
+    sum_e f_e (a x + b)^e (c x + d)^(n - e) with n = deg f.
 
     The roots of the result are the preimages under the map of the roots of
     f; the degree drops by the number of roots whose preimage is infinity.
     The result is not re-monicized.
+
+    The map is split into Taylor shifts and scalings (von zur Gathen and
+    Gerhard, "Fast algorithms for Taylor shifts and certain difference
+    equations", ISSAC 1997).  For c != 0, (a x + b)/(c x + d) is
+    u + w/(c x + d) with u = a/c and w = -det/c: shift f by u, reverse it
+    with weights w^k, shift by d and scale coefficient i by c^i.  For c = 0,
+    weigh f_e by d^(n-e), shift by b and scale by a^i.  A shift by a unit t
+    scales by t^i, shifts by 1 with additions only and scales back by
+    t^(-i); consecutive scalings are merged into one.  The cost is O(n)
+    multiplications, at most three inversions and n(n + 1) additions,
+    against O(n^2) multiplications for the Horner expansion of the sum
+    above.  Every step is exact, so both give the same polynomial.
+
+    Horner runs instead over a domain with a function field in its tower
+    (the shifts bring denominators, and each addition of rational functions
+    costs a gcd that Horner on polynomial entries never needs), and when
+    c, u or d is a zero divisor of a reducible modulus, so that inverting
+    it raises :class:`ZeroDivisorError`.
     """
     if f.is_zero():
         raise ValueError("transport of the zero polynomial")
     if f.domain != m.domain:
         raise DomainMismatchError("polynomial and matrix over different domains")
+    if not any(isinstance(d, FunctionField) for d in tower_chain(f.domain)):
+        try:
+            return UniPoly.from_list(f.domain, _shift_transport(f, m), f.var)
+        except ZeroDivisorError:
+            pass
+    return _horner_transport(f, m)
+
+
+def _shift_transport(f: UniPoly, m: Mobius) -> list[El]:
+    """Coefficients of the transport by shifts and scalings (see
+    :func:`mobius_transport`); every inversion comes before the first
+    shift."""
+    dom = f.domain
+    mul, inv, is_zero = dom.mul, dom.inv, dom.is_zero
+    a, b, c, d = m.entries()
+    n = int(f.degree())
+    q = f.to_list()
+    if is_zero(c):
+        # sum_e f_e d^(n-e) (a x + b)^e: the list h_e = f_e d^(n-e) shifted
+        # by b, then scaled by a^i
+        if is_zero(b):
+            return _scale_powers(dom, _scale_powers(dom, q[::-1], d)[::-1], a)
+        t, t_inv = b, inv(b)
+        z, e = mul(d, t_inv), mul(a, t_inv)
+        q.reverse()
+    else:
+        # (a x + b)/(c x + d) = u + w/(c x + d): g = f(x + u) has
+        # g_k = q_k u^(-k), and r(y) = y^n g(w/y) has r_(n-k) = q_k v^k with
+        # v = w/u; the transport is r(c x + d)
+        c_inv = inv(c)
+        u = mul(a, c_inv)
+        v = mul(dom.sub(mul(b, c), mul(a, d)), c_inv)
+        t_inv = None if is_zero(d) else inv(d)
+        if not is_zero(u):
+            v = mul(v, inv(u))
+            q = _shift_by_one(dom, _scale_powers(dom, q, u))
+        if t_inv is None:
+            # r_j c^j = c^n q_(n-j) (v/c)^(n-j)
+            return _scale_powers(dom, q, mul(v, c_inv), dom.pow(c, n))[::-1]
+        t, z, e = d, mul(v, t_inv), mul(c, t_inv)
+    # The shift of r by t starts from r_j t^j = t^n q_(n-j) (v/t)^(n-j) (for
+    # c = 0, h_j b^j = b^n f_j (d/b)^(n-j)); the factor t^n joins the last
+    # scaling, which undoes t^j and applies c^j (or a^j) in one step.
+    p = _shift_by_one(dom, _scale_powers(dom, q, z)[::-1])
+    return _scale_powers(dom, p, e, dom.pow(t, n))
+
+
+def _scale_powers(dom: Domain, h: list[El], t: El, s: El | None = None) -> list[El]:
+    """The list s * t^i * h_i (s = 1 when None), with no product formed for
+    a zero h_i."""
+    mul, is_zero = dom.mul, dom.is_zero
+    out = []
+    pw = s
+    for i, c in enumerate(h):
+        if i:
+            pw = t if pw is None else mul(pw, t)
+        out.append(c if pw is None or is_zero(c) else mul(c, pw))
+    return out
+
+
+def _shift_by_one(dom: Domain, g: list[El]) -> list[El]:
+    """The coefficients of g(x + 1) in place, by n(n + 1)/2 additions."""
+    add = dom.add
+    n = len(g) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            g[j] = add(g[j], g[j + 1])
+    return g
+
+
+def _horner_transport(f: UniPoly, m: Mobius) -> UniPoly:
+    """The transport by Horner's scheme on the sum of products, O(n^2)
+    multiplications and no inversion."""
     dom = f.domain
     n = int(f.degree())
     lin_num = UniPoly(dom, {1: m.a, 0: m.b}, f.var)

@@ -119,6 +119,24 @@ def test_negative_rational_option_values():
     assert run(["genus", "x^2 + 1"])[0] == 2
 
 
+def test_negative_symbolic_option_values():
+    # "-a" is a value, not an option: --entry takes four values either way
+    spelled = run(["transport", "--entry", "-a", "0", "0", "1", "--param", "a", "x^2+1"])
+    assert spelled == run(["transport", "--entry", "(-a)", "0", "0", "1", "--param", "a", "x^2+1"])
+    assert spelled[0] == 0 and json.loads(spelled[1])["result"]["polynomial"] == "a^2*x^2 + 1"
+    assert run(["catalog", "--bogus"])[0] == 2
+    assert run(["classify", "--fixture", "nosuch", "--n", "3", "x^3 - 1"])[0] == 2
+
+
+def test_transport_over_reducible_modulus():
+    # t + 1 is a zero divisor of Q[t]/(t^2 - 1); the transport still succeeds
+    code, text = run(["transport", "--entry", "1", "2", "t+1", "3", "--ext", "t:t^2-1", "x^3+t*x+1"])
+    assert code == 0
+    assert json.loads(text)["result"]["polynomial"] == (
+        "(6*t + 7)*x^3 + (28*t + 34)*x^2 + (48*t + 51)*x + (18*t + 35)"
+    )
+
+
 def test_catalog_and_custom_fixture_loading(tmp_path):
     out = tmp_path / "cat.json"
     code, _ = run(["catalog", "--out", str(out)])

@@ -17,7 +17,10 @@ from superelliptic import (
     set_degree_cap,
     squarefree_test,
 )
-from superelliptic.parser import build_domain, parse_expression
+from superelliptic import rings
+from superelliptic.catalog import a5_fixture, zeta5_field
+from superelliptic.parser import build_domain, parse_constant, parse_expression
+from superelliptic.rings import QuotientRing
 from superelliptic.unipoly import NEG_INF, _res_with_derivative
 
 from conftest import qpoly
@@ -91,6 +94,92 @@ def test_transport_scalar_matrix_proportional(rng):
     m = Mobius.from_ints(dom, 1, 2, 3, 1)
     scaled = Mobius(dom, *(dom.mul(dom.from_int(5), e) for e in m.entries()))
     assert proportional(mobius_transport(f, m), mobius_transport(f, scaled)) is not None
+
+
+TRANSPORT_DOMAINS = (
+    # (domain, entry values; the zero entry is added by the test)
+    (QQ, ("1", "-2", "3/5", "7")),
+    (build_domain(0, [("i", "t^2 + 1")], ()), ("1", "i", "2 - i", "-3/2*i")),
+    (zeta5_field(), ("1", "I", "z5", "z5^2 - I")),
+    (PrimeField(5), ("1", "2", "4")),
+    (build_domain(3, [("i", "t^2 + 1")], ()), ("1", "i", "i + 1", "2*i")),  # F_9
+    (build_domain(0, [], ("a",)), ("1", "a", "a + 1", "1/(a - 2)")),
+    # reducible modulus: t - 1 and t + 1 are zero divisors
+    (build_domain(0, [("t", "t^2 - 1")], ()), ("1", "t + 1", "t - 1", "2*t + 3")),
+)
+
+
+def test_transport_matches_expanded_sum(rng):
+    # mobius_transport against sum_e f_e (a x + b)^e (c x + d)^(n - e), with
+    # each of a, b, c, d zero in turn, and with f(a/c) = 0 (degree drop)
+    for dom, texts in TRANSPORT_DOMAINS:
+        values = [parse_constant(t, dom) for t in texts]
+        drops = 0
+        for zero_at in (None, 0, 1, 2, 3, None):
+            while True:
+                entries = [rng.choice(values) for _ in range(4)]
+                if zero_at is not None:
+                    entries[zero_at] = dom.zero()
+                try:
+                    m = Mobius(dom, *entries)
+                    break
+                except ValueError:  # singular matrix
+                    pass
+            a, b, c, d = entries
+            for drop in (False, True):
+                n = rng.randint(1, 5)
+                f = UniPoly(dom, {e: rng.choice(values + [dom.zero()]) for e in range(n)} | {n: rng.choice(values)})
+                if drop:  # F(a, c) = 0 for the binary form F of f
+                    f = f * UniPoly(dom, {1: c, 0: dom.neg(a)})
+                n = int(f.degree())
+                num, den = UniPoly(dom, {1: a, 0: b}), UniPoly(dom, {1: c, 0: d})
+                expected = UniPoly.zero(dom)
+                for e, fe in f.coeffs.items():
+                    expected = expected + (num**e * den ** (n - e)).scale(fe)
+                got = mobius_transport(f, m)
+                assert got == expected, (dom, f, m)
+                drops += got.degree() < n
+        assert drops
+
+
+def _counting_copy(dom, counts):
+    """An equal domain whose mul and inv count their calls."""
+    spy = QuotientRing(dom.base, dom.name, dom.minpoly, field=dom.is_field)
+    for name in ("mul", "inv"):
+        def call(*args, _name=name, _method=getattr(spy, name)):
+            counts[_name] += 1
+            return _method(*args)
+        setattr(spy, name, call)
+    return spy
+
+
+def test_transport_cost_is_linear_in_degree():
+    # a5 B0 has degree 20; Horner's expansion takes ~900 tower products
+    fx = a5_fixture()
+    f1 = fx.orbit("B0").poly
+    sigma, rho = fx.generators
+    elements = [sigma, rho, sigma * rho, rho * sigma * sigma, rho.inverse() * sigma * rho]
+    counts = {"mul": 0, "inv": 0}
+    dom = _counting_copy(fx.domain, counts)
+    f = UniPoly(dom, f1.coeffs)
+    n = int(f.degree())
+    for g in elements:
+        m = Mobius(dom, *g.entries())
+        counts.update(mul=0, inv=0)
+        t = mobius_transport(f, m)
+        assert counts["mul"] <= 8 * (n + 1) and counts["inv"] <= 3, counts
+        assert t.degree() == n and proportional(t, f) is not None
+
+
+def test_parametric_transport_takes_the_gcd_free_path(monkeypatch):
+    dom = build_domain(0, [], ("a", "b"))
+    f = parse_expression("x^8 + a*x^5 - b*x^2 + 1", dom)
+    m = Mobius(dom, *(parse_constant(t, dom) for t in ("a", "1", "a + 1", "b")))
+    calls = []
+    real = rings.mp_gcd
+    monkeypatch.setattr(rings, "mp_gcd", lambda *args: calls.append(1) or real(*args))
+    t = mobius_transport(f, m)
+    assert not calls and t.degree() == 8
 
 
 def test_resultant_fixtures():
