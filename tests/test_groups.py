@@ -1,3 +1,6 @@
+import functools
+import pathlib
+
 import pytest
 
 from superelliptic import (
@@ -532,8 +535,9 @@ def test_catalog_roundtrip(tmp_path):
     assert catalog_to_json({name: fixture_by_name(name) for name in ("dihedral(3)", "s4")}) == text
 
 
-def test_a5_case_c_from_user_matrix():
-    # diagonalize sigma*rho over Q(i, zeta5, sqrt3) and feed the matrix in
+def _case_c_matrix() -> Mobius:
+    """A matrix diagonalizing the order-3 element sigma*rho of a5 over
+    Q(i, zeta5, sqrt3), for building a5_c."""
     base = zeta5_field()
     dom = adjoin(base, "sqrt3", (base.from_int(-3), base.zero(), base.one()), field=True)
     i = parse_expression("I", dom).coeff(0)
@@ -549,8 +553,24 @@ def test_a5_case_c_from_user_matrix():
     lam1 = dom.mul(omega, lam2)
     if dom.is_zero(m.b):
         raise AssertionError("unexpected diagonal element")
-    q1 = Mobius(dom, m.b, m.b, dom.sub(lam1, m.a), dom.sub(lam2, m.a))
-    fx = a5_c_fixture(q1)
+    return Mobius(dom, m.b, m.b, dom.sub(lam1, m.a), dom.sub(lam2, m.a))
+
+
+@functools.cache
+def _case_c_fixture():
+    return a5_c_fixture(_case_c_matrix())
+
+
+def test_transported_fixtures_golden():
+    # the five fixtures that conjugate a standard one, pinned byte for byte
+    fixtures = {name: fixture_by_name(name) for name in ("a4_b", "s4_b", "s4_c", "a5_b")}
+    fixtures["a5_c"] = _case_c_fixture()
+    stored = (pathlib.Path(__file__).parent / "golden" / "catalog_transported.json").read_text()
+    assert catalog_to_json(fixtures) + "\n" == stored
+
+
+def test_a5_case_c_from_user_matrix():
+    fx = _case_c_fixture()
     assert len(fx.elements()) == 60
     sizes = sorted(orb.size for orb in fx.special_orbits)
     assert sizes == [12, 20, 30]
