@@ -4,31 +4,33 @@ Every fixture is built exactly, over an explicit tower rooted in Q or F_p:
 
 * cyclic(d), dihedral(d)       -- over the d-th cyclotomic field
 * dihedral_b(m)                -- the order-2-outside-the-rotation model
-* a4, s4                       -- over Q(i) resp. Q(i, sqrt3)
-* a4_b, s4_b                   -- coordinates with the order-3 element
-                                  diagonal, obtained by diagonalizing the
-                                  standard order-3 generator inside
-                                  Q(i, sqrt3) (its eigenvalue ratio is a
+* a4, s4, a5                   -- standard coordinates, over Q(i, sqrt3),
+                                  Q(i) and Q(i, zeta5)
+* a4_b, s4_b                   -- a4 and s4 conjugated inside Q(i, sqrt3)
+                                  so that the order-3 element i(x+1)/(x-1)
+                                  is diagonal (its eigenvalue ratio is a
                                   primitive cube root of unity)
-* s4_c                         -- transported so the distinguished
-                                  involution is x -> -x, over Q(i, sqrt2)
-* a5, a5_b                     -- over Q(i, zeta5) and one radical step
-* a5_c                         -- built from a caller-supplied transport
-                                  matrix (the nested radical constants are
-                                  not shipped)
+* s4_c                         -- s4 conjugated over Q(i, sqrt2) so that the
+                                  distinguished involution is x -> -x
+* a5_b                         -- a5 conjugated over one radical step above
+                                  Q(i, zeta5) so that an involution is x -> -x
+* a5_c                         -- a5 conjugated by a caller-supplied matrix
+                                  that diagonalizes an order-3 element (the
+                                  nested radical constants are not shipped)
 * elem_abelian(p,t,m), psl(p,t), pgl(p,t) over F_{p^t}
 
-Construction is validated on the fly: group closures must hit the declared
-order, diagonalized generators must come out diagonal, and special-orbit
-sizes must match the classical counts.  Orbit polynomials for seeds inside
-the tower are computed as actual orbits; the remaining ones are Mobius
-transports of the standard-coordinate polynomials.
+The five conjugated fixtures are the standard one moved by a matrix q
+(``_moved``): generators q^-1 g q, special orbits and the linear template
+transported by q.  Construction is validated on the fly: group closures must
+hit the declared order, the distinguished conjugated element must come out
+diagonal, and special-orbit sizes must match the classical counts.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import operator
 import re
 
 from .rings import QQ, Domain, El, PrimeField, QuotientRing, adjoin, embed, tower_chain
@@ -192,20 +194,15 @@ def _orbit_from_seed(elements, seed, expected_size: int, name: str) -> SpecialOr
     return SpecialOrbit(name, orbit_polynomial(elements, seed), has_inf)
 
 
-def _orbit_from_transport(
-    dom: Domain,
-    std_poly: UniPoly,
-    q: Mobius,
-    expected_size: int,
-    name: str,
-    src_includes_infinity: bool = False,
-) -> SpecialOrbit:
-    t = mobius_transport(std_poly.map_domain(dom), q).monic()
-    drop = int(std_poly.degree()) - int(t.degree())
+def _orbit_from_transport(std: SpecialOrbit, q: Mobius, name: str) -> SpecialOrbit:
+    """The orbit ``std`` moved by q^-1, which must keep its size."""
+    dom = q.domain
+    t = mobius_transport(std.poly.map_domain(dom), q).monic()
+    drop = int(std.poly.degree()) - int(t.degree())
     if drop not in (0, 1):
         raise GroupError(f"orbit {name}: transport degree dropped by {drop}")
     has_inf = bool(drop)
-    if src_includes_infinity:
+    if std.includes_infinity:
         # the preimage of infinity joins the orbit: the pole of the map,
         # or infinity itself for an affine map
         if dom.is_zero(q.c):
@@ -216,15 +213,63 @@ def _orbit_from_transport(
             pole = dom.neg(dom.div(q.d, q.c))
             t = t * UniPoly(dom, {1: dom.one(), 0: dom.neg(pole)}, t.var)
     size = int(t.degree()) + (1 if has_inf else 0)
-    if size != expected_size:
-        raise GroupError(f"orbit {name}: got {size} points, expected {expected_size}")
+    if size != std.size:
+        raise GroupError(f"orbit {name}: got {size} points, expected {std.size}")
     return SpecialOrbit(name, t, has_inf)
 
 
-def _assert_diagonal(m: Mobius, label: str) -> None:
-    dom = m.domain
-    if not (dom.is_zero(m.b) and dom.is_zero(m.c)):
-        raise GroupError(f"{label}: conjugated generator is not diagonal")
+def _conjugates(q: Mobius, gens) -> list[Mobius]:
+    qi = q.inverse()
+    return [qi * g * q for g in gens]
+
+
+def _moved(
+    std: GroupFixture,
+    q: Mobius,
+    name: str,
+    delta: int,
+    gen_order: tuple[int, ...],
+    diagonal: tuple[int, ...],
+    mark: str,
+    caveats: tuple[str, ...] = (),
+) -> GroupFixture:
+    """The fixture ``std`` moved by q, over the domain of q: the generators
+    q^-1 g q listed by their index in ``gen_order``, every special orbit and
+    excluded parameter of ``std`` transported and renamed with ``mark``.
+
+    The product of the generators indexed by ``diagonal`` must become
+    diagonal, and x -> -x when delta = 2.  T1 is multiplied by
+    (c x + d)^(deg T0 - deg T1), so that T0 - a T1 still cuts out the
+    orbit of parameter a.
+    """
+    dom = q.domain
+    conj = _conjugates(q, [g.map_domain(dom) for g in std.generators])
+    rot = functools.reduce(operator.mul, (conj[k] for k in diagonal))
+    if not (dom.is_zero(rot.b) and dom.is_zero(rot.c)):
+        raise GroupError(f"{name}: conjugated generator is not diagonal")
+    if delta == 2 and not dom.eq(rot.a, dom.neg(rot.d)):
+        raise GroupError(f"{name}: distinguished involution is not x -> -x")
+    specials = [_orbit_from_transport(orb, q, orb.name + mark) for orb in std.special_orbits]
+    t0 = t1 = None
+    if std.t0 is not None:  # a4 has no linear template; a4_b uses seeds
+        lin = UniPoly(dom, {1: q.c, 0: q.d}) ** int(std.t0.degree() - std.t1.degree())
+        t0 = mobius_transport(std.t0.map_domain(dom), q)
+        t1 = mobius_transport(std.t1.map_domain(dom), q) * lin
+    return GroupFixture(
+        name=name,
+        family=name,
+        domain=dom,
+        generators=[conj[k] for k in gen_order],
+        order=std.order,
+        delta=delta,
+        special_orbits=specials,
+        generic_size=std.generic_size,
+        template_kind=std.template_kind,
+        t0=t0,
+        t1=t1,
+        excluded=[(embed(std.domain, dom, v), orbit + mark) for v, orbit in std.excluded],
+        caveats=caveats,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -325,17 +370,6 @@ def dihedral_b_fixture(m: int) -> GroupFixture:
     return fx
 
 
-def _a4_template(fixture: GroupFixture, dom: Domain, a: El, var: str) -> UniPoly:
-    two = dom.from_int(2)
-    twelve = dom.from_int(12)
-    a2 = dom.div(dom.add(dom.mul(two, a), twelve), dom.sub(two, a))
-    a3 = dom.div(dom.sub(dom.mul(two, a), twelve), dom.add(two, a))
-    out = UniPoly.one(dom, var)
-    for aj in (a, a2, a3):
-        out = out * UniPoly(dom, {4: dom.one(), 2: dom.neg(aj), 0: dom.one()}, var)
-    return out
-
-
 @functools.cache
 def a4_fixture() -> GroupFixture:
     dom = sqrt3_field()
@@ -365,13 +399,12 @@ def a4_fixture() -> GroupFixture:
             (two_i_s3, "B1"),
             (dom.neg(two_i_s3), "B2"),
         ],
-        template_builder=_a4_template,
     )
 
 
-def _diagonalizing_matrix(dom: Domain) -> tuple[Mobius, El]:
-    """Matrix whose conjugation diagonalizes mu(x) = i(x+1)/(x-1), together
-    with the primitive cube root of unity that appears as the multiplier.
+def _diagonalizing_matrix(dom: Domain) -> Mobius:
+    """Matrix whose conjugation diagonalizes mu(x) = i(x+1)/(x-1); the
+    multiplier is the primitive cube root of unity omega.
 
     mu has order 3; its eigenvalue ratio is a cube root of unity, so the
     eigenvector matrix lives in Q(i, sqrt3) even though the eigenvalues
@@ -384,14 +417,7 @@ def _diagonalizing_matrix(dom: Domain) -> tuple[Mobius, El]:
     # lam2 = (i - 1)/(1 + omega), lam1 = omega * lam2
     lam2 = dom.div(dom.sub(i, dom.one()), dom.add(dom.one(), omega))
     lam1 = dom.mul(omega, lam2)
-    q = Mobius(
-        dom,
-        dom.add(lam1, dom.one()),
-        dom.add(lam2, dom.one()),
-        dom.one(),
-        dom.one(),
-    )
-    return q, omega
+    return Mobius(dom, dom.add(lam1, dom.one()), dom.add(lam2, dom.one()), dom.one(), dom.one())
 
 
 A4_B_CAVEAT = (
@@ -403,49 +429,32 @@ A4_B_CAVEAT = (
 
 @functools.cache
 def a4_b_fixture() -> GroupFixture:
-    dom = sqrt3_field()
-    q, omega = _diagonalizing_matrix(dom)
-    i = find_generator(dom, "I")
-    mu = Mobius(dom, i, i, dom.one(), dom.from_int(-1))
-    neg = _scaling(dom, dom.from_int(-1))
-    qi = q.inverse()
-    g_rot = qi * mu * q
-    _assert_diagonal(g_rot, "a4_b")
-    g_two = qi * neg * q
-    gens = [g_rot, g_two]
-    elements = group_elements(gens, bound=13)
-    if len(elements) != 12:
-        raise GroupError("a4_b closure is not of order 12")
-    seed_b1 = qi.apply(dom.one())
-    b1 = _orbit_from_seed(elements, seed_b1, 6, "B1")
-    quartics = [
-        _orbit_from_transport(dom, a4_fixture().orbit(nm).poly, q, 4, nm)
-        for nm in ("B1", "B2")
-    ]
+    moved = _moved(a4_fixture(), _diagonalizing_matrix(sqrt3_field()), "a4_b", 3, (1, 0), (1,), "")
+    dom = moved.domain
+    b1, *quartics = moved.special_orbits
     # the quartic orbit through infinity is named Binf, the one through 0 is B0
     if not quartics[0].includes_infinity:
         quartics.reverse()
     binf, bzero = quartics
     if binf.includes_infinity == bzero.includes_infinity or not dom.is_zero(bzero.poly.coeff(0)):
         raise GroupError("a4_b: the two quartic orbits must split 0 and infinity")
-    specials = [
-        SpecialOrbit("B0", bzero.poly, False),
-        SpecialOrbit("Binf", binf.poly, True),
-        b1,
-    ]
     fx = GroupFixture(
         name="a4_b",
         family="a4_b",
         domain=dom,
-        generators=gens,
+        generators=moved.generators,
         order=12,
         delta=3,
-        special_orbits=specials,
+        special_orbits=[
+            SpecialOrbit("B0", bzero.poly, False),
+            SpecialOrbit("Binf", binf.poly, True),
+            SpecialOrbit("B1", b1.poly, b1.includes_infinity),
+        ],
         generic_size=12,
         template_kind="seed",
         caveats=(A4_B_CAVEAT,),
     )
-    fx._elements = elements
+    fx.elements()  # the closure is checked at build time
     return fx
 
 
@@ -484,44 +493,20 @@ def s4_fixture() -> GroupFixture:
 
 @functools.cache
 def s4_b_fixture() -> GroupFixture:
-    dom = sqrt3_field()
-    q, omega = _diagonalizing_matrix(dom)
-    qi = q.inverse()
-    i = find_generator(dom, "I")
-    sigma = _scaling(dom, i)
-    mu = Mobius(dom, i, i, dom.one(), dom.from_int(-1))
-    g_rot = qi * mu * q
-    _assert_diagonal(g_rot, "s4_b")
-    gens = [g_rot, qi * sigma * q]
-    elements = group_elements(gens, bound=25)
-    if len(elements) != 24:
-        raise GroupError("s4_b closure is not of order 24")
-    s4 = s4_fixture()
-    b0 = _orbit_from_seed(elements, qi.apply(dom.zero()), 6, "B0'")
-    b1 = _orbit_from_transport(dom, s4.orbit("B1").poly, q, 8, "B1'")
-    b2 = _orbit_from_transport(dom, s4.orbit("B2").poly, q, 12, "B2'")
-    t0 = mobius_transport(s4.t0.map_domain(dom), q)
-    lin = UniPoly(dom, {1: q.c, 0: q.d})
-    t1 = mobius_transport(s4.t1.map_domain(dom), q) * lin**4
-    fx = GroupFixture(
-        name="s4_b",
-        family="s4_b",
-        domain=dom,
-        generators=gens,
-        order=24,
-        delta=3,
-        special_orbits=[b0, b1, b2],
-        generic_size=24,
-        template_kind="linear",
-        t0=t0,
-        t1=t1,
-        excluded=[(dom.zero(), "B1'"), (dom.from_int(108), "B2'")],
+    fx = _moved(
+        s4_fixture(),
+        _diagonalizing_matrix(sqrt3_field()),
+        "s4_b",
+        3,
+        (1, 0),
+        (1,),
+        "'",
         caveats=(
             "coordinates come from diagonalizing the order-3 element directly; "
             "the distinguished generator is the diagonal cube-root scaling",
         ),
     )
-    fx._elements = elements
+    fx.elements()  # the closure is checked at build time
     return fx
 
 
@@ -538,44 +523,19 @@ def s4_c_fixture() -> GroupFixture:
         dom.one(),
         dom.from_int(-1),
     )
-    qi = q.inverse()
-    sigma = _scaling(dom, i)
-    mu = Mobius(dom, i, i, dom.one(), dom.from_int(-1))
-    invol = qi * (sigma * mu * mu) * q
-    _assert_diagonal(invol, "s4_c")
-    if not dom.eq(dom.div(invol.a, invol.d), dom.from_int(-1)):
-        raise GroupError("s4_c: distinguished involution is not x -> -x")
-    gens = [qi * sigma * q, qi * mu * q]
-    elements = group_elements(gens, bound=25)
-    if len(elements) != 24:
-        raise GroupError("s4_c closure is not of order 24")
-    s4 = s4_fixture()
-    b0 = _orbit_from_seed(elements, qi.apply(dom.zero()), 6, "B0''")
-    b1 = _orbit_from_transport(dom, s4.orbit("B1").poly, q, 8, "B1''")
-    b2 = _orbit_from_transport(dom, s4.orbit("B2").poly, q, 12, "B2''")
-    t0 = mobius_transport(s4.t0.map_domain(dom), q)
-    lin = UniPoly(dom, {1: q.c, 0: q.d})
-    t1 = mobius_transport(s4.t1.map_domain(dom), q) * lin**4
-    fx = GroupFixture(
-        name="s4_c",
-        family="s4_c",
-        domain=dom,
-        generators=gens,
-        order=24,
-        delta=2,
-        special_orbits=[b0, b1, b2],
-        generic_size=24,
-        template_kind="linear",
-        t0=t0,
-        t1=t1,
-        excluded=[(dom.zero(), "B1''"), (dom.from_int(108), "B2''")],
-    )
-    fx._elements = elements
+    # the distinguished involution is sigma * mu^2
+    fx = _moved(s4_fixture(), q, "s4_c", 2, (0, 1), (0, 1, 1), "''")
+    fx.elements()  # the closure is checked at build time
     return fx
 
 
-def _a5_polys(dom: Domain) -> tuple[UniPoly, UniPoly, UniPoly]:
+def _a5_over(dom: Domain) -> GroupFixture:
+    """The standard icosahedral fixture over a tower with generators I and z5."""
     i = find_generator(dom, "I")
+    zeta = find_generator(dom, "z5")
+    b = dom.neg(dom.mul(i, dom.add(zeta, dom.pow(zeta, 4))))
+    sigma = _scaling(dom, zeta)
+    rho = Mobius(dom, dom.from_int(-1), dom.neg(b), b, dom.one())
     f0 = UniPoly(dom, {11: dom.one(), 6: dom.mul(dom.from_int(11), i), 1: dom.one()})
     f1 = UniPoly(
         dom,
@@ -598,19 +558,6 @@ def _a5_polys(dom: Domain) -> tuple[UniPoly, UniPoly, UniPoly]:
             0: dom.from_int(-1),
         },
     )
-    return f0, f1, f2
-
-
-@functools.cache
-def a5_fixture() -> GroupFixture:
-    dom = zeta5_field()
-    i = find_generator(dom, "I")
-    zeta = dom.gen()
-    b = dom.neg(dom.mul(i, dom.add(zeta, dom.pow(zeta, 4))))
-    sigma = _scaling(dom, zeta)
-    rho = Mobius(dom, dom.from_int(-1), dom.neg(b), b, dom.one())
-    f0, f1, f2 = _a5_polys(dom)
-    minus_1728i = dom.mul(dom.from_int(-1728), i)
     specials = [
         SpecialOrbit("Binf", f0, True),
         SpecialOrbit("B0", f1, False),
@@ -628,8 +575,13 @@ def a5_fixture() -> GroupFixture:
         template_kind="linear",
         t0=f1**3,
         t1=f0**5,
-        excluded=[(dom.zero(), "B0"), (minus_1728i, "B0*")],
+        excluded=[(dom.zero(), "B0"), (dom.mul(dom.from_int(-1728), i), "B0*")],
     )
+
+
+@functools.cache
+def a5_fixture() -> GroupFixture:
+    return _a5_over(zeta5_field())
 
 
 @functools.cache
@@ -645,7 +597,6 @@ def a5_b_fixture() -> GroupFixture:
     dom = adjoin(base, "e2", (c0, base.zero(), base.one()), field=True)
     w = dom.gen()
     i = find_generator(dom, "I")
-    zeta_t = embed(base, dom, zeta)
     s5_t = embed(base, dom, s5)
     q = Mobius(
         dom,
@@ -654,38 +605,8 @@ def a5_b_fixture() -> GroupFixture:
         dom.sub(s5_t, dom.one()),
         dom.neg(dom.sub(s5_t, dom.one())),
     )
-    qi = q.inverse()
-    sigma = _scaling(dom, zeta_t)
-    b = dom.neg(dom.mul(i, dom.add(zeta_t, dom.pow(zeta_t, 4))))
-    rho = Mobius(dom, dom.from_int(-1), dom.neg(b), b, dom.one())
-    invol = qi * rho * q
-    _assert_diagonal(invol, "a5_b")
-    if not dom.eq(dom.div(invol.a, invol.d), dom.from_int(-1)):
-        raise GroupError("a5_b: transported involution is not x -> -x")
-    gens = [qi * sigma * q, invol]
-    f0, f1, f2 = _a5_polys(dom)
-    binf = _orbit_from_transport(dom, f0, q, 12, "Binf'", src_includes_infinity=True)
-    b0 = _orbit_from_transport(dom, f1, q, 20, "B0'")
-    b0star = _orbit_from_transport(dom, f2, q, 30, "B0*'")
-    t0 = mobius_transport(f1**3, q)
-    lin_den = UniPoly(dom, {1: q.c, 0: q.d})
-    t1 = mobius_transport(f0**5, q) * lin_den**5
-    minus_1728i = dom.mul(dom.from_int(-1728), i)
-    fx = GroupFixture(
-        name="a5_b",
-        family="a5_b",
-        domain=dom,
-        generators=gens,
-        order=60,
-        delta=2,
-        special_orbits=[binf, b0, b0star],
-        generic_size=60,
-        template_kind="linear",
-        t0=t0,
-        t1=t1,
-        excluded=[(dom.zero(), "B0'"), (minus_1728i, "B0*'")],
-    )
-    return fx
+    # the involution rho becomes x -> -x
+    return _moved(_a5_over(dom), q, "a5_b", 2, (0, 1), (1,), "'")
 
 
 def a5_c_fixture(q1: Mobius) -> GroupFixture:
@@ -695,37 +616,14 @@ def a5_c_fixture(q1: Mobius) -> GroupFixture:
     The caller's domain must carry tower generators named I and z5; the
     conjugate of the order-3 element sigma*rho must come out diagonal.
     """
-    dom = q1.domain
-    i = find_generator(dom, "I")
-    zeta = find_generator(dom, "z5")
-    sigma = _scaling(dom, zeta)
-    b = dom.neg(dom.mul(i, dom.add(zeta, dom.pow(zeta, 4))))
-    rho = Mobius(dom, dom.from_int(-1), dom.neg(b), b, dom.one())
-    qi = q1.inverse()
-    rot = qi * (sigma * rho) * q1
-    _assert_diagonal(rot, "a5_c")
-    gens = [qi * sigma * q1, qi * rho * q1]
-    f0, f1, f2 = _a5_polys(dom)
-    binf = _orbit_from_transport(dom, f0, q1, 12, "Binf''", src_includes_infinity=True)
-    b0 = _orbit_from_transport(dom, f1, q1, 20, "B0''")
-    b0star = _orbit_from_transport(dom, f2, q1, 30, "B0*''")
-    t0 = mobius_transport(f1**3, q1)
-    lin_den = UniPoly(dom, {1: q1.c, 0: q1.d})
-    t1 = mobius_transport(f0**5, q1) * lin_den**5
-    minus_1728i = dom.mul(dom.from_int(-1728), i)
-    return GroupFixture(
-        name="a5_c",
-        family="a5_c",
-        domain=dom,
-        generators=gens,
-        order=60,
-        delta=3,
-        special_orbits=[binf, b0, b0star],
-        generic_size=60,
-        template_kind="linear",
-        t0=t0,
-        t1=t1,
-        excluded=[(dom.zero(), "B0''"), (minus_1728i, "B0*''")],
+    return _moved(
+        _a5_over(q1.domain),
+        q1,
+        "a5_c",
+        3,
+        (0, 1),
+        (0, 1),
+        "''",
         caveats=("transport matrix supplied by the caller; entries not validated beyond "
                  "the diagonality of the conjugated order-3 element",),
     )
@@ -860,8 +758,7 @@ def psl_pgl_case_b_generators(fixture: GroupFixture) -> list[Mobius]:
     if i is None:
         raise GroupError("no square root of -1 in the fixture field; supply a larger field")
     q = Mobius(dom, dom.neg(i), dom.neg(i), dom.one(), minus_one)
-    qi = q.inverse()
-    return [qi * g * q for g in fixture.generators]
+    return _conjugates(q, fixture.generators)
 
 
 # ---------------------------------------------------------------------------
@@ -1021,7 +918,6 @@ def load_catalog(path: str) -> dict[str, GroupFixture]:
             t1=t1,
             excluded=excluded,
             caveats=tuple(data.get("caveats", ())),
-            template_builder=_a4_template if gen["kind"] == "a4" else None,
             params=tuple(data.get("params", ())),
         )
         out[data["name"]] = fx

@@ -47,6 +47,7 @@ from .invariants import (
     InvariantVector,
     invariants,
     invariants_general,
+    invariants_of,
     locus_test,
     shifted_invariants,
 )
@@ -71,6 +72,7 @@ _VALIDATION_ERRORS = (
     DegreeCapError,
     KeyError,
     ValueError,
+    OSError,
 )
 _MATH_ERRORS = (
     SharedBranchPointError,
@@ -137,15 +139,11 @@ def _invariant_payload(u: InvariantVector) -> dict:
 
 
 def _fixture(args):
-    if getattr(args, "catalog", None):
-        loaded = catalog_mod.load_catalog(args.catalog)
-        if args.fixture in loaded:
-            return loaded[args.fixture]
-    path = os.environ.get("SUPERELLIPTIC_CATALOG")
-    if path:
-        loaded = catalog_mod.load_catalog(path)
-        if args.fixture in loaded:
-            return loaded[args.fixture]
+    for path in (args.catalog, os.environ.get("SUPERELLIPTIC_CATALOG")):
+        if path:
+            loaded = catalog_mod.load_catalog(path)
+            if args.fixture in loaded:
+                return loaded[args.fixture]
     return catalog_mod.fixture_by_name(args.fixture)
 
 
@@ -208,10 +206,7 @@ def _cmd_invariants(args):
 
 def _cmd_locus(args):
     dom = _domain_for(args, [args.poly])
-    f = parse_expression(args.poly, dom)
-    df = delta_form(f, args.delta)
-    nf, record = normalize(df)
-    u = invariants_general(nf) if record.root_free else invariants(nf)
+    u = invariants_of(parse_expression(args.poly, dom), args.delta)
     rep = locus_test(u)
     result = {
         "higher_cyclic": rep.higher_cyclic,
@@ -332,19 +327,27 @@ def _cmd_catalog(args):
     return {"catalog": json.loads(text)}, []
 
 
+def _run_batch_line(line: str) -> str:
+    """The report of one JSONL request; a usage report for a malformed one."""
+    try:
+        req = json.loads(line)
+        argv = [str(req["command"])] + [str(a) for a in req.get("args", [])]
+    except (ValueError, KeyError, TypeError, AttributeError):
+        return _report(
+            "batch",
+            error={"kind": "usage", "message": 'request is not a JSON object with a "command"'},
+            exit_status=2,
+        )
+    return run(argv)[1]
+
+
 def _cmd_batch(args):
     with open(args.requests, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    argvs = []
-    for ln in lines:
-        req = json.loads(ln)
-        argv = [req["command"]] + [str(a) for a in req.get("args", [])]
-        argvs.append(argv)
+        lines = [ln for ln in fh if ln.strip()]
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        results = list(pool.map(lambda av: run(av)[1], argvs))
+        results = list(pool.map(_run_batch_line, lines))
     for text in results:
         print(text)
-    return None
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -475,13 +478,13 @@ def run(argv: list[str]) -> tuple[int, str]:
             exit_status=2,
         )
     command = args.command
-    if command == "batch":
-        _cmd_batch(args)
-        return 0, ""
     previous_cap = degree_cap()
     if getattr(args, "max_degree", None):
         set_degree_cap(args.max_degree)
     try:
+        if command == "batch":
+            _cmd_batch(args)
+            return 0, ""
         result, warnings = _HANDLERS[command](args)
         return 0, _report(command, result=result, warnings=warnings)
     except ParseError as exc:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
-from typing import Any, Callable
+from typing import Any
 
 from .rings import (
     QQ,
@@ -158,7 +158,6 @@ class GroupFixture:
         t1: UniPoly | None = None,
         excluded: list[tuple[El, str]] | None = None,
         caveats: tuple[str, ...] = (),
-        template_builder: Callable | None = None,
         params: tuple = (),
     ):
         self.name = name
@@ -174,7 +173,6 @@ class GroupFixture:
         self.t1 = t1
         self.excluded = list(excluded or [])
         self.caveats = caveats
-        self._template_builder = template_builder
         self.params = params
         self._elements: list[Mobius] | None = None
 
@@ -213,7 +211,7 @@ class GroupFixture:
         if self.template_kind == "seed":
             return self._seed_template(dom, a, var)
         if self.template_kind == "a4":
-            return self._template_builder(self, dom, a, var)  # type: ignore[misc]
+            return _a4_template(dom, a, var)
         t0 = self.t0.map_domain(dom)
         t1 = self.t1.map_domain(dom)
         out = t0 - t1.scale(a)
@@ -666,6 +664,19 @@ def _recover_seeds(fixture, dom, cofactor, t):
     if not rem.is_constant():
         return None, rem
     return tuple(params), one
+
+
+def _a4_template(dom: Domain, a: El, var: str) -> UniPoly:
+    """(x^4 - a x^2 + 1)(x^4 - a2 x^2 + 1)(x^4 - a3 x^2 + 1) with
+    a2 = (2a + 12)/(2 - a) and a3 = (2a - 12)/(2 + a)."""
+    two = dom.from_int(2)
+    twelve = dom.from_int(12)
+    a2 = dom.div(dom.add(dom.mul(two, a), twelve), dom.sub(two, a))
+    a3 = dom.div(dom.sub(dom.mul(two, a), twelve), dom.add(two, a))
+    out = UniPoly.one(dom, var)
+    for aj in (a, a2, a3):
+        out = out * UniPoly(dom, {4: dom.one(), 2: dom.neg(aj), 0: dom.one()}, var)
+    return out
 
 
 def _recover_a4(fixture, dom, cofactor, t):

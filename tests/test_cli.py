@@ -192,3 +192,39 @@ def test_batch_preserves_order(tmp_path, capsys):
     assert [ln["command"] for ln in lines] == ["resultant", "deltas", "invariants"]
     assert lines[0]["result"]["resultant"] == "9"
     assert lines[1]["result"]["deltas"] == [1, 2, 3, 6]
+
+
+def test_file_errors_exit_2(tmp_path, monkeypatch):
+    missing = str(tmp_path / "missing.json")
+    argv = ["orbit", "--fixture", "dihedral(3)", "--seed", "1"]
+    for code, text in (
+        run(argv + ["--catalog", missing]),
+        run(["catalog", "--out", str(tmp_path / "no-such-dir" / "cat.json")]),
+        run(["batch", missing]),
+    ):
+        assert code == 2 and json.loads(text)["error"]["kind"] == "FileNotFoundError"
+    monkeypatch.setenv("SUPERELLIPTIC_CATALOG", missing)
+    code, text = run(argv)
+    assert code == 2 and json.loads(text)["exit"] == 2
+
+
+def test_batch_reports_bad_lines_in_their_slots(tmp_path, capsys):
+    reqs = tmp_path / "reqs.jsonl"
+    reqs.write_text(
+        "\n".join(
+            [
+                json.dumps({"command": "deltas", "args": ["x^6 - 1"]}),
+                "{not json",
+                json.dumps({"args": ["x^2 - 1"]}),
+                json.dumps(["deltas"]),
+                json.dumps({"command": "resultant", "args": ["x^2 - 1", "x^2 - 4"]}),
+            ]
+        )
+        + "\n"
+    )
+    assert run(["batch", str(reqs), "--jobs", "2"]) == (0, "")
+    lines = [json.loads(ln) for ln in capsys.readouterr().out.strip().splitlines()]
+    assert [ln["exit"] for ln in lines] == [0, 2, 2, 2, 0]
+    assert all(ln["error"]["kind"] == "usage" for ln in lines[1:4])
+    assert lines[0]["result"]["deltas"] == [1, 2, 3, 6]
+    assert lines[4]["result"]["resultant"] == "9"

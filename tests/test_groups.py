@@ -7,6 +7,7 @@ from superelliptic import (
     ClosureBoundError,
     DecompositionError,
     ExcludedParameterError,
+    GroupError,
     Mobius,
     PrimeField,
     UniPoly,
@@ -22,6 +23,7 @@ from superelliptic import (
     orbit_set_invariant,
 )
 from superelliptic.catalog import (
+    _moved,
     a4_fixture,
     a5_c_fixture,
     catalog_to_json,
@@ -469,7 +471,7 @@ def test_transport_conjugation_bridges_coordinate_models():
 
     a4b = fixture_by_name("a4_b")
     dom = sqrt3_field()
-    q, _ = _diagonalizing_matrix(dom)
+    q = _diagonalizing_matrix(dom)
     std = fixture_by_name("a4")
     for orb_name in ("B1", "B2"):
         moved = mobius_transport(std.orbit(orb_name).poly.map_domain(dom), q).monic()
@@ -517,7 +519,8 @@ def test_multiplicative_generator():
 
 
 def test_catalog_roundtrip(tmp_path):
-    text = catalog_to_json({name: fixture_by_name(name) for name in ("dihedral(3)", "s4")})
+    names = ("dihedral(3)", "s4", "a4", "a4_b")
+    text = catalog_to_json({name: fixture_by_name(name) for name in names})
     path = tmp_path / "cat.json"
     path.write_text(text)
     loaded = load_catalog(str(path))
@@ -526,13 +529,24 @@ def test_catalog_roundtrip(tmp_path):
     assert d3.order == 6 and d3.delta == 3
     assert len(group_elements(d3.generators)) == 6
     assert [str(o.poly) for o in d3.special_orbits] == [str(o.poly) for o in ref.special_orbits]
-    s4 = loaded["s4"]
-    dom = s4.domain
-    tpl = s4.generic_template(dom, dom.from_int(7))
-    ref_tpl = fixture_by_name("s4").generic_template(fixture_by_name("s4").domain, fixture_by_name("s4").domain.from_int(7))
-    assert str(tpl) == str(ref_tpl)
+    # linear, a4 and seed templates all come back from the file
+    for name in ("s4", "a4", "a4_b"):
+        fx, ref = loaded[name], fixture_by_name(name)
+        assert fx.template_kind == ref.template_kind
+        tpl = fx.generic_template(fx.domain, fx.domain.from_int(7))
+        assert str(tpl) == str(ref.generic_template(ref.domain, ref.domain.from_int(7))), name
     # deterministic export
-    assert catalog_to_json({name: fixture_by_name(name) for name in ("dihedral(3)", "s4")}) == text
+    assert catalog_to_json({name: fixture_by_name(name) for name in names}) == text
+
+
+def test_conjugated_fixture_checks():
+    # the conjugate of sigma*rho must be diagonal: the identity matrix fails
+    with pytest.raises(GroupError, match="not diagonal"):
+        a5_c_fixture(Mobius.identity(zeta5_field()))
+    # with delta = 2 the diagonal element must be x -> -x, not x -> i x
+    s4 = fixture_by_name("s4")
+    with pytest.raises(GroupError, match="x -> -x"):
+        _moved(s4, Mobius.identity(s4.domain), "s4_id", 2, (0, 1), (0,), "'")
 
 
 def _case_c_matrix() -> Mobius:
