@@ -40,8 +40,6 @@ from .unipoly import (
     set_degree_cap,
     squarefree_test,
     support_gcd,
-    sylvester_matrix,
-    bareiss_determinant,
 )
 from .covers import (
     BlowUpNeededError,

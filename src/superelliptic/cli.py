@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import catalog as catalog_mod
 from .covers import (
@@ -315,39 +314,42 @@ def _cmd_resultant(args):
     dom = _domain_for(args, [args.poly_a, args.poly_b])
     fa = parse_expression(args.poly_a, dom)
     fb = parse_expression(args.poly_b, dom)
-    return {"resultant": dom.fmt(resultant(fa, fb, method=args.method))}, []
+    return {"resultant": dom.fmt(resultant(fa, fb))}, []
 
 
 def _cmd_catalog(args):
-    text = catalog_mod.catalog_to_json()
     if args.out:
+        # opened first, so a bad path fails before the catalog is built
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(catalog_mod.catalog_to_json() + "\n")
         return {"written": args.out}, []
-    return {"catalog": json.loads(text)}, []
+    return {"catalog": json.loads(catalog_mod.catalog_to_json())}, []
+
+
+def _batch_usage(message: str) -> str:
+    return _report("batch", error={"kind": "usage", "message": message}, exit_status=2)
 
 
 def _run_batch_line(line: str) -> str:
-    """The report of one JSONL request; a usage report for a malformed one."""
+    """The report of one JSONL request; a usage report for a malformed one
+    or for a nested ``batch``, which would print outside its slot."""
     try:
         req = json.loads(line)
         argv = [str(req["command"])] + [str(a) for a in req.get("args", [])]
     except (ValueError, KeyError, TypeError, AttributeError):
-        return _report(
-            "batch",
-            error={"kind": "usage", "message": 'request is not a JSON object with a "command"'},
-            exit_status=2,
-        )
+        return _batch_usage('request is not a JSON object with a "command"')
+    if argv[0] == "batch":
+        return _batch_usage("a batch request cannot run batch")
     return run(argv)[1]
 
 
 def _cmd_batch(args):
+    if args.jobs < 1:
+        raise ValueError("--jobs must be positive")
     with open(args.requests, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh if ln.strip()]
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        results = list(pool.map(_run_batch_line, lines))
-    for text in results:
-        print(text)
+    for line in lines:
+        print(_run_batch_line(line))
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -433,7 +435,6 @@ def _build_argparser() -> argparse.ArgumentParser:
     _common_flags(p)
 
     p = sub.add_parser("resultant", help="resultant of two polynomials")
-    p.add_argument("--method", choices=("subresultant", "sylvester"), default="subresultant")
     p.add_argument("poly_a")
     p.add_argument("poly_b")
     _common_flags(p)
@@ -441,9 +442,9 @@ def _build_argparser() -> argparse.ArgumentParser:
     p = sub.add_parser("catalog", help="emit the standard fixture catalog as JSON")
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("batch", help="run JSONL requests, optionally in parallel")
+    p = sub.add_parser("batch", help="run JSONL requests in order, one report per line")
     p.add_argument("requests")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; ignored")
 
     return ap
 

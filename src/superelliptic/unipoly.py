@@ -5,11 +5,9 @@ Polynomials are sparse ``{exponent: raw coefficient}`` maps tied to a
 the sentinel ``NEG_INF``.  Products, powers and compositions are guarded by
 a configurable degree cap so runaway symbolic expansion fails fast.
 
-Resultants are Sylvester-matrix determinants.  The default engine is the
-subresultant polynomial remainder sequence (Brown's algorithm), which is
-fraction-free over polynomial coefficient domains; a direct Bareiss
-elimination of the Sylvester matrix is kept as an independent cross-check
-(`resultant(..., method="sylvester")`).
+Resultants are Sylvester-matrix determinants, computed by the subresultant
+polynomial remainder sequence (Brown's algorithm), which is fraction-free
+over polynomial coefficient domains.
 
 Mobius transport of ``f`` by ``mu = (a x + b)/(c x + d)`` is the polynomial
 numerator ``f(mu(x)) * (c x + d)^deg(f)``; its roots are the preimages of
@@ -54,8 +52,8 @@ def degree_cap() -> int:
 
 
 def set_degree_cap(n: int) -> None:
-    """Set the expansion guard for the current thread (so parallel batch
-    requests cannot interfere with each other)."""
+    """Set the expansion guard for the current thread; library callers on
+    other threads keep their own cap."""
     if n < 1:
         raise ValueError("degree cap must be positive")
     _cap_state.cap = n
@@ -717,59 +715,6 @@ def _horner_transport(f: UniPoly, m: Mobius) -> UniPoly:
 # ---------------------------------------------------------------------------
 
 
-def sylvester_matrix(f: UniPoly, g: UniPoly) -> list[list[El]]:
-    f._same(g)
-    dom = f.domain
-    m, n = int(f.degree()), int(g.degree())
-    if m < 0 or n < 0:
-        raise ValueError("resultant of the zero polynomial")
-    size = m + n
-    z = dom.zero()
-    rows = []
-    fl = [f.coeff(m - i) for i in range(m + 1)]
-    gl = [g.coeff(n - i) for i in range(n + 1)]
-    for i in range(n):
-        rows.append([z] * i + fl + [z] * (size - i - m - 1))
-    for i in range(m):
-        rows.append([z] * i + gl + [z] * (size - i - n - 1))
-    return rows
-
-
-def bareiss_determinant(rows: list[list[El]], dom: Domain) -> El:
-    """Fraction-free determinant (Bareiss); divisions are exact in the domain."""
-    a = [row[:] for row in rows]
-    n = len(a)
-    if n == 0:
-        return dom.one()
-    sign = False
-    prev = dom.one()
-    for k in range(n - 1):
-        if dom.is_zero(a[k][k]):
-            for i in range(k + 1, n):
-                if not dom.is_zero(a[i][k]):
-                    a[k], a[i] = a[i], a[k]
-                    sign = not sign
-                    break
-            else:
-                return dom.zero()
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i = a[i]
-            row_k = a[k]
-            if dom.is_zero(aik):
-                for j in range(k + 1, n):
-                    row_i[j] = dom.exact_div(dom.mul(row_i[j], pivot), prev)
-            else:
-                for j in range(k + 1, n):
-                    v = dom.sub(dom.mul(row_i[j], pivot), dom.mul(row_k[j], aik))
-                    row_i[j] = dom.exact_div(v, prev)
-            row_i[k] = dom.zero()
-        prev = pivot
-    det = a[n - 1][n - 1]
-    return dom.neg(det) if sign else det
-
-
 def _prem(f: UniPoly, g: UniPoly) -> UniPoly:
     """Pseudo-remainder: lc(g)^(deg f - deg g + 1) * f mod g, fraction-free."""
     dom = f.domain
@@ -842,23 +787,12 @@ def _prs_resultant(f: UniPoly, g: UniPoly) -> El:
     return dom.neg(res) if sign_swap else res
 
 
-def resultant(f: UniPoly, g: UniPoly, method: str = "subresultant") -> El:
-    """Determinant of the Sylvester matrix of f and g.
-
-    ``method="subresultant"`` (default) runs the fraction-free PRS;
-    ``method="sylvester"`` evaluates the determinant directly by Bareiss
-    elimination, as an independent route for cross-checking.
-    """
+def resultant(f: UniPoly, g: UniPoly) -> El:
+    """Determinant of the Sylvester matrix of f and g, by the fraction-free
+    subresultant PRS."""
     f._same(g)
     if f.is_zero() or g.is_zero():
         raise ValueError("resultant of the zero polynomial")
-    if method == "sylvester":
-        m, n = int(f.degree()), int(g.degree())
-        if m + n == 0:
-            return f.domain.one()
-        return bareiss_determinant(sylvester_matrix(f, g), f.domain)
-    if method != "subresultant":
-        raise ValueError(f"unknown resultant method {method!r}")
     if f.is_constant() and g.is_constant():
         return f.domain.one()
     return _prs_resultant(f, g)
@@ -884,11 +818,11 @@ def deflate(f: UniPoly, delta: int) -> UniPoly:
 def _res_with_derivative(f: UniPoly) -> El:
     """Res(f, f'), using the composition identity for f = F(x^delta):
 
-        Res(f, f') = delta^(r*delta) * (-1)^(r*delta*(delta-1))
-                     * f(0)^(delta-1) * Res(F, F')^delta,   r = deg F,
+        Res(f, f') = delta^(r*delta) * f(0)^(delta-1) * Res(F, F')^delta
 
-    which follows from the root-product form of the resultant.  Falls back
-    to the subresultant PRS when no deflation applies.
+    with r = deg F, which follows from the root-product form of the
+    resultant.  Falls back to the subresultant PRS when no deflation
+    applies.
     """
     dom = f.domain
     delta = support_gcd(f)
@@ -901,10 +835,7 @@ def _res_with_derivative(f: UniPoly) -> El:
         r = int(big.degree())
         inner = _res_with_derivative(big)
         res = dom.mul(dom.pow(dom.from_int(delta), r * delta), dom.pow(inner, delta))
-        res = dom.mul(res, dom.pow(a0, delta - 1))
-        if (r * delta * (delta - 1)) % 2 == 1:
-            res = dom.neg(res)
-        return res
+        return dom.mul(res, dom.pow(a0, delta - 1))
     df = f.derivative()
     if df.is_zero():
         raise ValueError("inseparable polynomial: derivative is zero")

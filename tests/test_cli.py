@@ -228,3 +228,57 @@ def test_batch_reports_bad_lines_in_their_slots(tmp_path, capsys):
     assert all(ln["error"]["kind"] == "usage" for ln in lines[1:4])
     assert lines[0]["result"]["deltas"] == [1, 2, 3, 6]
     assert lines[4]["result"]["resultant"] == "9"
+
+
+def test_batch_line_cannot_run_batch(tmp_path, capsys):
+    inner = tmp_path / "inner.jsonl"
+    inner.write_text(json.dumps({"command": "deltas", "args": ["x^6 - 1"]}) + "\n")
+    outer = tmp_path / "outer.jsonl"
+    outer.write_text(
+        json.dumps({"command": "batch", "args": [str(inner)]})
+        + "\n"
+        + json.dumps({"command": "deltas", "args": ["x^4 - 1"]})
+        + "\n"
+    )
+    assert run(["batch", str(outer)]) == (0, "")
+    lines = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+    assert [ln["exit"] for ln in lines] == [2, 0]
+    assert lines[0]["command"] == "batch" and lines[0]["error"]["kind"] == "usage"
+    assert lines[1]["result"]["deltas"] == [1, 2, 4]
+
+
+def test_batch_jobs_selects_nothing(tmp_path, capsys):
+    reqs = tmp_path / "reqs.jsonl"
+    reqs.write_text(
+        json.dumps({"command": "deltas", "args": ["x^6 - 1"]})
+        + "\n"
+        + json.dumps({"command": "discriminant", "args": ["x^3 - 2"]})
+        + "\n"
+    )
+    outputs = []
+    for jobs in ("1", "2"):
+        assert run(["batch", str(reqs), "--jobs", jobs]) == (0, "")
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 2
+    for jobs in ("0", "x"):
+        code, text = run(["batch", str(reqs), "--jobs", jobs])
+        assert code == 2 and json.loads(text)["exit"] == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_resultant_method_flag_is_gone():
+    code, text = run(["resultant", "--method", "sylvester", "x^2 - 1", "x^2 - 4"])
+    assert code == 2 and json.loads(text)["error"]["message"] == "bad arguments"
+
+
+def test_catalog_out_fails_before_building(tmp_path, monkeypatch):
+    calls = []
+
+    def build(*args, **kwargs):
+        calls.append(args)
+        raise RuntimeError("the catalog was built")
+
+    monkeypatch.setattr("superelliptic.catalog.catalog_to_json", build)
+    code, text = run(["catalog", "--out", str(tmp_path / "no-such-dir" / "cat.json")])
+    assert code == 2 and json.loads(text)["error"]["kind"] == "FileNotFoundError"
+    assert calls == []

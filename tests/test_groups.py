@@ -505,6 +505,12 @@ def test_psl_pgl_case_b_transport():
     pgl = fixture_by_name("pgl(3,2)")
     gens = psl_pgl_case_b_generators(pgl)
     assert len(group_elements(gens, bound=721)) == 720
+    dom = pgl.domain
+    assert [[dom.fmt(e) for e in (g.a, g.b, g.c, g.d)] for g in gens] == [
+        ["2*w + 2", "2", "2", "2*w + 2"],
+        ["0", "2", "1", "0"],
+        ["2*w + 2", "1", "2", "2*w + 1"],
+    ]
 
 
 def test_multiplicative_generator():

@@ -1,0 +1,164 @@
+"""Differential tests of `resultant` and `discriminant` against sympy.
+
+sympy computes over Q[generators][x]: an element of a tower is written as a
+polynomial in its generator names (``I``, ``sqrt3``, ``w``), an F_p entry
+is lifted to an integer, and a parameter stays a symbol.  sympy's answer is
+then reduced by the minimal polynomials and by p.  That is sound because the
+Sylvester determinant is an integer polynomial in the coefficients, so it
+commutes with the quotient maps, as long as the leading coefficients stay
+nonzero; for the discriminant over F_p, p does not divide deg f, so that
+deg f' does not drop either.
+"""
+
+import pytest
+
+sp = pytest.importorskip("sympy")
+
+from superelliptic import UniPoly, discriminant, mpq, resultant
+from superelliptic.parser import build_domain, parse_expression
+from superelliptic.rings import (
+    FunctionField,
+    PrimeField,
+    QuotientRing,
+    tower_chain,
+)
+
+X = sp.Symbol("x")
+
+# name -> (characteristic, extension steps, parameters, largest degree in x)
+DOMAINS = {
+    "Q": (0, [], (), 5),
+    "Q(i)": (0, [("I", "t^2 + 1")], (), 4),
+    "Q(i, sqrt3)": (0, [("I", "t^2 + 1"), ("sqrt3", "t^2 - 3")], (), 3),
+    "Q(a)": (0, [], ("a",), 3),
+    "Q(a, b)": (0, [], ("a", "b"), 3),
+    "F_7": (7, [], (), 5),
+    "F_9": (3, [("w", "t^2 + 1")], (), 4),
+}
+
+
+def _domain(name):
+    char, exts, params, _ = DOMAINS[name]
+    return build_domain(char, exts, params)
+
+
+def to_sympy(dom, raw):
+    """A raw element as a sympy expression in the generator and parameter
+    names; F_p residues become integers."""
+    if isinstance(dom, QuotientRing):
+        t = sp.Symbol(dom.name)
+        return sp.Add(*(to_sympy(dom.base, c) * t**i for i, c in enumerate(raw)))
+    if isinstance(dom, FunctionField):
+        syms = sp.symbols(dom.names)
+
+        def terms(d):
+            return sp.Add(*(to_sympy(dom.base, c) * sp.Mul(*(s**e for s, e in zip(syms, exps)))
+                            for exps, c in d.items()))
+
+        return terms(raw[0]) / terms(raw[1])
+    if isinstance(dom, PrimeField):
+        return sp.Integer(raw)
+    return sp.Rational(int(raw.numerator), int(raw.denominator))
+
+
+def poly_to_sympy(f):
+    return sp.Add(*(to_sympy(f.domain, c) * X**e for e, c in f.coeffs.items()))
+
+
+def random_element(dom, rng):
+    if isinstance(dom, QuotientRing):
+        return tuple(random_element(dom.base, rng) for _ in range(dom.degree))
+    if isinstance(dom, FunctionField):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            exps = tuple(rng.randint(0, 1) for _ in dom.names)
+            c = random_element(dom.base, rng)
+            if not dom.base.is_zero(c):
+                terms[exps] = c
+        return dom.from_poly(terms)
+    if isinstance(dom, PrimeField):
+        return rng.randrange(dom.p)
+    return mpq(rng.randint(-5, 5), rng.randint(1, 3))
+
+
+def random_poly(dom, rng, deg, delta=1):
+    """F(x^delta) for a random F of degree deg with nonzero leading and
+    constant coefficients."""
+    coeffs = [random_element(dom, rng) for _ in range(deg + 1)]
+    for i in (0, deg):
+        while dom.is_zero(coeffs[i]):
+            coeffs[i] = random_element(dom, rng)
+    return UniPoly(dom, {delta * e: c for e, c in enumerate(coeffs) if not dom.is_zero(c)})
+
+
+def minimal_polynomials(dom):
+    gens, mins = [], []
+    for link in tower_chain(dom):
+        if isinstance(link, QuotientRing):
+            t = sp.Symbol(link.name)
+            gens.append(t)
+            mins.append(sp.Add(*(to_sympy(link.base, c) * t**i for i, c in enumerate(link.minpoly))))
+    return gens, mins
+
+
+def assert_matches(dom, ours, expected, what):
+    """ours (a raw element of dom) equals sympy's expected value reduced by
+    the minimal polynomials and by the characteristic."""
+    diff = sp.expand(to_sympy(dom, ours) - expected)
+    gens, mins = minimal_polynomials(dom)
+    if mins:
+        diff = sp.reduced(diff, mins, *gens)[1]
+    if dom.char:
+        assert sp.Poly(diff, *(gens or [X]), modulus=dom.char).is_zero, what
+    else:
+        assert sp.cancel(diff) == 0, what
+
+
+def sympy_resultant(f, g):
+    """Res(f, g).  sympy 1.14's ``resultant(f, g)`` ignores the argument
+    order when deg f < deg g, so the sign is restored with
+    Res(f, g) = (-1)^(deg f deg g) Res(g, f)."""
+    m, n = sp.degree(f, X), sp.degree(g, X)
+    if m >= n:
+        return sp.resultant(f, g, X)
+    return (-1) ** (m * n) * sp.resultant(g, f, X)
+
+
+def test_sympy_resultant_sign_fix():
+    f, g = X**3 - 2, X**5 + X + 1
+    assert sympy_resultant(f, g) == 23 and sympy_resultant(g, f) == -23
+
+
+@pytest.mark.parametrize("name", list(DOMAINS))
+def test_resultant_matches_sympy(name, rng):
+    dom = _domain(name)
+    top = DOMAINS[name][3]
+    for _ in range(12):
+        f = random_poly(dom, rng, rng.randint(1, top))
+        g = random_poly(dom, rng, rng.randint(1, top))
+        what = f"Res({f}, {g})"
+        assert_matches(dom, resultant(f, g), sympy_resultant(poly_to_sympy(f), poly_to_sympy(g)), what)
+
+
+@pytest.mark.parametrize("name", list(DOMAINS))
+def test_discriminant_matches_sympy(name, rng):
+    dom = _domain(name)
+    top = DOMAINS[name][3]
+    done = 0
+    while done < 10:
+        delta = rng.choice([1, 1, 2, 3])
+        f = random_poly(dom, rng, rng.randint(1, max(1, top // delta)), delta)
+        deg = int(f.degree())
+        if deg < 2 or (dom.char and deg % dom.char == 0):
+            continue
+        assert_matches(dom, discriminant(f), sp.discriminant(poly_to_sympy(f), X), f"disc({f})")
+        done += 1
+
+
+def test_resultant_with_a_parameter():
+    dom = _domain("Q(a)")
+    f = parse_expression("x^2 + a*x + 1", dom)
+    g = parse_expression("x^2 - a", dom)
+    a = sp.Symbol("a")
+    expected = sympy_resultant(X**2 + a * X + 1, X**2 - a)
+    assert_matches(dom, resultant(f, g), expected, "Res(x^2 + a*x + 1, x^2 - a)")

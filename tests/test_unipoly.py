@@ -6,7 +6,6 @@ from superelliptic import (
     Mobius,
     PrimeField,
     UniPoly,
-    bareiss_determinant,
     compose,
     discriminant,
     mobius_transport,
@@ -217,27 +216,6 @@ def test_resultant_swap_sign_property(rng):
             continue
         sign = -1 if (int(f.degree()) * int(g.degree())) % 2 else 1
         assert resultant(f, g) == sign * resultant(g, f)
-
-
-def test_resultant_sylvester_route_agrees(rng):
-    dom = build_domain(0, [], ("a",))
-    for _ in range(30):
-        f = UniPoly(dom, {e: dom.from_int(rng.randint(-3, 3)) for e in range(3)} | {3: dom.from_int(rng.choice([1, 2]))})
-        g = UniPoly(dom, {e: dom.from_int(rng.randint(-3, 3)) for e in range(2)} | {2: dom.from_int(rng.choice([1, 2]))})
-        assert dom.eq(resultant(f, g), resultant(f, g, method="sylvester"))
-    # and once with a genuine parameter
-    f = parse_expression("x^2 + a*x + 1", dom)
-    g = parse_expression("x^2 - a", dom)
-    assert dom.eq(resultant(f, g), resultant(f, g, method="sylvester"))
-
-
-def test_bareiss_determinant_small():
-    rows = [[mpq(2), mpq(1)], [mpq(7), mpq(4)]]
-    assert bareiss_determinant(rows, QQ) == 1
-    rows = [[mpq(0), mpq(1)], [mpq(1), mpq(0)]]
-    assert bareiss_determinant(rows, QQ) == -1
-    rows = [[mpq(1), mpq(2)], [mpq(2), mpq(4)]]
-    assert bareiss_determinant(rows, QQ) == 0
 
 
 def test_discriminant_quadratic():
