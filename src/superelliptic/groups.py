@@ -425,8 +425,9 @@ def _rational_roots(dom: Domain, coeffs: list[El]) -> list[El]:
         while ints and ints[0] == 0:
             ints = ints[1:]
         lead, const = ints[-1], ints[0]
+    lead_divisors = _divisors(abs(lead))
     for p in _divisors(abs(const)):
-        for q in _divisors(abs(lead)):
+        for q in lead_divisors:
             for sign in (1, -1):
                 cand = mpq(sign * p, q)
                 acc = mpq(0)

@@ -20,12 +20,25 @@ proper factor of the modulus.
 Quotient-ring steps are *not* required to be fields (the modulus may be
 reducible); construct them with ``field=True`` only when the caller knows
 the modulus is irreducible.  Rational-function fields require a field base.
+
+A tower whose chain ends at ``Rationals`` multiplies through an integer
+multiplication table (Cohen, GTM 138, 4.2), built once per tower and shared
+by equal towers: both operands are flattened to their rational coordinates,
+cleared of denominators, multiplied as integers through the table and
+divided once, then re-nested.  Its inverse solves the multiplication matrix
+fraction-free when the top step's base is a certified field (Q, or one
+quadratic step over Q whose discriminant is not a rational square).  A
+singular matrix, or any other base, falls back to extended Euclid, which
+raises :class:`ZeroDivisorError` with its factor.  Towers over a prime
+field or a ``FunctionField``, and towers over Q of total degree above 64,
+keep the nested arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterator
+import math
+from typing import Any, Iterator, NamedTuple
 
 try:
     from gmpy2 import mpq, mpz, iroot as _iroot, is_prime as _is_prime_fast
@@ -383,6 +396,120 @@ def _ul_divmod(base: Domain, a: list, b: list) -> tuple[list, list]:
     return quo, rem
 
 
+# ---------------------------------------------------------------------------
+# integer multiplication tables for towers over Q (Cohen, GTM 138, 4.2)
+# ---------------------------------------------------------------------------
+
+
+class _MulTable(NamedTuple):
+    """Structure constants of a tower over Q in its flat basis.
+
+    The flat basis is the products of generator powers, in the order in
+    which the nested coordinate tuples list their rational leaves.  For
+    basis elements e_i, e_j, ``rows[i][j]`` holds the pairs (k, c) with
+    e_i * e_j = sum of c * e_k / ``den``; the c are integers.  ``inner`` is
+    the degrees of the steps below the top one, innermost first.
+    """
+
+    dim: int
+    den: int
+    rows: tuple
+    inner: tuple
+
+
+# tower signature -> _MulTable, shared by equal towers; two threads can at
+# worst build the same table twice
+_TABLES: dict = {}
+# a table holds up to D^3 integers; towers of larger total degree D (none
+# in the catalog, whose largest is 16) keep the nested arithmetic
+_TABLE_MAX_DIM = 64
+_ZERO = mpq(0)
+
+
+def _flatten(raw, inner: tuple):
+    """The rational leaves of a nested tower element, in flat-basis order."""
+    for _ in inner:
+        raw = [c for x in raw for c in x]
+    return raw
+
+
+def _nest(vals, inner: tuple):
+    """Inverse of ``_flatten``: regroup leaves by the inner step degrees."""
+    for d in inner:
+        vals = [tuple(vals[i:i + d]) for i in range(0, len(vals), d)]
+    return tuple(vals)
+
+
+def _int_coords(flat) -> tuple[list, int]:
+    """The nonzero leaves as (index, integer) pairs over one common
+    denominator, and that denominator."""
+    nz = []
+    den = 1
+    for i, c in enumerate(flat):
+        if c:
+            nz.append((i, c))
+            d = c.denominator
+            if d != 1 and den % d:
+                den = math.lcm(den, d)
+    if den == 1:
+        return [(i, c.numerator) for i, c in nz], 1
+    return [(i, c.numerator * (den // c.denominator)) for i, c in nz], den
+
+
+def _from_ints(nums, den):
+    """The rationals n / den, with one shared zero."""
+    if den == 1:
+        return [mpq(n) if n else _ZERO for n in nums]
+    return [mpq(n, den) if n else _ZERO for n in nums]
+
+
+def _build_table(ring: "QuotientRing", dim: int, inner: tuple) -> _MulTable:
+    """The table of a tower over Q, from nested products of basis elements."""
+    one = mpq(1)
+    basis = [_nest([one if k == i else _ZERO for k in range(dim)], inner) for i in range(dim)]
+    prods = {}
+    for i in range(dim):
+        for j in range(i, dim):
+            prods[i, j] = _flatten(ring._nested_mul(basis[i], basis[j]), inner)
+    den = math.lcm(*(c.denominator for v in prods.values() for c in v))
+    rows = [[()] * dim for _ in range(dim)]
+    for (i, j), v in prods.items():
+        rows[i][j] = rows[j][i] = tuple(
+            (k, c.numerator * (den // c.denominator)) for k, c in enumerate(v) if c)
+    return _MulTable(dim, den, tuple(map(tuple, rows)), inner)
+
+
+def _table_for(ring: "QuotientRing") -> _MulTable | None:
+    """The shared table of a tower over Q of total degree at most
+    ``_TABLE_MAX_DIM``, else None.  The chain test comes first, so that
+    only towers over Q compute their signature."""
+    base = ring.base
+    if isinstance(base, Rationals):
+        dim, inner = ring.degree, ()
+    elif isinstance(base, QuotientRing) and base._table is not None:
+        dim, inner = ring.degree * base._table.dim, base._table.inner + (base.degree,)
+    else:
+        return None
+    if dim > _TABLE_MAX_DIM:
+        return None
+    sig = ring._signature()
+    table = _TABLES.get(sig)
+    if table is None:
+        table = _TABLES[sig] = _build_table(ring, dim, inner)
+    return table
+
+
+def _certified_field(dom: Domain) -> bool:
+    """Whether dom is known to be a field: Q, or one quadratic step over Q
+    whose discriminant is not a square in Q."""
+    if isinstance(dom, Rationals):
+        return True
+    if isinstance(dom, QuotientRing) and dom.degree == 2 and isinstance(dom.base, Rationals):
+        c, b, _ = dom.minpoly
+        return QQ.nth_root(mpq(b * b - 4 * c), 2) is None
+    return False
+
+
 class QuotientRing(Domain):
     """One extension step K[t]/(m(t)) with monic modulus m.
 
@@ -391,6 +518,14 @@ class QuotientRing(Domain):
     the elements met during extended-gcd inversion; a field base always
     does.  Inverting a nonzero noninvertible element raises
     :class:`ZeroDivisorError` with a discovered proper factor of ``m``.
+
+    Over Q (every step of the chain a ``QuotientRing``, the bottom Q),
+    ``mul`` goes through the tower's integer table, reducible moduli
+    included.  ``inv`` solves the table's multiplication matrix when the
+    base is a certified field, and takes extended Euclid when the matrix is
+    singular or the base is not certified: a unit can meet a zero-divisor
+    leading coefficient in Euclid over a non-field base, and that error is
+    part of the contract.  Raw values stay the nested tuples either way.
     """
 
     def __init__(self, base: Domain, name: str, minpoly: tuple, *, field: bool | None = None):
@@ -405,6 +540,8 @@ class QuotientRing(Domain):
         self.degree = deg
         self.char = base.char
         self.is_field = bool(field)
+        self._table = _table_for(self)
+        self._flat_inv = self._table is not None and _certified_field(base)
 
     def zero(self):
         z = self.base.zero()
@@ -416,8 +553,6 @@ class QuotientRing(Domain):
 
     def gen(self):
         z = self.base.zero()
-        if self.degree == 1:  # unreachable; degree >= 2 enforced
-            raise ValueError
         return (z, self.base.one()) + (z,) * (self.degree - 2)
 
     def from_int(self, n):
@@ -451,6 +586,25 @@ class QuotientRing(Domain):
         return tuple(neg(x) for x in a)
 
     def mul(self, a, b):
+        table = self._table
+        if table is None:
+            return self._nested_mul(a, b)
+        xa, da = _int_coords(_flatten(a, table.inner))
+        xb, db = _int_coords(_flatten(b, table.inner))
+        if not xa or not xb:
+            return self.zero()
+        rows = table.rows
+        acc = [0] * table.dim
+        for i, x in xa:
+            row = rows[i]
+            for j, y in xb:
+                xy = x * y
+                for k, c in row[j]:
+                    acc[k] += xy * c
+        return _nest(_from_ints(acc, da * db * table.den), table.inner)
+
+    def _nested_mul(self, a, b):
+        """Schoolbook product over the base, then reduction mod m."""
         base = self.base
         d = self.degree
         prod = [base.zero()] * (2 * d - 1)
@@ -480,6 +634,10 @@ class QuotientRing(Domain):
         base = self.base
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
+        if self._flat_inv:
+            out = self._table_inv(a)
+            if out is not None:
+                return out
         # extended Euclid on (a, m) over the base
         r0, r1 = list(self.minpoly), list(a)
         s0, s1 = [base.zero()], [base.one()]
@@ -512,6 +670,41 @@ class QuotientRing(Domain):
             s0 = s0 + [base.zero()] * (ln - len(s0))
             new = [base.sub(s0[i], prod[i] if i < len(prod) else base.zero()) for i in range(ln)]
             s0, s1 = s1, new
+
+    def _table_inv(self, a):
+        """a^-1 by a fraction-free Gauss-Jordan solve (Bareiss's exact
+        divisions) of N y = e_0, where column j of the integer matrix N is
+        da * den times the flat coordinates of a * e_j, so that
+        a^-1 = da * den * y; None when N is singular (a is a zero divisor)."""
+        table = self._table
+        dim = table.dim
+        xa, da = _int_coords(_flatten(a, table.inner))
+        rows = table.rows
+        m = [[0] * (dim + 1) for _ in range(dim)]
+        for i, x in xa:
+            row = rows[i]
+            for j in range(dim):
+                for k, c in row[j]:
+                    m[k][j] += x * c
+        m[0][dim] = 1
+        prev = 1
+        for col in range(dim):
+            piv = next((r for r in range(col, dim) if m[r][col]), None)
+            if piv is None:
+                return None
+            m[col], m[piv] = m[piv], m[col]
+            top = m[col]
+            p = top[col]
+            for r in range(dim):
+                if r == col:
+                    continue
+                cur = m[r]
+                f = cur[col]
+                m[r] = [(p * u - f * v) // prev for u, v in zip(cur, top)]
+            prev = p
+        # row k now reads prev * y_k = m[k][dim]
+        scale = da * table.den
+        return _nest(_from_ints([r[dim] * scale for r in m], prev), table.inner)
 
     def eq(self, a, b):
         eqb = self.base.eq

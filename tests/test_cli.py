@@ -137,6 +137,16 @@ def test_transport_over_reducible_modulus():
     )
 
 
+def test_zero_divisor_over_non_field_base():
+    # the top step I sits over Q[t]/(t^3 - t), which is not a field: Euclid
+    # meets the zero divisor t before it could finish, and reports its factor
+    code, text = run(["genus", "--n", "2", "--ext", "t:t^3-t", "x^2 + -1*x^0 + (t+I)*x^1"])
+    assert code == 3
+    error = json.loads(text)["error"]
+    assert error["kind"] == "ZeroDivisorError"
+    assert error["message"] == "zero divisor in QQ[t]/(t^3 - t): modulus has factor of degree 1"
+
+
 def test_catalog_and_custom_fixture_loading(tmp_path):
     out = tmp_path / "cat.json"
     code, _ = run(["catalog", "--out", str(out)])

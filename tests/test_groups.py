@@ -235,6 +235,21 @@ def test_decomposition_rational_parameter_recovery():
     assert repe.t_generic == 1 and repe.generic_params == (dome.from_int(1),)
 
 
+def test_rational_root_scan_lists_each_divisor_set_once(monkeypatch):
+    # the a4_b template at a = 11 has one lead and one constant coefficient
+    # to scan; the lead's divisors are listed once, not once per candidate p
+    from superelliptic import groups
+
+    calls = []
+    real = groups._divisors
+    monkeypatch.setattr(groups, "_divisors", lambda n: calls.append(n) or real(n))
+    a4b = fixture_by_name("a4_b")
+    dom = a4b.domain
+    rep = orbit_decomposition(a4b.generic_template(dom, dom.from_int(11)), a4b)
+    assert rep.generic_params == (dom.from_int(11),)
+    assert calls and len(calls) == len(set(calls)), calls
+
+
 def test_decomposition_two_generic_orbits_with_recovery():
     s4 = fixture_by_name("s4")
     dom = s4.domain

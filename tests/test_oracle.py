@@ -1,4 +1,5 @@
-"""Differential tests of `resultant` and `discriminant` against sympy.
+"""Differential tests of `resultant`, `discriminant` and the tower product
+and inverse against sympy.
 
 sympy computes over Q[generators][x]: an element of a tower is written as a
 polynomial in its generator names (``I``, ``sqrt3``, ``w``), an F_p entry
@@ -162,3 +163,32 @@ def test_resultant_with_a_parameter():
     a = sp.Symbol("a")
     expected = sympy_resultant(X**2 + a * X + 1, X**2 - a)
     assert_matches(dom, resultant(f, g), expected, "Res(x^2 + a*x + 1, x^2 - a)")
+
+
+# towers for the product and inverse kernel; the last one is not a field
+TOWERS = {
+    "Q(i)": [("I", "t^2 + 1")],
+    "Q(i, sqrt3)": [("I", "t^2 + 1"), ("sqrt3", "t^2 - 3")],
+    "Q(i, zeta5)": [("I", "t^2 + 1"), ("z5", "t^4 + t^3 + t^2 + t + 1")],
+    "Q[t]/(t^2 - 1)": [("t", "t^2 - 1")],
+}
+
+
+@pytest.mark.parametrize("name", list(TOWERS))
+def test_tower_product_and_inverse_match_sympy(name, rng):
+    dom = build_domain(0, TOWERS[name], ())
+    gens, mins = minimal_polynomials(dom)
+    inverted = 0
+    for _ in range(12):
+        a, b = random_element(dom, rng), random_element(dom, rng)
+        sa, sb = to_sympy(dom, a), to_sympy(dom, b)
+        prod = dom.mul(a, b)
+        assert prod == dom._nested_mul(a, b), f"{a} * {b}"
+        assert_matches(dom, prod, sa * sb, f"{a} * {b}")
+        if dom.is_zero(a):
+            continue
+        if name.startswith("Q[t]") and sp.degree(sp.gcd(sa, mins[0]), gens[0]) > 0:
+            continue  # a zero divisor: only units are inverted here
+        assert_matches(dom, dom.one(), sa * to_sympy(dom, dom.inv(a)), f"1 / {a}")
+        inverted += 1
+    assert inverted >= 6

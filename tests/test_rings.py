@@ -2,6 +2,7 @@ import pytest
 
 from superelliptic import (
     QQ,
+    Rationals,
     DomainMismatchError,
     FunctionField,
     PrimeField,
@@ -11,7 +12,10 @@ from superelliptic import (
     common_rational,
     embed,
     mpq,
+    rings,
 )
+from superelliptic.catalog import sqrt3_field, zeta5_field
+from superelliptic.parser import build_domain
 
 from conftest import rand_mpq
 
@@ -272,3 +276,75 @@ def test_finite_tower_enumeration_and_roots():
     # nth_root by brute force
     r = F9.nth_root(F9.from_int(-1), 2)
     assert r is not None and F9.eq(F9.mul(r, r), F9.from_int(-1))
+
+
+# -- cost guards of the multiplication-table kernel -------------------------
+
+
+def _dense(dom, rng):
+    if isinstance(dom, QuotientRing):
+        return tuple(_dense(dom.base, rng) for _ in range(dom.degree))
+    return mpq(rng.randint(1, 9), rng.randint(1, 5)) * rng.choice((1, -1))
+
+
+def test_product_over_q_i_zeta5_makes_no_rational_calls(monkeypatch, rng):
+    K = zeta5_field()
+    a, b = _dense(K, rng), _dense(K, rng)
+    expected = K._nested_mul(a, b)
+    calls = []
+    for name in ("mul", "add"):
+        real = getattr(Rationals, name)
+        monkeypatch.setattr(Rationals, name,
+                            lambda self, x, y, _real=real: calls.append(1) or _real(self, x, y))
+    K._nested_mul(a, b)
+    assert calls  # the spy sees the nested route
+    calls.clear()
+    assert K.mul(a, b) == expected
+    assert not calls
+
+
+def test_inverse_over_q_i_sqrt3_runs_no_euclid(monkeypatch, rng):
+    K = sqrt3_field()
+    a = _dense(K, rng)
+    calls = []
+    real = rings._ul_divmod
+    monkeypatch.setattr(rings, "_ul_divmod", lambda *args: calls.append(1) or real(*args))
+    assert K.is_one(K.mul(a, K.inv(a)))
+    assert not calls
+
+
+def test_inverse_over_an_uncertified_base_runs_euclid(monkeypatch):
+    # Q[t]/(t^2 - 1) is no field (its discriminant 4 is a square), so the
+    # step I over it keeps the extended Euclid inverse
+    K = build_domain(0, [("t", "t^2-1")], (), sugar_i=True)
+    assert not K._flat_inv
+    calls = []
+    real = rings._ul_divmod
+    monkeypatch.setattr(rings, "_ul_divmod", lambda *args: calls.append(1) or real(*args))
+    i = K.gen()
+    assert K.inv(i) == K.neg(i)
+    assert calls
+
+
+def test_equal_towers_share_one_table(monkeypatch):
+    monkeypatch.setattr(rings, "_TABLES", {})
+    builds = []
+    real = rings._build_table
+    monkeypatch.setattr(rings, "_build_table", lambda *args: builds.append(args) or real(*args))
+    minpoly = (QQ.from_int(-7), QQ.zero(), QQ.one())
+    K1, K2 = adjoin(QQ, "s7", minpoly), adjoin(QQ, "s7", minpoly)
+    assert len(builds) == 1 and K1._table is K2._table
+    s = K2.gen()
+    assert K2.mul(s, s) == K2.from_int(7)
+
+
+def test_nested_route_over_parameters_prime_fields_and_large_degree():
+    FF = FunctionField(QQ, ("a",))
+    eps = QuotientRing(FF, "e", (FF.neg(FF.one()), FF.zero(), FF.one()))
+    F9 = adjoin(PrimeField(3), "w", (1, 0, 1), field=True)
+    assert eps._table is None and F9._table is None
+    assert adjoin(F9, "v", (F9.gen(), F9.zero(), F9.one()))._table is None
+    big = adjoin(QQ, "w", (QQ.from_int(-2),) + (QQ.zero(),) * 64 + (QQ.one(),))
+    assert big._table is None and not big._flat_inv
+    w = big.gen()
+    assert big.mul(big.pow(w, 64), w) == big.from_int(2)
