@@ -35,7 +35,9 @@ import re
 
 from .rings import QQ, Domain, El, PrimeField, QuotientRing, adjoin, embed, tower_chain
 from .unipoly import Mobius, UniPoly, mobius_transport
-from .groups import GroupFixture, GroupError, SpecialOrbit, group_elements, orbit_polynomial
+from .groups import (
+    GroupFixture, GroupError, SpecialOrbit, _eval_mod, group_elements, orbit_polynomial,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +125,6 @@ def _count_tuples(p: int, t: int):
             out.append(m % p)
             m //= p
         yield tuple(out)
-
-
-def _eval_mod(coeffs, x, p) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
 
 
 def multiplicative_generator(dom: Domain) -> El:

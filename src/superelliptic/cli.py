@@ -16,6 +16,7 @@ parameters, zero divisors, ...), 4 syntax errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -32,9 +33,7 @@ from .covers import (
     normalize,
 )
 from .groups import (
-    ClosureBoundError,
     DecompositionError,
-    ExcludedParameterError,
     GroupError,
     classify,
     is_invariant,
@@ -52,7 +51,7 @@ from .invariants import (
 )
 from .moduli import reconstruct, verify_roundtrip
 from .parser import ParseError, domain_with_sugar, parse_constant, parse_expression
-from .rings import DomainMismatchError, ZeroDivisorError
+from .rings import DomainMismatchError
 from .unipoly import (
     DegreeCapError,
     INF,
@@ -76,11 +75,6 @@ _VALIDATION_ERRORS = (
 _MATH_ERRORS = (
     SharedBranchPointError,
     BlowUpNeededError,
-    ZeroDivisorError,
-    ZeroDivisionError,
-    ExcludedParameterError,
-    DecompositionError,
-    ClosureBoundError,
     GroupError,
     InvariantError,
     CoverError,
@@ -370,6 +364,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
+@functools.cache
 def _build_argparser() -> argparse.ArgumentParser:
     ap = _ArgumentParser(
         prog="superelliptic",

@@ -21,15 +21,17 @@ Templates come in three kinds:
 ``orbit_decomposition`` peels exact special-orbit divisors off a branch
 polynomial, counts generic orbits by degree, and recovers generic
 parameters exactly when they are rational (or the coefficient field is
-finite); ``classify`` turns the counts into the full automorphism group of
-y^n = f(x) per the classical structure tables for cyclic covers.
+finite); over Q the search is complete, every rational root being found
+by p-adic lifting.  ``classify`` turns the counts into the full
+automorphism group of y^n = f(x) per the classical structure tables for
+cyclic covers.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import lcm
 from typing import Any
 
 from .rings import (
@@ -38,11 +40,13 @@ from .rings import (
     DomainMismatchError,
     El,
     FunctionField,
+    PrimeField,
+    _is_prime,
     common_rational,
     embed,
     mpq,
 )
-from .unipoly import INF, Mobius, UniPoly, mobius_transport, proportional, squarefree_test
+from .unipoly import INF, Mobius, UniPoly, mobius_transport, poly_gcd, proportional, squarefree_test
 
 
 class GroupError(ValueError):
@@ -379,92 +383,81 @@ def _q_projection(dom: Domain, raw: El):
 
 
 def _rational_roots(dom: Domain, coeffs: list[El]) -> list[El]:
-    """Exact roots of sum coeffs[i] z^i available inside the domain:
-    brute force over small finite domains; rational-root search otherwise.
-    For tower coefficients the candidates come from the rational projection
-    of the polynomial and are then verified exactly, so the result is
-    correct though possibly incomplete (recovery is best-effort)."""
-    while coeffs and dom.is_zero(coeffs[-1]):
-        coeffs.pop()
-    if len(coeffs) <= 1:
+    """Exact roots of sum coeffs[i] z^i: every root in a small finite
+    domain, by trying each element; in characteristic 0 every root in Q.
+    A root in Q also annuls the rational projection of the coefficients,
+    so the candidates are that projection's rational roots
+    (:func:`_q_roots`), and none is missed.  Each candidate is verified in
+    the domain."""
+    f = UniPoly(dom, dict(enumerate(coeffs)))
+    if f.degree() < 1:
         return []
     if dom.is_finite and getattr(dom, "order", 1 << 30) <= 4096:
-        roots = []
-        for cand in dom.iter_elements():
-            acc = dom.zero()
-            for c in reversed(coeffs):
-                acc = dom.add(dom.mul(acc, cand), c)
-            if dom.is_zero(acc):
-                roots.append(cand)
-        return roots
-    rats = [common_rational(dom, c) for c in coeffs]
-    if any(r is None for r in rats):
+        candidates = dom.iter_elements()
+    else:
         projected = [_q_projection(dom, c) for c in coeffs]
-        if any(r is None for r in projected) or all(not r for r in projected):
+        if any(r is None for r in projected) or not any(projected):
             return []
-        candidates = _rational_roots(QQ, list(projected))
-        roots = []
-        for q in candidates:
-            val = _rational_into(dom, q)
-            if val is None:
-                continue
-            acc = dom.zero()
-            for c in reversed(coeffs):
-                acc = dom.add(dom.mul(acc, val), c)
-            if dom.is_zero(acc):
-                roots.append(val)
-        return roots
-    den_lcm = 1
-    for rat in rats:
-        den_lcm = den_lcm * rat.denominator // gcd(den_lcm, int(rat.denominator))
-    ints = [int(rat * den_lcm) for rat in rats]
-    lead, const = ints[-1], ints[0]
+        candidates = (
+            dom.div(dom.from_int(int(q.numerator)), dom.from_int(int(q.denominator)))
+            for q in _q_roots(projected)
+        )
+    return [z for z in candidates if dom.is_zero(f.evaluate(z))]
+
+
+def _q_roots(coeffs: list) -> list:
+    """Every rational root of sum coeffs[i] z^i (rational coefficients, not
+    all zero), ordered by |numerator|, denominator, then sign, positive
+    first.
+
+    p-adic lifting (Loos, SIAM J. Comput. 12, 1983): the squarefree part,
+    cleared to integers, has only simple roots modulo a prime p that
+    divides neither its lead nor its discriminant, so each root mod p lifts
+    by Newton's iteration to one p-adic root.  A rational root y/q in lowest
+    terms has q | lead, so lead * root is an integer of absolute value at
+    most |lead| + max |c_i| (Cauchy's bound); once the modulus exceeds twice
+    that, the symmetric residue of lead * root is exact.
+    """
+    f = UniPoly(QQ, dict(enumerate(coeffs)))
+    f = f // poly_gcd(f, f.derivative())
+    den = lcm(*(int(c.denominator) for c in f.coeffs.values()))
+    ints = [int(c * den) for c in f.to_list()]
     roots = []
-    if const == 0:
-        roots.append(dom.from_int(0))
-        while ints and ints[0] == 0:
-            ints = ints[1:]
-        lead, const = ints[-1], ints[0]
-    lead_divisors = _divisors(abs(lead))
-    for p in _divisors(abs(const)):
-        for q in lead_divisors:
-            for sign in (1, -1):
-                cand = mpq(sign * p, q)
-                acc = mpq(0)
-                for c in reversed(rats):
-                    acc = acc * cand + c
-                if not acc:
-                    val = _rational_into(dom, cand)
-                    if val is not None and not any(dom.eq(val, r) for r in roots):
-                        roots.append(val)
-    return roots
-
-
-_DIVISOR_SCAN_CAP = 200_000
-
-
-def _divisors(n: int) -> list[int]:
-    """Divisors of n with the trial scan capped: every divisor pair (d, n/d)
-    with min(d, n/d) <= the cap is found.  Recovery stays best-effort for
-    constants whose divisors are all astronomically large."""
+    if ints[0] == 0:  # squarefree: z divides at most once
+        roots.append(mpq(0))
+        ints = ints[1:]
+    n, lead = len(ints) - 1, ints[-1]
     if n == 0:
-        return [1]
-    out = set()
-    d = 1
-    while d * d <= n and d <= _DIVISOR_SCAN_CAP:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
+        return roots
+    p = n + 1
+    while not (
+        _is_prime(p)
+        and lead % p
+        and squarefree_test(UniPoly(PrimeField(p), {e: c % p for e, c in enumerate(ints)}))
+    ):
+        p += 1
+    deriv = [e * c for e, c in enumerate(ints)][1:]
+    bound = 2 * (abs(lead) + max(abs(c) for c in ints))
+    for r in range(p):
+        if _eval_mod(ints, r, p):
+            continue
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - _eval_mod(ints, r, m) * pow(_eval_mod(deriv, r, m), -1, m)) % m
+        y = lead * r % m
+        cand = mpq(y - m if 2 * y > m else y, lead)
+        if not f.evaluate(cand):
+            roots.append(cand)
+    return sorted(roots, key=lambda q: (abs(q.numerator), q.denominator, q < 0))
 
 
-def _rational_into(dom: Domain, q) -> El | None:
-    if dom.char:
-        return None
-    num = dom.from_int(int(q.numerator))
-    den = dom.from_int(int(q.denominator))
-    return dom.div(num, den)
+def _eval_mod(coeffs, x, p) -> int:
+    """sum coeffs[i] x^i mod p for integer coefficients, by Horner's rule."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % p
+    return acc
 
 
 def orbit_decomposition(f: UniPoly, fixture: GroupFixture) -> OrbitReport:

@@ -723,14 +723,7 @@ class QuotientRing(Domain):
         return tuple(kb(x) for x in a)
 
     def fmt(self, a, atom=False):
-        base = self.base
-        parts = []
-        for e in range(self.degree - 1, -1, -1):
-            c = a[e]
-            if base.is_zero(c):
-                continue
-            mono = self.name if e == 1 else (f"{self.name}^{e}" if e else "")
-            parts.append(_format_term(base, c, mono, first=not parts))
+        parts = _dense_terms(self.base, dict(enumerate(a)), self.name)
         if not parts:
             return "0"
         s = "".join(parts)
@@ -771,16 +764,8 @@ class QuotientRing(Domain):
         return f"{self.base!r}[{self.name}]/({self.fmt_minpoly()})"
 
     def fmt_minpoly(self, var: str | None = None) -> str:
-        var = var or self.name
-        base = self.base
-        parts = []
-        for e in range(self.degree, -1, -1):
-            c = self.minpoly[e] if e < len(self.minpoly) else base.zero()
-            if base.is_zero(c):
-                continue
-            mono = var if e == 1 else (f"{var}^{e}" if e else "")
-            parts.append(_format_term(base, c, mono, first=not parts))
-        return "".join(parts) if parts else "0"
+        terms = _dense_terms(self.base, dict(enumerate(self.minpoly)), var or self.name)
+        return "".join(terms) or "0"
 
 
 def adjoin(base: Domain, name: str, minpoly, *, field: bool | None = None) -> QuotientRing:
@@ -1026,6 +1011,16 @@ def mp_fmt(base: Domain, f: dict, names: tuple[str, ...], atom: bool = False) ->
     if atom and (len(parts) > 1 or s.startswith("-")):
         return f"({s})"
     return s
+
+
+def _dense_terms(base: Domain, coeffs: dict[int, El], var: str) -> list[str]:
+    """The nonzero terms of sum coeffs[e] var^e, highest power first."""
+    parts: list[str] = []
+    for e in sorted(coeffs, reverse=True):
+        if not base.is_zero(coeffs[e]):
+            mono = var if e == 1 else (f"{var}^{e}" if e else "")
+            parts.append(_format_term(base, coeffs[e], mono, first=not parts))
+    return parts
 
 
 def _format_term(base: Domain, c: El, mono: str, first: bool) -> str:

@@ -30,6 +30,7 @@ from .rings import (
     QuotientRing,
     Rationals,
     ZeroDivisorError,
+    _dense_terms,
     embed,
     mp_exact_div,
     mp_gcd,
@@ -337,15 +338,7 @@ class UniPoly:
         return f"UniPoly({self})"
 
     def __str__(self):
-        from .rings import _format_term
-
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            mono = self.var if e == 1 else (f"{self.var}^{e}" if e else "")
-            parts.append(_format_term(self.domain, self.coeffs[e], mono, first=not parts))
-        return "".join(parts)
+        return "".join(_dense_terms(self.domain, self.coeffs, self.var)) or "0"
 
 
 def compose(f: UniPoly, g: UniPoly) -> UniPoly:

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -37,6 +40,23 @@ def test_golden_bytes(name):
 def test_repeat_runs_are_byte_identical():
     argv = GOLDEN_CASES["invariants_s12"]
     assert run(argv) == run(argv)
+
+
+@pytest.mark.parametrize(
+    "flag, value, poly, name",
+    [("--param", "a", "x^2+a*x+1", "a"), ("--ext", "s3:t^2-3", "x^2+s3*x+1", "s3")],
+)
+def test_no_state_carries_over_between_runs(flag, value, poly, name):
+    # the parser is built once per process; a flag given to one run must
+    # not reach the next, which answers exactly as a fresh process does
+    argv = ["transport", "--entry", "0", "1", "1", "0", poly]
+    assert run([*argv[:-1], flag, value, poly])[0] == 0
+    code, text = run(argv)
+    assert code == 4 and f"undeclared identifier '{name}'" in json.loads(text)["error"]["message"]
+    env = dict(os.environ, PYTHONPATH=str(GOLDEN.parent.parent / "src"))
+    fresh = subprocess.run([sys.executable, "-m", "superelliptic.cli", *argv],
+                           capture_output=True, text=True, env=env, timeout=60)
+    assert (code, text + "\n") == (fresh.returncode, fresh.stdout)
 
 
 def test_key_result_values():

@@ -10,13 +10,16 @@ from superelliptic import (
     GroupError,
     Mobius,
     PrimeField,
+    QQ,
     UniPoly,
     adjoin,
     classify,
     delta_form,
+    embed,
     group_elements,
     is_invariant,
     merge,
+    mpq,
     orbit_decomposition,
     orbit_points,
     orbit_polynomial,
@@ -33,6 +36,7 @@ from superelliptic.catalog import (
     psl_pgl_case_b_generators,
     zeta5_field,
 )
+from superelliptic import groups
 from superelliptic.groups import orbit_image
 from superelliptic.parser import build_domain, parse_expression
 from superelliptic.unipoly import INF
@@ -227,27 +231,14 @@ def test_decomposition_rational_parameter_recovery():
     tplab = a4b.generic_template(domab, domab.from_int(4))
     repab = orbit_decomposition(tplab, a4b)
     assert repab.t_generic == 1 and repab.generic_params is not None
+    rep11 = orbit_decomposition(a4b.generic_template(domab, domab.from_int(11)), a4b)
+    assert rep11.generic_params == (domab.from_int(11),)
 
     ea = fixture_by_name("elem_abelian(3,1,2)")
     dome = ea.domain
     tple = ea.generic_template(dome, dome.from_int(1))
     repe = orbit_decomposition(tple, ea)
     assert repe.t_generic == 1 and repe.generic_params == (dome.from_int(1),)
-
-
-def test_rational_root_scan_lists_each_divisor_set_once(monkeypatch):
-    # the a4_b template at a = 11 has one lead and one constant coefficient
-    # to scan; the lead's divisors are listed once, not once per candidate p
-    from superelliptic import groups
-
-    calls = []
-    real = groups._divisors
-    monkeypatch.setattr(groups, "_divisors", lambda n: calls.append(n) or real(n))
-    a4b = fixture_by_name("a4_b")
-    dom = a4b.domain
-    rep = orbit_decomposition(a4b.generic_template(dom, dom.from_int(11)), a4b)
-    assert rep.generic_params == (dom.from_int(11),)
-    assert calls and len(calls) == len(set(calls)), calls
 
 
 def test_decomposition_two_generic_orbits_with_recovery():
@@ -263,6 +254,61 @@ def test_decomposition_two_generic_orbits_with_recovery():
         (dom.from_int(2), dom.from_int(5)), key=str
     )
     assert rep.cofactor.is_constant()
+
+
+def test_decomposition_recovers_large_prime_parameters():
+    # the candidates are the divisors of a product of two primes above a
+    # million; a trial-division scan capped below them finds neither
+    s4 = fixture_by_name("s4")
+    dom = s4.domain
+    params = (dom.from_int(1000003), dom.from_int(1000033))
+    merged = merge(*(delta_form(s4.generic_template(dom, a), 4) for a in params))
+    rep = orbit_decomposition(merged.to_unipoly(), s4)
+    assert rep.t_generic == 2 and not rep.warnings
+    assert sorted(rep.generic_params, key=str) == sorted(params, key=str)
+    assert rep.cofactor.is_constant()
+
+
+def test_rational_roots_order():
+    # by |numerator|, then denominator, then sign with positive first: the
+    # order _recover_seeds tries seeds in, so the reported seed depends on it
+    roots = [mpq(-3, 2), mpq(2), mpq(-1, 3), mpq(3, 2), mpq(0), mpq(1), mpq(-2)]
+    expected = ["0", "1", "-1/3", "2", "-2", "3/2", "-3/2"]
+    for f in (qpoly("x^2 + 5*x + 7"), qpoly("x^2 + I*x + 7")):
+        dom = f.domain
+        for r in roots:
+            f = f * UniPoly(dom, {1: dom.one(), 0: dom.neg(embed(QQ, dom, r))})
+        found = groups._rational_roots(dom, f.to_list())
+        assert [dom.fmt(r) for r in found] == expected
+
+
+def test_rational_root_cost_is_bounded_by_degree(monkeypatch):
+    # a4_b at a = 3: the seeds are the roots of the degree-12 cofactor; at
+    # most deg f candidates are checked in the tower and at most deg f over
+    # Q, however many divisors the coefficients have
+    checked = {"Q": 0, "tower": 0}
+    degrees = []
+    real_evaluate, real_roots = UniPoly.evaluate, groups._rational_roots
+
+    def evaluate(self, x):
+        checked["Q" if self.domain == QQ else "tower"] += 1
+        return real_evaluate(self, x)
+
+    def rational_roots(dom, coeffs):
+        degrees.append(len(coeffs) - 1)
+        monkeypatch.setattr(UniPoly, "evaluate", evaluate)
+        try:
+            return real_roots(dom, coeffs)
+        finally:
+            monkeypatch.setattr(UniPoly, "evaluate", real_evaluate)
+
+    monkeypatch.setattr(groups, "_rational_roots", rational_roots)
+    a4b = fixture_by_name("a4_b")
+    dom = a4b.domain
+    rep = orbit_decomposition(a4b.generic_template(dom, dom.from_int(3)), a4b)
+    assert rep.generic_params == (dom.from_int(3),)
+    assert degrees == [12]
+    assert checked["tower"] <= 12 and checked["Q"] <= 12, checked
 
 
 def test_decomposition_mixed_special_and_generic():

@@ -1,5 +1,5 @@
-"""Differential tests of `resultant`, `discriminant` and the tower product
-and inverse against sympy.
+"""Differential tests of `resultant`, `discriminant`, the tower product
+and inverse, and the rational roots behind parameter recovery against sympy.
 
 sympy computes over Q[generators][x]: an element of a tower is written as a
 polynomial in its generator names (``I``, ``sqrt3``, ``w``), an F_p entry
@@ -13,9 +13,10 @@ deg f' does not drop either.
 
 import pytest
 
-sp = pytest.importorskip("sympy")
+sp = pytest.importorskip("sympy", exc_type=ImportError)
 
 from superelliptic import UniPoly, discriminant, mpq, resultant
+from superelliptic.groups import _q_roots
 from superelliptic.parser import build_domain, parse_expression
 from superelliptic.rings import (
     FunctionField,
@@ -192,3 +193,22 @@ def test_tower_product_and_inverse_match_sympy(name, rng):
         assert_matches(dom, dom.one(), sa * to_sympy(dom, dom.inv(a)), f"1 / {a}")
         inverted += 1
     assert inverted >= 6
+
+
+def test_rational_roots_match_sympy(rng):
+    # planted roots up to 10^7 over 10^7, half of them with numerator and
+    # denominator above 200,000, some repeated, beside a random cofactor
+    for _ in range(24):
+        planted = []
+        for _ in range(rng.randint(1, 4)):
+            lo = rng.choice([0, 200_001])
+            num = rng.choice([-1, 1]) * rng.randint(lo, 10**7)
+            planted.append(sp.Rational(num, rng.randint(max(lo, 1), 10**7)))
+        planted += rng.sample(planted, rng.randint(0, len(planted)))
+        cofactor = sp.Add(*(rng.randint(-9, 9) * X**e for e in range(rng.randint(0, 3))), X**3)
+        scale = sp.Rational(rng.randint(1, 999), rng.randint(1, 999))
+        poly = sp.Poly(scale * cofactor * sp.Mul(*(X - r for r in planted)), X, domain="QQ")
+        expected = sorted(poly.ground_roots(), key=lambda r: (abs(r.p), r.q, r.p < 0))
+        assert set(planted) <= set(expected)
+        coeffs = [mpq(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+        assert _q_roots(coeffs) == [mpq(int(r.p), int(r.q)) for r in expected], poly
