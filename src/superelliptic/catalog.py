@@ -34,10 +34,12 @@ import operator
 import re
 
 from .rings import QQ, Domain, El, PrimeField, QuotientRing, adjoin, embed, tower_chain
-from .unipoly import Mobius, UniPoly, mobius_transport
+from .unipoly import INF, Mobius, UniPoly, mobius_transport
 from .groups import (
-    GroupFixture, GroupError, SpecialOrbit, _eval_mod, group_elements, orbit_polynomial,
+    GroupFixture, GroupError, SpecialOrbit, _eval_mod, group_elements, orbit_points,
+    orbit_polynomial,
 )
+from .parser import build_domain, parse_expression
 
 
 # ---------------------------------------------------------------------------
@@ -169,22 +171,14 @@ def _translation(dom: Domain, c: El) -> Mobius:
     return Mobius(dom, dom.one(), c, dom.zero(), dom.one())
 
 
-def _poly(dom: Domain, spec: dict[int, El], var: str = "x") -> UniPoly:
-    return UniPoly(dom, spec, var)
-
-
-def _int_poly(dom: Domain, spec: dict[int, int], var: str = "x") -> UniPoly:
-    return UniPoly(dom, {e: dom.from_int(c) for e, c in spec.items()}, var)
+def _int_poly(dom: Domain, spec: dict[int, int]) -> UniPoly:
+    return UniPoly(dom, {e: dom.from_int(c) for e, c in spec.items()})
 
 
 def _orbit_from_seed(elements, seed, expected_size: int, name: str) -> SpecialOrbit:
-    from .groups import orbit_points
-
     pts = orbit_points(elements, seed)
     if len(pts) != expected_size:
         raise GroupError(f"orbit {name}: got {len(pts)} points, expected {expected_size}")
-    from .unipoly import INF
-
     has_inf = any(p is INF for p in pts)
     return SpecialOrbit(name, orbit_polynomial(elements, seed), has_inf)
 
@@ -206,7 +200,7 @@ def _orbit_from_transport(std: SpecialOrbit, q: Mobius, name: str) -> SpecialOrb
             has_inf = True
         else:
             pole = dom.neg(dom.div(q.d, q.c))
-            t = t * UniPoly(dom, {1: dom.one(), 0: dom.neg(pole)}, t.var)
+            t = t * UniPoly(dom, {1: dom.one(), 0: dom.neg(pole)})
     size = int(t.degree()) + (1 if has_inf else 0)
     if size != std.size:
         raise GroupError(f"orbit {name}: got {size} points, expected {std.size}")
@@ -342,8 +336,6 @@ def dihedral_b_fixture(m: int) -> GroupFixture:
     elements = group_elements(gens, bound=2 * m + 1)
     if len(elements) != 2 * m:
         raise GroupError(f"dihedral_b({m}): closure size {len(elements)}")
-    from .unipoly import INF
-
     specials = [
         _orbit_from_seed(elements, dom.zero(), m, "B0"),
         _orbit_from_seed(elements, INF, m, "Binf"),
@@ -375,8 +367,8 @@ def a4_fixture() -> GroupFixture:
     two_i_s3 = dom.mul(dom.from_int(2), dom.mul(i, s3))
     specials = [
         SpecialOrbit("B0", _int_poly(dom, {5: 1, 1: -1}), True),
-        SpecialOrbit("B1", _poly(dom, {4: dom.one(), 2: dom.neg(two_i_s3), 0: dom.one()}), False),
-        SpecialOrbit("B2", _poly(dom, {4: dom.one(), 2: two_i_s3, 0: dom.one()}), False),
+        SpecialOrbit("B1", UniPoly(dom, {4: dom.one(), 2: dom.neg(two_i_s3), 0: dom.one()}), False),
+        SpecialOrbit("B2", UniPoly(dom, {4: dom.one(), 2: two_i_s3, 0: dom.one()}), False),
     ]
     return GroupFixture(
         name="a4",
@@ -872,8 +864,6 @@ def load_catalog(path: str) -> dict[str, GroupFixture]:
     Seed- and a4-kind templates are reconstructed from the family tag;
     linear templates are parsed from their serialized polynomials.
     """
-    from .parser import build_domain, parse_expression
-
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("schema") != CATALOG_SCHEMA:

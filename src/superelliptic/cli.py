@@ -20,6 +20,7 @@ import functools
 import json
 import os
 import sys
+from math import gcd
 
 from . import catalog as catalog_mod
 from .covers import (
@@ -38,12 +39,12 @@ from .groups import (
     classify,
     is_invariant,
     orbit_decomposition,
+    orbit_points,
     orbit_polynomial,
 )
 from .invariants import (
     InvariantError,
     InvariantVector,
-    invariants,
     invariants_general,
     invariants_of,
     locus_test,
@@ -170,8 +171,6 @@ def _cmd_deltas(args):
 
 
 def _cmd_invariants(args):
-    from math import gcd
-
     dom = _domain_for(args, [args.poly])
     if args.n:
         if dom.char and gcd(dom.char, args.n) != 1:
@@ -179,18 +178,16 @@ def _cmd_invariants(args):
         if args.delta > 1 and args.n % args.delta:
             raise CoverError(f"delta = {args.delta} must divide n = {args.n}")
     f = parse_expression(args.poly, dom)
-    df = delta_form(f, args.delta)
-    nf, record = normalize(df)
+    nf, record = normalize(delta_form(f, args.delta))
     warnings = []
     if args.shift:
         if record.root_free:
             raise InvariantError("shifted invariants need an exact normal form")
         u = shifted_invariants(nf, args.shift, args.convention)
-    elif record.root_free:
-        u = invariants_general(nf)
-        warnings.append("no exact rescaling root in the domain; corrected invariants used")
     else:
-        u = invariants(nf)
+        u = invariants_general(nf)
+        if record.root_free:
+            warnings.append("no exact rescaling root in the domain; corrected invariants used")
     warnings.extend(u.warnings)
     payload = _invariant_payload(u)
     payload["path"] = "corrected" if record.root_free else "normal-form"
@@ -246,8 +243,6 @@ def _cmd_classify(args):
 
 
 def _cmd_orbit(args):
-    from .groups import orbit_points
-
     fx = _fixture(args)
     dom = fx.domain
     if args.seed.strip() == "inf":

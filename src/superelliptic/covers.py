@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .rings import Domain, DomainMismatchError, El
-from .unipoly import UniPoly, compose, polys_coprime, squarefree_test, support_gcd
+from .unipoly import UniPoly, compose, polys_coprime, resultant, squarefree_test, support_gcd
 
 OUTSIDE_EQ2 = "ramification at infinity is partial (n does not divide d but gcd(n, d) > 1)"
 
@@ -131,7 +131,7 @@ class CyclicCover:
 def recenter(f: UniPoly, c: El) -> UniPoly:
     """f(x + c); plumbing for moving a branch point away from 0."""
     dom = f.domain
-    shift = UniPoly(dom, {1: dom.one(), 0: c}, f.var)
+    shift = UniPoly(dom, {1: dom.one(), 0: c})
     return compose(f, shift)
 
 
@@ -173,10 +173,6 @@ class DeltaForm:
         return len(self.coeffs) - 1
 
     @property
-    def s(self) -> int:
-        return self.r * self.delta
-
-    @property
     def is_normal(self) -> bool:
         dom = self.domain
         return dom.is_one(self.coeffs[0]) and dom.is_one(self.coeffs[-1])
@@ -185,20 +181,11 @@ class DeltaForm:
     def is_monic(self) -> bool:
         return self.domain.is_one(self.coeffs[-1])
 
-    def to_unipoly(self, var: str = "x") -> UniPoly:
-        return UniPoly(self.domain, {self.delta * i: c for i, c in enumerate(self.coeffs)}, var)
-
-    def map_domain(self, dst: Domain) -> "DeltaForm":
-        from .rings import embed
-
-        src = self.domain
-        return DeltaForm(dst, self.delta, tuple(embed(src, dst, c) for c in self.coeffs))
+    def to_unipoly(self) -> UniPoly:
+        return UniPoly(self.domain, {self.delta * i: c for i, c in enumerate(self.coeffs)})
 
     def reversed(self) -> "DeltaForm":
         return DeltaForm(self.domain, self.delta, tuple(reversed(self.coeffs)))
-
-    def __str__(self):
-        return str(self.to_unipoly())
 
 
 def delta_form(f: UniPoly, delta: int) -> DeltaForm:
@@ -216,8 +203,8 @@ class NormalizationRecord:
 
     ``lead`` is the leading coefficient divided out (absorbed by rescaling
     y); ``lam`` is the substitution scale with lam^{delta r} = a_0, when one
-    was found; ``root_free`` marks the monic-only outcome, for which
-    invariant computation must use the corrected (general) formulas.
+    was found; ``root_free`` marks the monic-only outcome, whose a_0 is not
+    one, so its invariants carry the a_0 correction.
     """
 
     lead: El
@@ -279,14 +266,9 @@ def merge(dfa: DeltaForm, dfb: DeltaForm) -> DeltaForm:
         raise CoverError("merge inputs must be monic delta-forms")
     dom = dfa.domain
     fa, fb = dfa.to_unipoly(), dfb.to_unipoly()
-    if dom.is_field:
-        if not polys_coprime(fa, fb):
-            raise SharedBranchPointError("shared branch point: resultant of the factors is zero")
-    else:
-        from .unipoly import resultant
-
-        if dom.is_zero(resultant(fa, fb)):
-            raise SharedBranchPointError("shared branch point: resultant of the factors is zero")
+    coprime = polys_coprime(fa, fb) if dom.is_field else not dom.is_zero(resultant(fa, fb))
+    if not coprime:
+        raise SharedBranchPointError("shared branch point: resultant of the factors is zero")
     ra, rb = dfa.r, dfb.r
     z = dom.zero()
     out = [z] * (ra + rb + 1)

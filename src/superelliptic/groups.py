@@ -45,7 +45,10 @@ from .rings import (
     common_rational,
     embed,
     mpq,
+    rational_projection,
 )
+from .covers import CoverError
+from .invariants import invariants_of
 from .unipoly import INF, Mobius, UniPoly, mobius_transport, poly_gcd, proportional, squarefree_test
 
 
@@ -112,16 +115,16 @@ def orbit_points(elements: list[Mobius], seed) -> list:
     return pts
 
 
-def orbit_polynomial(elements: list[Mobius], seed, var: str = "x") -> UniPoly:
+def orbit_polynomial(elements: list[Mobius], seed) -> UniPoly:
     """Monic polynomial whose roots are the finite points of the orbit of
     the seed; infinity, when in the orbit, is simply dropped (the degree is
     the orbit size minus one in that case)."""
     dom = elements[0].domain
-    out = UniPoly.one(dom, var)
+    out = UniPoly.one(dom)
     for pt in orbit_points(elements, seed):
         if pt is INF:
             continue
-        out = out * UniPoly(dom, {1: dom.one(), 0: dom.neg(pt)}, var)
+        out = out * UniPoly(dom, {1: dom.one(), 0: dom.neg(pt)})
     return out
 
 
@@ -200,7 +203,7 @@ class GroupFixture:
 
     # -- generic templates ------------------------------------------------
 
-    def generic_template(self, dom: Domain, a: El, var: str = "x") -> UniPoly:
+    def generic_template(self, dom: Domain, a: El) -> UniPoly:
         """The generic-orbit polynomial at parameter value ``a`` over ``dom``
         (a domain the fixture tower embeds into), monic, expanded."""
         for value, orbit in self.excluded:
@@ -213,9 +216,9 @@ class GroupFixture:
                     f"parameter {dom.fmt(a)} degenerates onto special orbit {orbit}", orbit
                 )
         if self.template_kind == "seed":
-            return self._seed_template(dom, a, var)
+            return self._seed_template(dom, a)
         if self.template_kind == "a4":
-            return _a4_template(dom, a, var)
+            return _a4_template(dom, a)
         t0 = self.t0.map_domain(dom)
         t1 = self.t1.map_domain(dom)
         out = t0 - t1.scale(a)
@@ -223,7 +226,7 @@ class GroupFixture:
             out = out.monic()
         return out
 
-    def _seed_template(self, dom: Domain, seed: El, var: str) -> UniPoly:
+    def _seed_template(self, dom: Domain, seed: El) -> UniPoly:
         elements = [g.map_domain(dom) for g in self.elements()]
         pts = orbit_points(elements, seed)
         if any(p is INF for p in pts) or len(pts) != self.generic_size:
@@ -233,7 +236,7 @@ class GroupFixture:
                 + (f" ({name})" if name else ""),
                 name or "special",
             )
-        return orbit_polynomial(elements, seed, var)
+        return orbit_polynomial(elements, seed)
 
     def _locate_special(self, dom: Domain, seed: El) -> str | None:
         for orb in self.special_orbits:
@@ -254,7 +257,7 @@ def orbit_image(poly: UniPoly, has_inf: bool, g: Mobius) -> tuple[UniPoly, bool]
         if g_inf is INF:
             new_inf = True
         else:
-            t = t * UniPoly(dom, {1: dom.one(), 0: dom.neg(g_inf)}, poly.var)
+            t = t * UniPoly(dom, {1: dom.one(), 0: dom.neg(g_inf)})
     return t, new_inf
 
 
@@ -359,29 +362,6 @@ def _solve_unique(dom: Domain, rows: list[list[El]], rhs: list[El]) -> list[El] 
     return [a[i][n] for i in range(n)]
 
 
-def _q_projection(dom: Domain, raw: El):
-    """The coefficient of 1 in the tower-basis expansion of a raw value, as
-    a rational, or None when undefined (finite characteristic, genuine
-    parameter dependence)."""
-    from .rings import FunctionField, QuotientRing, Rationals
-
-    if isinstance(dom, Rationals):
-        return raw
-    if isinstance(dom, QuotientRing):
-        return _q_projection(dom.base, raw[0])
-    if isinstance(dom, FunctionField):
-        num, den = raw
-        if not dom._den_is_one(dom.base, den):
-            return None
-        zero = (0,) * dom.nvars
-        if not num:
-            return _q_projection(dom.base, dom.base.zero())
-        if zero in num and len(num) == 1:
-            return _q_projection(dom.base, num[zero])
-        return None
-    return None
-
-
 def _rational_roots(dom: Domain, coeffs: list[El]) -> list[El]:
     """Exact roots of sum coeffs[i] z^i: every root in a small finite
     domain, by trying each element; in characteristic 0 every root in Q.
@@ -395,7 +375,7 @@ def _rational_roots(dom: Domain, coeffs: list[El]) -> list[El]:
     if dom.is_finite and getattr(dom, "order", 1 << 30) <= 4096:
         candidates = dom.iter_elements()
     else:
-        projected = [_q_projection(dom, c) for c in coeffs]
+        projected = [rational_projection(dom, c) for c in coeffs]
         if any(r is None for r in projected) or not any(projected):
             return []
         candidates = (
@@ -537,7 +517,7 @@ def _match_by_invariants(f: UniPoly, fixture: GroupFixture) -> OrbitReport:
                 counts,
                 0,
                 None,
-                UniPoly.one(f.domain, f.var),
+                UniPoly.one(f.domain),
                 "invariants",
                 ("matched across incompatible towers via dihedral invariants",),
             )
@@ -548,15 +528,10 @@ def _match_by_invariants(f: UniPoly, fixture: GroupFixture) -> OrbitReport:
 
 
 def _rational_invariants(f: UniPoly, delta: int) -> tuple | None:
-    from .covers import delta_form, normalize
-    from .invariants import invariants_general
-
     try:
-        df = delta_form(f, delta)
-    except Exception:
+        u = invariants_of(f, delta)
+    except CoverError:
         return None
-    nf, _ = normalize(df)
-    u = invariants_general(nf)
     out = []
     for v in u.values:
         q = common_rational(u.domain, v)
@@ -569,7 +544,7 @@ def _rational_invariants(f: UniPoly, delta: int) -> tuple | None:
 def _recover_parameters(
     fixture: GroupFixture, dom: Domain, cofactor: UniPoly, t: int
 ) -> tuple[tuple | None, UniPoly]:
-    one = UniPoly.one(dom, cofactor.var)
+    one = UniPoly.one(dom)
     if t == 0:
         return (), one
     if fixture.template_kind == "seed":
@@ -582,7 +557,7 @@ def _recover_parameters(
 def _recover_linear(fixture, dom, cofactor, t):
     t0 = fixture.t0.map_domain(dom)
     t1 = fixture.t1.map_domain(dom)
-    one = UniPoly.one(dom, cofactor.var)
+    one = UniPoly.one(dom)
     if t == 1:
         # C * (k - a*l) = T0 - a*T1 with (k, l) the leading coefficients.
         k = t0.coeff(int(cofactor.degree()))
@@ -636,7 +611,7 @@ def _recover_linear(fixture, dom, cofactor, t):
 
 
 def _recover_seeds(fixture, dom, cofactor, t):
-    one = UniPoly.one(dom, cofactor.var)
+    one = UniPoly.one(dom)
     elements = [g.map_domain(dom) for g in fixture.elements()]
     rem = cofactor
     params = []
@@ -644,7 +619,7 @@ def _recover_seeds(fixture, dom, cofactor, t):
         roots = _rational_roots(dom, rem.to_list())
         hit = None
         for seed in roots:
-            orb = orbit_polynomial(elements, seed, cofactor.var)
+            orb = orbit_polynomial(elements, seed)
             if int(orb.degree()) != fixture.generic_size:
                 continue
             quo = orb.divides_exactly(rem)
@@ -660,21 +635,21 @@ def _recover_seeds(fixture, dom, cofactor, t):
     return tuple(params), one
 
 
-def _a4_template(dom: Domain, a: El, var: str) -> UniPoly:
+def _a4_template(dom: Domain, a: El) -> UniPoly:
     """(x^4 - a x^2 + 1)(x^4 - a2 x^2 + 1)(x^4 - a3 x^2 + 1) with
     a2 = (2a + 12)/(2 - a) and a3 = (2a - 12)/(2 + a)."""
     two = dom.from_int(2)
     twelve = dom.from_int(12)
     a2 = dom.div(dom.add(dom.mul(two, a), twelve), dom.sub(two, a))
     a3 = dom.div(dom.sub(dom.mul(two, a), twelve), dom.add(two, a))
-    out = UniPoly.one(dom, var)
+    out = UniPoly.one(dom)
     for aj in (a, a2, a3):
-        out = out * UniPoly(dom, {4: dom.one(), 2: dom.neg(aj), 0: dom.one()}, var)
+        out = out * UniPoly(dom, {4: dom.one(), 2: dom.neg(aj), 0: dom.one()})
     return out
 
 
 def _recover_a4(fixture, dom, cofactor, t):
-    one = UniPoly.one(dom, cofactor.var)
+    one = UniPoly.one(dom)
     if t != 1:
         return None, cofactor  # multi-orbit recovery needs factorization
     # x^10-coefficient of the cofactor is -(a1+a2+a3) = -a(a^2-36)/(a^2-4):
@@ -688,7 +663,7 @@ def _recover_a4(fixture, dom, cofactor, t):
     ]
     for cand in _rational_roots(dom, coeffs):
         try:
-            tpl = fixture.generic_template(dom, cand, cofactor.var)
+            tpl = fixture.generic_template(dom, cand)
         except ExcludedParameterError:
             continue
         if tpl == cofactor:
@@ -716,7 +691,7 @@ SMALL_CHAR_CAVEAT = (
 )
 
 
-def classify(fixture: GroupFixture, report: OrbitReport, n: int, delta: int | None = None) -> AutGroupReport:
+def classify(fixture: GroupFixture, report: OrbitReport, n: int) -> AutGroupReport:
     """Full automorphism group of y^n = f(x) from the orbit counts.
 
     The presentation strings follow the classical structure tables; where a
@@ -725,7 +700,7 @@ def classify(fixture: GroupFixture, report: OrbitReport, n: int, delta: int | No
     """
     if report.fixture != fixture.name:
         raise GroupError("orbit report was computed against a different fixture")
-    delta = fixture.delta if delta is None else delta
+    delta = fixture.delta
     if delta > 1 and n % delta:
         raise GroupError(f"extra automorphism order {delta} must divide n = {n}")
     caveats: list[str] = list(fixture.caveats)

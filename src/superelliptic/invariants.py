@@ -26,6 +26,13 @@ are available behind a tag: "r-1" and "r-i" (the latter by analogy with the
 plain invariants).  Constant-ratio identities only hold between matching
 tags.
 
+All three are one formula: the plain invariants are u^{(1)} under "r-i",
+and the corrected ones add the a_0 factors, which are skipped when
+a_0 = 1.  ``_invariant_values`` computes it; ``invariants``,
+``invariants_general`` and ``shifted_invariants`` check their
+preconditions and call it, and ``invariants_of`` normalizes and takes the
+corrected invariants, which on a normal form are the plain ones.
+
 The locus tests implement: all-zero u_1..u_{r-1} (higher cyclic);
 u_{r-1}^r = 2^{r-2} u_1^2 (dihedral); and for even r >= 4 the split
 u_{r-1}^{r/2} = +-2^{(r-2)/2} u_1 whose + component carries the group
@@ -36,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .covers import DeltaForm
+from .covers import DeltaForm, delta_form, normalize
 from .rings import Domain, El, QuotientRing
 
 DEGENERATE_R2 = "r = 2: the residual action is cyclic, not dihedral; invariants are degenerate"
@@ -71,26 +78,34 @@ class InvariantVector:
         return [self.domain.fmt(v) for v in self.values]
 
 
-def _check_r(df: DeltaForm) -> tuple[str, ...]:
-    if df.r < 2:
+def _invariant_values(df: DeltaForm, e: int, convention: str) -> InvariantVector:
+    """u_i^{(e)} = a_e^X a_i + a_{r-e}^X a_{r-i}, X = r-1 or r-i per the
+    convention tag; when a_0 is not one, the left term is multiplied by
+    a_0^{-(r-i)} and the right by a_0^{-1} (the corrected invariants)."""
+    r = df.r
+    if r < 2:
         raise InvariantError("invariants need r = s/delta >= 2")
-    return (DEGENERATE_R2,) if df.r == 2 else ()
+    dom = df.domain
+    a = df.coeffs
+    a0_inv = None if dom.is_one(a[0]) else dom.inv(a[0])
+    vals = []
+    for i in range(1, r + 1):
+        x = r - 1 if convention == "r-1" else r - i
+        left = dom.mul(dom.pow(a[e], x), a[i])
+        right = dom.mul(dom.pow(a[r - e], x), a[r - i])
+        if a0_inv is not None:
+            left = dom.mul(dom.pow(a0_inv, r - i), left)
+            right = dom.mul(a0_inv, right)
+        vals.append(dom.add(left, right))
+    warns = (DEGENERATE_R2,) if r == 2 else ()
+    return InvariantVector(dom, df.delta, r, tuple(vals), convention, warns)
 
 
 def invariants(df: DeltaForm) -> InvariantVector:
     """Dihedral invariants of a normal form."""
     if not df.is_normal:
         raise InvariantError("invariants require a normal form (a_0 = a_r = 1)")
-    warns = _check_r(df)
-    dom = df.domain
-    r = df.r
-    a = df.coeffs
-    vals = []
-    for i in range(1, r + 1):
-        left = dom.mul(dom.pow(a[1], r - i), a[i])
-        right = dom.mul(dom.pow(a[r - 1], r - i), a[r - i])
-        vals.append(dom.add(left, right))
-    return InvariantVector(dom, df.delta, r, tuple(vals), "r-i", warns)
+    return _invariant_values(df, 1, "r-i")
 
 
 def invariants_general(df: DeltaForm) -> InvariantVector:
@@ -101,30 +116,14 @@ def invariants_general(df: DeltaForm) -> InvariantVector:
     """
     if not df.is_monic:
         raise InvariantError("corrected invariants require a monic form (a_r = 1)")
-    dom = df.domain
-    r = df.r
-    a = df.coeffs
-    warns = _check_r(df)
-    a0_inv = dom.inv(a[0])
-    vals = []
-    for i in range(1, r + 1):
-        left = dom.mul(dom.pow(a0_inv, r - i), dom.mul(dom.pow(a[1], r - i), a[i]))
-        right = dom.mul(a0_inv, dom.mul(dom.pow(a[r - 1], r - i), a[r - i]))
-        vals.append(dom.add(left, right))
-    return InvariantVector(dom, df.delta, r, tuple(vals), "r-i", warns)
+    return _invariant_values(df, 1, "r-i")
 
 
 def invariants_of(f, delta: int) -> InvariantVector:
-    """Invariants of a branch polynomial: normalize when an exact rescaling
-    root exists, otherwise fall back to the corrected formulas on the monic
-    form."""
-    from .covers import delta_form, normalize
-
-    df = delta_form(f, delta)
-    nf, record = normalize(df)
-    if record.root_free:
-        return invariants_general(nf)
-    return invariants(nf)
+    """Invariants of a branch polynomial: those of its normal form when an
+    exact rescaling root exists, else the corrected ones of its monic form."""
+    nf, _ = normalize(delta_form(f, delta))
+    return invariants_general(nf)
 
 
 def tau2_apply(df: DeltaForm) -> DeltaForm:
@@ -163,19 +162,9 @@ def shifted_invariants(df: DeltaForm, e: int, convention: str = "r-1") -> Invari
         raise InvariantError("shifted invariants require a normal form")
     if convention not in ("r-1", "r-i"):
         raise InvariantError(f"unknown shifted-invariant convention {convention!r}")
-    r = df.r
-    if not 1 <= e < r:
-        raise InvariantError(f"shift e = {e} out of range 1..{r - 1}")
-    dom = df.domain
-    a = df.coeffs
-    warns = _check_r(df)
-    vals = []
-    for i in range(1, r + 1):
-        x = r - 1 if convention == "r-1" else r - i
-        left = dom.mul(dom.pow(a[e], x), a[i])
-        right = dom.mul(dom.pow(a[r - e], x), a[r - i])
-        vals.append(dom.add(left, right))
-    return InvariantVector(dom, df.delta, r, tuple(vals), convention, warns)
+    if not 1 <= e < df.r:
+        raise InvariantError(f"shift e = {e} out of range 1..{df.r - 1}")
+    return _invariant_values(df, e, convention)
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ class ModuliModel:
         return DeltaForm(self.ring, self.delta, self.coeffs)
 
 
-def reconstruct(u: InvariantVector, delta: int | None = None) -> ModuliModel:
+def reconstruct(u: InvariantVector) -> ModuliModel:
     """Build the model above; requires u_1 != 0 and characteristic != 2.
 
     With u_1 = 0 the invariants must first be replaced by shifted
@@ -59,7 +59,6 @@ def reconstruct(u: InvariantVector, delta: int | None = None) -> ModuliModel:
         raise BlowUpNeededError(
             "u_1 = 0: pass to shifted (blow-up) invariants before reconstructing"
         )
-    delta = u.delta if delta is None else delta
     r = u.r
     half_u1 = dom.div(u[1], dom.from_int(2))
     minpoly = [dom.neg(half_u1)] + [dom.zero()] * (r - 1) + [dom.one()]
@@ -73,7 +72,7 @@ def reconstruct(u: InvariantVector, delta: int | None = None) -> ModuliModel:
         coeffs.append(ring.scale(ring.pow(t, r - i), ratio))
     coeffs.append(t)  # A_{r-1} = t, the formal (u_1/2)^{1/r}
     coeffs.append(one)
-    return ModuliModel(u, delta, ring, tuple(coeffs))
+    return ModuliModel(u, u.delta, ring, tuple(coeffs))
 
 
 def verify_roundtrip(model: ModuliModel) -> bool:

@@ -245,10 +245,10 @@ class _Parser:
     def atom(self) -> UniPoly:
         t = self.next()
         if t.kind == "int":
-            return UniPoly.constant(self.dom, self.dom.from_int(int(t.text)), self.var)
+            return UniPoly.constant(self.dom, self.dom.from_int(int(t.text)))
         if t.kind == "ident":
             if t.text == self.var:
-                return UniPoly.gen(self.dom, self.var)
+                return UniPoly.gen(self.dom)
             if t.text == "sqrt":
                 self.expect_op("(")
                 arg = self.next()
@@ -257,13 +257,13 @@ class _Parser:
                 self.expect_op(")")
                 name = f"sqrt{arg.text}"
                 if name in self.names:
-                    return UniPoly.constant(self.dom, self.names[name], self.var)
+                    return UniPoly.constant(self.dom, self.names[name])
                 root = self.dom.nth_root(self.dom.from_int(int(arg.text)), 2)
                 if root is not None:
-                    return UniPoly.constant(self.dom, root, self.var)
+                    return UniPoly.constant(self.dom, root)
                 raise ParseError(f"sqrt({arg.text}) was not declared in this domain", t.pos)
             if t.text in self.names:
-                return UniPoly.constant(self.dom, self.names[t.text], self.var)
+                return UniPoly.constant(self.dom, self.names[t.text])
             raise ParseError(f"undeclared identifier {t.text!r}", t.pos)
         if t.kind == "op" and t.text == "(":
             out = self.expr()

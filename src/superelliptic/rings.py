@@ -1128,9 +1128,6 @@ class FunctionField(Domain):
         num = mp_add(base, mp_mul(base, n1, d2), mp_mul(base, n2, d1))
         return self._reduce(num, mp_mul(base, d1, d2))
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def neg(self, a):
         return (mp_neg(self.base, a[0]), a[1])
 
@@ -1211,12 +1208,6 @@ class FunctionField(Domain):
                 return self.from_base(r) if r is not None else None
         return None
 
-    def numerator(self, a) -> dict:
-        return a[0]
-
-    def denominator(self, a) -> dict:
-        return a[1]
-
     def _signature(self):
         return ("rf", self.base._signature(), self.names)
 
@@ -1255,27 +1246,33 @@ def embed(src: Domain, dst: Domain, raw: El) -> El:
     raise DomainMismatchError(f"cannot embed {src!r} into {dst!r}")
 
 
-def common_rational(domain: Domain, raw: El):
-    """Return the value as a rational if it lies in the prime subfield Q,
-    else None.  Used to compare invariants across unrelated towers."""
+def rational_projection(domain: Domain, raw: El):
+    """The coefficient of 1 in the tower-basis expansion of a raw value, as
+    a rational, or None when undefined (finite characteristic, genuine
+    parameter dependence)."""
     if isinstance(domain, Rationals):
         return raw
     if isinstance(domain, QuotientRing):
-        if all(domain.base.is_zero(c) for c in raw[1:]):
-            return common_rational(domain.base, raw[0])
-        return None
+        return rational_projection(domain.base, raw[0])
     if isinstance(domain, FunctionField):
         num, den = raw
         if not domain._den_is_one(domain.base, den):
             return None
         if not num:
-            return common_rational(domain.base, domain.base.zero())
-        if len(num) == 1:
-            (e, c), = num.items()
-            if not any(e):
-                return common_rational(domain.base, c)
-        return None
+            return rational_projection(domain.base, domain.base.zero())
+        zero = (0,) * domain.nvars
+        if zero in num and len(num) == 1:
+            return rational_projection(domain.base, num[zero])
     return None
+
+
+def common_rational(domain: Domain, raw: El):
+    """Return the value as a rational if it lies in the prime subfield Q,
+    else None.  Used to compare invariants across unrelated towers."""
+    q = rational_projection(domain, raw)
+    if q is None or not domain.eq(embed(QQ, domain, q), raw):
+        return None
+    return q
 
 
 def tower_chain(domain: Domain) -> list[Domain]:

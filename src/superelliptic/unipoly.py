@@ -19,7 +19,7 @@ does not re-monicize.
 
 from __future__ import annotations
 
-import threading
+from math import gcd
 
 from .rings import (
     Domain,
@@ -40,8 +40,7 @@ from .rings import (
 
 NEG_INF = float("-inf")
 
-_DEFAULT_DEGREE_CAP = 4096
-_cap_state = threading.local()
+_degree_cap = 4096
 
 
 class DegreeCapError(ValueError):
@@ -49,21 +48,21 @@ class DegreeCapError(ValueError):
 
 
 def degree_cap() -> int:
-    return getattr(_cap_state, "cap", _DEFAULT_DEGREE_CAP)
+    return _degree_cap
 
 
 def set_degree_cap(n: int) -> None:
-    """Set the expansion guard for the current thread; library callers on
-    other threads keep their own cap."""
+    """Set the expansion guard.  The cap is one value for the whole
+    process (default 4096); ``cli.run`` restores it after each command."""
+    global _degree_cap
     if n < 1:
         raise ValueError("degree cap must be positive")
-    _cap_state.cap = n
+    _degree_cap = n
 
 
 def _check_cap(deg: int) -> None:
-    cap = degree_cap()
-    if deg > cap:
-        raise DegreeCapError(f"degree {deg} exceeds cap {cap}")
+    if deg > _degree_cap:
+        raise DegreeCapError(f"degree {deg} exceeds cap {_degree_cap}")
 
 
 class Infinity:
@@ -86,11 +85,10 @@ INF = Infinity()
 class UniPoly:
     """Sparse univariate polynomial over a coefficient domain."""
 
-    __slots__ = ("domain", "coeffs", "var")
+    __slots__ = ("domain", "coeffs")
 
-    def __init__(self, domain: Domain, coeffs: dict[int, El] | None = None, var: str = "x"):
+    def __init__(self, domain: Domain, coeffs: dict[int, El] | None = None):
         self.domain = domain
-        self.var = var
         cc = {}
         if coeffs:
             is_zero = domain.is_zero
@@ -100,29 +98,29 @@ class UniPoly:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, domain: Domain, var: str = "x") -> "UniPoly":
-        return cls(domain, {}, var)
+    def zero(cls, domain: Domain) -> "UniPoly":
+        return cls(domain, {})
 
     @classmethod
-    def one(cls, domain: Domain, var: str = "x") -> "UniPoly":
-        return cls(domain, {0: domain.one()}, var)
+    def one(cls, domain: Domain) -> "UniPoly":
+        return cls(domain, {0: domain.one()})
 
     @classmethod
-    def constant(cls, domain: Domain, c: El, var: str = "x") -> "UniPoly":
-        return cls(domain, {0: c}, var)
+    def constant(cls, domain: Domain, c: El) -> "UniPoly":
+        return cls(domain, {0: c})
 
     @classmethod
-    def gen(cls, domain: Domain, var: str = "x") -> "UniPoly":
-        return cls(domain, {1: domain.one()}, var)
+    def gen(cls, domain: Domain) -> "UniPoly":
+        return cls(domain, {1: domain.one()})
 
     @classmethod
-    def from_list(cls, domain: Domain, coeffs, var: str = "x") -> "UniPoly":
+    def from_list(cls, domain: Domain, coeffs) -> "UniPoly":
         """From an iterable of raws, constant term first."""
-        return cls(domain, dict(enumerate(coeffs)), var)
+        return cls(domain, dict(enumerate(coeffs)))
 
     @classmethod
-    def from_int_list(cls, domain: Domain, ints, var: str = "x") -> "UniPoly":
-        return cls(domain, {e: domain.from_int(n) for e, n in enumerate(ints)}, var)
+    def from_int_list(cls, domain: Domain, ints) -> "UniPoly":
+        return cls(domain, {e: domain.from_int(n) for e, n in enumerate(ints)})
 
     # -- basic queries ----------------------------------------------------
 
@@ -179,13 +177,13 @@ class UniPoly:
             else:
                 out[e] = c
         p = UniPoly.__new__(UniPoly)
-        p.domain, p.coeffs, p.var = dom, out, self.var
+        p.domain, p.coeffs = dom, out
         return p
 
     def __neg__(self) -> "UniPoly":
         dom = self.domain
         p = UniPoly.__new__(UniPoly)
-        p.domain, p.var = dom, self.var
+        p.domain = dom
         p.coeffs = {e: dom.neg(c) for e, c in self.coeffs.items()}
         return p
 
@@ -196,7 +194,7 @@ class UniPoly:
         self._same(other)
         dom = self.domain
         if not self.coeffs or not other.coeffs:
-            return UniPoly.zero(dom, self.var)
+            return UniPoly.zero(dom)
         _check_cap(max(self.coeffs) + max(other.coeffs))
         mul, add, is_zero = dom.mul, dom.add, dom.is_zero
         f, g = self.coeffs, other.coeffs
@@ -216,7 +214,7 @@ class UniPoly:
                 elif not is_zero(p):
                     out[e] = p
         q = UniPoly.__new__(UniPoly)
-        q.domain, q.coeffs, q.var = dom, out, self.var
+        q.domain, q.coeffs = dom, out
         return q
 
     def __pow__(self, n: int) -> "UniPoly":
@@ -224,7 +222,7 @@ class UniPoly:
             raise ValueError("negative polynomial power")
         if self.coeffs:
             _check_cap(max(self.coeffs) * n)
-        out = UniPoly.one(self.domain, self.var)
+        out = UniPoly.one(self.domain)
         base = self
         while n:
             if n & 1:
@@ -237,9 +235,9 @@ class UniPoly:
     def scale(self, c: El) -> "UniPoly":
         dom = self.domain
         if dom.is_zero(c):
-            return UniPoly.zero(dom, self.var)
+            return UniPoly.zero(dom)
         mul = dom.mul
-        return UniPoly(dom, {e: mul(v, c) for e, v in self.coeffs.items()}, self.var)
+        return UniPoly(dom, {e: mul(v, c) for e, v in self.coeffs.items()})
 
     def monic(self) -> "UniPoly":
         if not self.coeffs:
@@ -286,7 +284,7 @@ class UniPoly:
                     rem.pop(t, None)
                 else:
                     rem[t] = v
-        return UniPoly(dom, quo, self.var), UniPoly(dom, rem, self.var)
+        return UniPoly(dom, quo), UniPoly(dom, rem)
 
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return self.divrem(other)[1]
@@ -309,7 +307,7 @@ class UniPoly:
                 v = dom.mul(c, dom.from_int(e))
                 if not dom.is_zero(v):
                     out[e - 1] = v
-        return UniPoly(dom, out, self.var)
+        return UniPoly(dom, out)
 
     def evaluate(self, x: El) -> El:
         """Horner evaluation at a raw domain value."""
@@ -330,7 +328,7 @@ class UniPoly:
     def map_domain(self, dst: Domain) -> "UniPoly":
         """Embed all coefficients into a structurally larger domain."""
         src = self.domain
-        return UniPoly(dst, {e: embed(src, dst, c) for e, c in self.coeffs.items()}, self.var)
+        return UniPoly(dst, {e: embed(src, dst, c) for e, c in self.coeffs.items()})
 
     # -- printing ----------------------------------------------------------
 
@@ -338,7 +336,7 @@ class UniPoly:
         return f"UniPoly({self})"
 
     def __str__(self):
-        return "".join(_dense_terms(self.domain, self.coeffs, self.var)) or "0"
+        return "".join(_dense_terms(self.domain, self.coeffs, "x")) or "0"
 
 
 def compose(f: UniPoly, g: UniPoly) -> UniPoly:
@@ -346,16 +344,16 @@ def compose(f: UniPoly, g: UniPoly) -> UniPoly:
     f._same(g)
     dom = f.domain
     if not f.coeffs:
-        return UniPoly.zero(dom, g.var)
+        return UniPoly.zero(dom)
     df = max(f.coeffs)
     if g.coeffs:
         _check_cap(df * max(g.coeffs))
-    out = UniPoly.constant(dom, f.coeff(df), g.var)
+    out = UniPoly.constant(dom, f.coeff(df))
     for e in range(df - 1, -1, -1):
         out = out * g
         c = f.coeffs.get(e)
         if c is not None:
-            out = out + UniPoly.constant(dom, c, g.var)
+            out = out + UniPoly.constant(dom, c)
     return out
 
 
@@ -382,7 +380,7 @@ def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     for mono, c in big.items():
         parts.setdefault(mono[-1], {})[mono[:-1]] = c
     coeff = dom.from_poly if is_ff else (lambda part: part[()])
-    return UniPoly(dom, {e: coeff(part) for e, part in parts.items()}, f.var).monic()
+    return UniPoly(dom, {e: coeff(part) for e, part in parts.items()}).monic()
 
 
 def _adjoin_x(p: UniPoly) -> dict:
@@ -431,8 +429,8 @@ def polys_coprime(f: UniPoly, g: UniPoly) -> bool:
 def _coprime_mod_p(f: UniPoly, g: UniPoly, p: int) -> bool | None:
     try:
         dom_p = _mod_p_domain(f.domain, p)
-        fp = UniPoly(dom_p, {e: _mod_p_raw(f.domain, c, dom_p) for e, c in f.coeffs.items()}, f.var)
-        gp = UniPoly(dom_p, {e: _mod_p_raw(g.domain, c, dom_p) for e, c in g.coeffs.items()}, g.var)
+        fp = UniPoly(dom_p, {e: _mod_p_raw(f.domain, c, dom_p) for e, c in f.coeffs.items()})
+        gp = UniPoly(dom_p, {e: _mod_p_raw(g.domain, c, dom_p) for e, c in g.coeffs.items()})
         if fp.degree() != f.degree() or gp.degree() != g.degree():
             return None  # leading coefficient vanished: bad prime
         return poly_gcd(fp, gp).degree() == 0
@@ -617,7 +615,7 @@ def mobius_transport(f: UniPoly, m: Mobius) -> UniPoly:
         raise DomainMismatchError("polynomial and matrix over different domains")
     if not any(isinstance(d, FunctionField) for d in tower_chain(f.domain)):
         try:
-            return UniPoly.from_list(f.domain, _shift_transport(f, m), f.var)
+            return UniPoly.from_list(f.domain, _shift_transport(f, m))
         except ZeroDivisorError:
             pass
     return _horner_transport(f, m)
@@ -690,10 +688,10 @@ def _horner_transport(f: UniPoly, m: Mobius) -> UniPoly:
     multiplications and no inversion."""
     dom = f.domain
     n = int(f.degree())
-    lin_num = UniPoly(dom, {1: m.a, 0: m.b}, f.var)
-    lin_den = UniPoly(dom, {1: m.c, 0: m.d}, f.var)
-    out = UniPoly.constant(dom, f.coeff(n), f.var)
-    den_pow = UniPoly.one(dom, f.var)
+    lin_num = UniPoly(dom, {1: m.a, 0: m.b})
+    lin_den = UniPoly(dom, {1: m.c, 0: m.d})
+    out = UniPoly.constant(dom, f.coeff(n))
+    den_pow = UniPoly.one(dom)
     for e in range(n - 1, -1, -1):
         den_pow = den_pow * lin_den
         out = out * lin_num
@@ -738,7 +736,7 @@ def _prem(f: UniPoly, g: UniPoly) -> UniPoly:
     if steps > 0:
         scale = dom.pow(lg, steps)
         r = {e: dom.mul(c, scale) for e, c in r.items()}
-    return UniPoly(dom, r, f.var)
+    return UniPoly(dom, r)
 
 
 def _prs_resultant(f: UniPoly, g: UniPoly) -> El:
@@ -766,7 +764,7 @@ def _prs_resultant(f: UniPoly, g: UniPoly) -> El:
         m, d = k, m - k
         b = dom.neg(dom.mul(lc, dom.pow(c, d)))
         h = _prem(f, g)
-        h = UniPoly(dom, {e: dom.exact_div(v, b) for e, v in h.coeffs.items()}, f.var)
+        h = UniPoly(dom, {e: dom.exact_div(v, b) for e, v in h.coeffs.items()})
         lc = g.lc()
         if d > 1:
             q = dom.pow(c, d - 1)
@@ -793,19 +791,14 @@ def resultant(f: UniPoly, g: UniPoly) -> El:
 
 def support_gcd(f: UniPoly) -> int:
     """GCD of the exponents carrying nonzero coefficients (0 for f = 0)."""
-    from math import gcd
-
-    g = 0
-    for e in f.coeffs:
-        g = gcd(g, e)
-    return g
+    return gcd(*f.coeffs)
 
 
 def deflate(f: UniPoly, delta: int) -> UniPoly:
     """F with f = F(x^delta); every exponent must be divisible by delta."""
     if any(e % delta for e in f.coeffs):
         raise ValueError(f"not a polynomial in x^{delta}")
-    return UniPoly(f.domain, {e // delta: c for e, c in f.coeffs.items()}, f.var)
+    return UniPoly(f.domain, {e // delta: c for e, c in f.coeffs.items()})
 
 
 def _res_with_derivative(f: UniPoly) -> El:

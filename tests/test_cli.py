@@ -312,3 +312,36 @@ def test_catalog_out_fails_before_building(tmp_path, monkeypatch):
     code, text = run(["catalog", "--out", str(tmp_path / "no-such-dir" / "cat.json")])
     assert code == 2 and json.loads(text)["error"]["kind"] == "FileNotFoundError"
     assert calls == []
+
+
+CORRECTED = ["invariants", "--delta", "3", "--ext", "s3:t^2-3",
+             "x^6 + (25 - 15*s3)*x^3 + (15*s3 - 26)"]
+
+
+def test_corrected_invariants_report():
+    # a_0 = 15*s3 - 26 has no sixth root in Q(sqrt3): the corrected branch
+    assert run(CORRECTED) == (0, (
+        '{"command": "invariants", "error": null, "exit": 0, "ok": true, "result": '
+        '{"convention": "r-i", "delta": 3, "path": "corrected", "r": 2, "u": ["-100", "2"]}, '
+        '"schema": 1, "warnings": ["no exact rescaling root in the domain; corrected invariants '
+        'used", "r = 2: the residual action is cyclic, not dihedral; invariants are degenerate"]}'
+    ))
+
+
+def test_shifted_invariants_need_a_normal_form():
+    code, text = run([*CORRECTED[:-1], "--shift", "1", CORRECTED[-1]])
+    error = json.loads(text)["error"]
+    assert code == 3 and error["kind"] == "InvariantError"
+    assert error["message"] == "shifted invariants need an exact normal form"
+
+
+def test_max_degree_flag_applies_to_one_run():
+    from superelliptic.unipoly import degree_cap
+
+    code, text = run(["genus", "--n", "2", "--max-degree", "3", "(x^2+1)^2 + 1"])
+    error = json.loads(text)["error"]
+    assert code == 2 and error["kind"] == "DegreeCapError"
+    assert error["message"] == "degree 4 exceeds cap 3"
+    assert degree_cap() == 4096
+    code, text = run(["genus", "--n", "2", "(x^2+1)^2 + 1"])
+    assert code == 0 and json.loads(text)["result"]["genus"] == 1

@@ -328,6 +328,13 @@ def test_decomposition_invariant_fallback_across_towers():
     assert rep.counts["B1"] == 1 and rep.t_generic == 0
 
 
+def test_rational_invariants_none_cases():
+    # an inadmissible delta, then u_1 = 1 + I^3 = 1 - I, which is not rational
+    assert groups._rational_invariants(qpoly("x^3 + x + 1"), 3) is None
+    assert groups._rational_invariants(qpoly("x^3 + I*x^2 + x + 1"), 1) is None
+    assert groups._rational_invariants(qpoly("x^3 + 2*x^2 + x + 1"), 1) == (9, 4, 2)
+
+
 def test_decomposition_cofactor_warning_for_noninvariant():
     d3 = fixture_by_name("dihedral(3)")
     dom = d3.domain

@@ -13,11 +13,12 @@ from superelliptic import (
     invariants_of,
     locus_test,
     mpq,
+    normalize,
     shifted_invariants,
     tau1_apply,
     tau2_apply,
 )
-from superelliptic.parser import build_domain, parse_expression
+from superelliptic.parser import build_domain, parse_constant, parse_expression
 
 from conftest import qpoly, rand_mpq, symmetric_form
 
@@ -61,6 +62,39 @@ def test_invariants_require_normal_form():
 def test_general_agrees_on_normal_input():
     df = DeltaForm(QQ, 1, (mpq(1), mpq(3), mpq(5), mpq(1)))
     assert invariants_general(df).values == invariants(df).values
+
+
+@pytest.mark.parametrize(
+    "char, exts, params, text",
+    [
+        (0, [], (), "{p}/{q}"),
+        (0, [("i", "t^2 + 1")], (), "{p}/{q} + {m}*i"),
+        (7, [], (), "{p}"),
+        (3, [("w", "t^2 + 1")], (), "{p} + {m}*w"),
+        (0, [], ("a",), "{p}/{q} + {m}*a"),
+    ],
+)
+def test_general_agrees_with_normal_form(rng, char, exts, params, text):
+    # monic forms whose a_0 = lam^(delta r): the corrected invariants of the
+    # form equal the plain invariants of the normal form lam carries it to
+    dom = build_domain(char, exts, params)
+
+    def draw(nonzero=False):
+        while True:
+            v = parse_constant(
+                text.format(p=rng.randint(-6, 6), q=rng.randint(1, 4), m=rng.randint(-3, 3)), dom
+            )
+            if not (nonzero and dom.is_zero(v)):
+                return v
+
+    for _ in range(12):
+        delta, r = rng.randint(1, 3), rng.randint(2, 5)
+        lam = draw(nonzero=True)
+        a0 = dom.pow(lam, delta * r)
+        df = DeltaForm(dom, delta, (a0,) + tuple(draw() for _ in range(r - 1)) + (dom.one(),))
+        nf, record = normalize(df, lam)
+        assert not record.root_free and nf.is_normal
+        assert invariants_general(df).values == invariants(nf).values
 
 
 def test_corrected_invariants_sqrt3_fixture():
