@@ -9,7 +9,10 @@ Supported domains, with the raw Python value used for their elements:
                            tuples of base raws of length ``deg m``
 * ``FunctionField``     -- rational functions in named parameters over a
                            field; elements are reduced ``(num, den)`` pairs
-                           of term dicts ``{exponent tuple: base raw}``
+                           of term dicts ``{exponent tuple: raw}``; over Q
+                           the raws are ``int`` (numerator and denominator
+                           in Z[params], coprime), over any other field
+                           they are base raws
 
 Domains are immutable and hashable; every operation is a pure function of
 raw values, so values can be shared freely between threads.  Operations on
@@ -20,6 +23,11 @@ proper factor of the modulus.
 Quotient-ring steps are *not* required to be fields (the modulus may be
 reducible); construct them with ``field=True`` only when the caller knows
 the modulus is irreducible.  Rational-function fields require a field base.
+Over Q they compute in Z[params] (Knuth, TAOCP vol. 2, 4.5.1 and 4.6.1):
+the coefficients are integers, with no rational arithmetic in the products
+and gcds, and the denominator's leading coefficient is divided out only
+when a value is printed or read over Q, so printed forms are those of the
+monic-denominator form over Q.
 
 A tower whose chain ends at ``Rationals`` multiplies through an integer
 multiplication table (Cohen, GTM 138, 4.2), built once per tower and shared
@@ -38,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Any, Iterator, NamedTuple
 
 try:
@@ -290,6 +299,42 @@ class Rationals(Domain):
 QQ = Rationals()
 
 
+class Integers(Domain):
+    """The ring of integers, as Python ``int``: the coefficient ring of a
+    ``FunctionField`` over Q.  Not a field; ``mp_exact_div`` divides its
+    values exactly or reports that it cannot."""
+
+    char = 0
+    is_field = False
+    # builtins, not methods: these run in the inner loops of ``mp_mul``
+    add = staticmethod(operator.add)
+    neg = staticmethod(operator.neg)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    is_zero = staticmethod(operator.not_)
+
+    def zero(self):
+        return 0
+
+    def one(self):
+        return 1
+
+    def from_int(self, n):
+        return n
+
+    def is_one(self, a):
+        return a == 1
+
+    def _signature(self):
+        return ("Z",)
+
+    def __repr__(self):
+        return "ZZ"
+
+
+ZZ = Integers()
+
+
 class PrimeField(Domain):
     """The prime field F_p, elements stored as reduced residues."""
 
@@ -417,8 +462,7 @@ class _MulTable(NamedTuple):
     inner: tuple
 
 
-# tower signature -> _MulTable, shared by equal towers; two threads can at
-# worst build the same table twice
+# tower signature -> _MulTable, shared by equal towers
 _TABLES: dict = {}
 # a table holds up to D^3 integers; towers of larger total degree D (none
 # in the catalog, whose largest is 16) keep the nested arithmetic
@@ -779,7 +823,7 @@ def adjoin(base: Domain, name: str, minpoly, *, field: bool | None = None) -> Qu
 
 
 # ---------------------------------------------------------------------------
-# multivariate term-dict helpers over a field base
+# multivariate term-dict helpers over a field or over Z
 # ---------------------------------------------------------------------------
 
 
@@ -860,26 +904,35 @@ def mp_total_deg(f: dict) -> int:
 
 
 def mp_exact_div(base: Domain, f: dict, g: dict) -> dict | None:
-    """f / g in the polynomial ring, or None if the division is not exact."""
+    """f / g in the polynomial ring, or None if the division is not exact;
+    over Z that includes a quotient with a coefficient outside Z."""
     if not g:
         raise ZeroDivisionError("division by zero polynomial")
     if not f:
         return {}
-    if len(g) == 1:
-        (ge, gc), = g.items()
-        if not any(ge):
-            return mp_scale(base, f, base.inv(gc))
-    rem = dict(f)
-    out: dict = {}
     ge = mp_lead(g)
     gc = g[ge]
-    gc_inv = base.inv(gc)
+    if base.is_field:
+        gc_inv = base.inv(gc)
+        if len(g) == 1 and not any(ge):
+            return mp_scale(base, f, gc_inv)
+    elif len(g) == 1 and not any(ge):
+        if any(c % gc for c in f.values()):
+            return None
+        return {e: c // gc for e, c in f.items()}
+    rem = dict(f)
+    out: dict = {}
     while rem:
         re = mp_lead(rem)
         diff = tuple(map(int.__sub__, re, ge))
         if any(d < 0 for d in diff):
             return None
-        q = base.mul(rem[re], gc_inv)
+        if base.is_field:
+            q = base.mul(rem[re], gc_inv)
+        else:
+            q, r = divmod(rem[re], gc)
+            if r:
+                return None
         out[diff] = q
         rem = mp_sub(base, rem, mp_mul(base, {diff: q}, g))
     return out
@@ -910,23 +963,26 @@ def _mv_shift(f: dict, v: int, d: int) -> dict:
 
 
 def mp_gcd(base: Domain, f: dict, g: dict) -> dict:
-    """GCD in k[x_1..x_n] over a field k, normalized so the graded-lex
-    leading coefficient is 1.
+    """GCD in R[x_1..x_n], R a field k or Z, in normal form: over k monic
+    (graded-lex leading coefficient 1); over Z primitive with a positive
+    leading coefficient, that is the gcd in Q[x_1..x_n] up to the integer
+    content, which the caller takes separately when it needs it.
 
     Primitive PRS recursion over the last variable x_v that occurs: each
-    pseudo-remainder is replaced by its primitive part along x_v, made
-    monic over k.  Over k = Q the content along x_v of a univariate
+    pseudo-remainder is replaced by its primitive part along x_v, put in
+    normal form.  Over k = Q the content along x_v of a univariate
     polynomial is a unit, so stripping it alone never removes the rational
     scale that each pseudo-division multiplies in; left in place, that
     scale grows exponentially in bit length along the sequence (Knuth,
-    TAOCP vol. 2, 4.6.1).  A primitive part is only defined up to a unit
-    of k, so the normalization changes no result."""
+    TAOCP vol. 2, 4.6.1).  Over Z the normal form removes the integer
+    content as well.  A primitive part is only defined up to a unit, so
+    the normalization changes no result."""
     if not f and not g:
         return {}
     if not f:
-        return _mp_monic(base, g)
+        return _mp_normal(base, g)[0]
     if not g:
-        return _mp_monic(base, f)
+        return _mp_normal(base, f)[0]
     nv = len(next(iter(f)))
     v = -1
     for i in range(nv - 1, -1, -1):
@@ -945,27 +1001,39 @@ def mp_gcd(base: Domain, f: dict, g: dict) -> dict:
             break
         _, r = _mp_content_pp(base, r, v)
         a, b = b, r
-    return _mp_monic(base, mp_mul(base, cont, b))
+    return _mp_normal(base, mp_mul(base, cont, b))[0]
 
 
-def _mp_monic(base: Domain, f: dict) -> dict:
-    if not f:
-        return {}
+def _mp_normal(base: Domain, f: dict, *cofactors: dict) -> tuple:
+    """f in normal form, then each cofactor divided by the same unit.
+
+    The normal form is monic over a field and, over Z, primitive with a
+    positive leading coefficient; over Z the content is taken over f and
+    the cofactors together, so ``_mp_normal(ZZ, den, num)`` also cancels
+    the integer content that a fraction num/den shares."""
     lc = f[mp_lead(f)]
-    if base.is_one(lc):
-        return dict(f)
-    return mp_scale(base, f, base.inv(lc))
+    if base.is_field:
+        if base.is_one(lc):
+            return (f,) + cofactors
+        inv = base.inv(lc)
+        return tuple(mp_scale(base, g, inv) for g in (f,) + cofactors)
+    c = math.gcd(*f.values(), *(x for g in cofactors for x in g.values()))
+    if lc < 0:
+        c = -c
+    if c == 1:
+        return (f,) + cofactors
+    return tuple({e: x // c for e, x in g.items()} for g in (f,) + cofactors)
 
 
 def _mp_content_pp(base: Domain, f: dict, v: int) -> tuple[dict, dict]:
-    """(content, primitive part) of f along variable v, both monic over k.
+    """(content, primitive part) of f along variable v, both in normal form.
 
-    f equals content * primitive part up to a unit of k; the primitive
-    part is scaled to leading coefficient 1 so that no k-scale survives
-    into the next step of ``mp_gcd``'s remainder sequence."""
+    f equals content * primitive part up to a unit; the primitive part is
+    normalized so that no scale survives into the next step of
+    ``mp_gcd``'s remainder sequence."""
     deg = _mv_deg(f, v)
     if deg <= 0:
-        return _mp_monic(base, f), mp_const(base, base.one(), len(next(iter(f))))
+        return _mp_normal(base, f)[0], mp_const(base, base.one(), len(next(iter(f))))
     coeffs = [_mv_coeff(f, v, d) for d in range(deg + 1)]
     cont: dict = {}
     for c in coeffs:
@@ -975,7 +1043,7 @@ def _mp_content_pp(base: Domain, f: dict, v: int) -> tuple[dict, dict]:
             break
     pp = mp_exact_div(base, f, cont)
     assert pp is not None
-    return cont, _mp_monic(base, pp)
+    return cont, _mp_normal(base, pp)[0]
 
 
 def _mp_prem(base: Domain, a: dict, b: dict, v: int) -> dict:
@@ -1045,9 +1113,14 @@ def _format_term(base: Domain, c: El, mono: str, first: bool) -> str:
 class FunctionField(Domain):
     """Rational functions in named parameters over a field base.
 
-    Elements are pairs ``(num, den)`` of term dicts, gcd-reduced with a
-    monic (graded-lex leading coefficient 1) denominator; equality is
-    structural on that canonical form.
+    Elements are pairs ``(num, den)`` of term dicts over ``ring``, reduced
+    to a canonical form; equality is structural on that form.  Over Q the
+    ring is Z: num and den are coprime in Z[params], integer content
+    included, and den has a positive graded-lex leading coefficient.  Over
+    any other field the ring is the base and den is monic (graded-lex
+    leading coefficient 1).  ``from_base``, ``from_poly`` and ``fmt`` speak
+    in base values: over Q, ``fmt`` divides num and den by the leading
+    coefficient of den, so it prints the monic-denominator form.
     """
 
     is_field = True
@@ -1058,6 +1131,7 @@ class FunctionField(Domain):
         if len(set(names)) != len(names):
             raise ValueError("duplicate parameter names")
         self.base = base
+        self.ring = ZZ if isinstance(base, Rationals) else base
         self.names = tuple(names)
         self.nvars = len(names)
         self.char = base.char
@@ -1071,94 +1145,125 @@ class FunctionField(Domain):
         return (self._one_dict(), self._one_dict())
 
     def _one_dict(self):
-        return {(0,) * self.nvars: self.base.one()}
+        return {(0,) * self.nvars: self.ring.one()}
 
     def from_int(self, n):
-        c = self.base.from_int(n)
-        return (mp_const(self.base, c, self.nvars), self._one_dict())
+        return (mp_const(self.ring, self.ring.from_int(n), self.nvars), self._one_dict())
 
     def from_base(self, c):
-        return (mp_const(self.base, c, self.nvars), self._one_dict())
+        return self.from_poly(mp_const(self.base, c, self.nvars))
 
     def param(self, name: str):
-        return (mp_gen(self.base, self.names.index(name), self.nvars), self._one_dict())
+        return (mp_gen(self.ring, self.names.index(name), self.nvars), self._one_dict())
 
     def from_poly(self, terms: dict):
-        return self._reduce(terms, self._one_dict())
+        """The polynomial with base coefficients ``terms``."""
+        if self.ring is self.base:
+            return self._reduce(terms, self._one_dict())
+        den = math.lcm(*(int(c.denominator) for c in terms.values()))
+        num = {e: int(c.numerator) * (den // int(c.denominator)) for e, c in terms.items()}
+        return self._reduce(num, {(0,) * self.nvars: den})
 
     # canonical reduction
 
     def _reduce(self, num: dict, den: dict):
-        base = self.base
+        ring = self.ring
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
-            return ({}, self._one_dict())
-        if len(den) == 1 and not any(next(iter(den))):
-            c = den[next(iter(den))]
-            if base.is_one(c):
-                return (num, den)
-            return (mp_scale(base, num, base.inv(c)), self._one_dict())
-        g = mp_gcd(base, num, den)
-        if mp_total_deg(g) > 0:
-            num = mp_exact_div(base, num, g)  # type: ignore[assignment]
-            den = mp_exact_div(base, den, g)  # type: ignore[assignment]
-        lc = den[mp_lead(den)]
-        if not base.is_one(lc):
-            li = base.inv(lc)
-            num = mp_scale(base, num, li)
-            den = mp_scale(base, den, li)
+            return self.zero()
+        if len(den) > 1 or any(next(iter(den))):
+            g = mp_gcd(ring, num, den)
+            if mp_total_deg(g) > 0:
+                num = mp_exact_div(ring, num, g)  # type: ignore[assignment]
+                den = mp_exact_div(ring, den, g)  # type: ignore[assignment]
+        den, num = _mp_normal(ring, den, num)
         return (num, den)
 
-    @staticmethod
-    def _den_is_one(base, den):
+    def _den_is_one(self, den):
         if len(den) != 1:
             return False
         (e, c), = den.items()
-        return not any(e) and base.is_one(c)
+        return not any(e) and self.ring.is_one(c)
+
+    def _base_pair(self, a):
+        """(num, den) over the base with den monic: ``a`` itself unless the
+        ring is Z, where both are divided by the leading coefficient of den."""
+        if self.ring is self.base:
+            return a
+        num, den = a
+        lc = den[mp_lead(den)]
+        return ({e: mpq(c, lc) for e, c in num.items()}, {e: mpq(c, lc) for e, c in den.items()})
+
+    def constant(self, a):
+        """The base value of a constant element, else None."""
+        num, den = a
+        if len(den) != 1 or len(num) > 1 or any(next(iter(den))) or (num and any(next(iter(num)))):
+            return None
+        num, den = self._base_pair(a)
+        return num.get((0,) * self.nvars, self.base.zero())
 
     # arithmetic
 
     def add(self, a, b):
-        base = self.base
+        ring = self.ring
         n1, d1 = a
         n2, d2 = b
-        if self._den_is_one(base, d1) and self._den_is_one(base, d2):
-            return (mp_add(base, n1, n2), d1)
-        num = mp_add(base, mp_mul(base, n1, d2), mp_mul(base, n2, d1))
-        return self._reduce(num, mp_mul(base, d1, d2))
+        if self._den_is_one(d1) and self._den_is_one(d2):
+            return (mp_add(ring, n1, n2), d1)
+        num = mp_add(ring, mp_mul(ring, n1, d2), mp_mul(ring, n2, d1))
+        return self._reduce(num, mp_mul(ring, d1, d2))
 
     def neg(self, a):
-        return (mp_neg(self.base, a[0]), a[1])
+        return (mp_neg(self.ring, a[0]), a[1])
 
     def mul(self, a, b):
-        base = self.base
+        ring = self.ring
         n1, d1 = a
         n2, d2 = b
-        if self._den_is_one(base, d1) and self._den_is_one(base, d2):
-            return (mp_mul(base, n1, n2), d1)
-        return self._reduce(mp_mul(base, n1, n2), mp_mul(base, d1, d2))
+        if self._den_is_one(d1) and self._den_is_one(d2):
+            return (mp_mul(ring, n1, n2), d1)
+        return self._reduce(mp_mul(ring, n1, n2), mp_mul(ring, d1, d2))
 
     def inv(self, a):
+        """(den, num) rescaled to the canonical form; num and den are
+        coprime already, so no gcd is needed."""
         num, den = a
         if not num:
             raise ZeroDivisionError("inverse of zero")
-        return self._reduce(den, num)
+        num, den = _mp_normal(self.ring, num, den)
+        return (den, num)
+
+    def pow(self, a, n):
+        """a**n as (num^n, den^n) by binary powering, with no gcd: powers
+        of coprime polynomials stay coprime, integer contents included, and
+        the leading coefficient of den^n stays 1 or positive."""
+        if n < 0:
+            a, n = self.inv(a), -n
+        if n == 0:
+            return self.one()
+        ring = self.ring
+        num, den = a
+        out_n, out_d = num, den
+        for bit in bin(n)[3:]:
+            out_n, out_d = mp_mul(ring, out_n, out_n), mp_mul(ring, out_d, out_d)
+            if bit == "1":
+                out_n, out_d = mp_mul(ring, out_n, num), mp_mul(ring, out_d, den)
+        return (out_n, out_d)
 
     def exact_div(self, a, b):
-        base = self.base
+        ring = self.ring
         n1, d1 = a
         n2, d2 = b
-        if self._den_is_one(base, d1) and self._den_is_one(base, d2):
+        if self._den_is_one(d1) and self._den_is_one(d2):
             if not n2:
                 raise ZeroDivisionError("division by zero")
-            q = mp_exact_div(base, n1, n2)
+            q = mp_exact_div(ring, n1, n2)
             if q is not None:
                 return (q, d1)
         return self.div(a, b)
 
     def eq(self, a, b):
-        base = self.base
         n1, d1 = a
         n2, d2 = b
         if len(n1) != len(n2) or len(d1) != len(d2):
@@ -1166,7 +1271,7 @@ class FunctionField(Domain):
         return self._dict_eq(n1, n2) and self._dict_eq(d1, d2)
 
     def _dict_eq(self, f, g):
-        eqb = self.base.eq
+        eqb = self.ring.eq
         for e, c in f.items():
             if e not in g or not eqb(c, g[e]):
                 return False
@@ -1176,10 +1281,10 @@ class FunctionField(Domain):
         return not a[0]
 
     def is_one(self, a):
-        return self._den_is_one(self.base, a[1]) and self._den_is_one(self.base, a[0])
+        return self._den_is_one(a[1]) and self._den_is_one(a[0])
 
     def key(self, a):
-        kb = self.base.key
+        kb = self.ring.key
         num, den = a
         return (
             tuple(sorted((e, kb(c)) for e, c in num.items())),
@@ -1187,8 +1292,8 @@ class FunctionField(Domain):
         )
 
     def fmt(self, a, atom=False):
-        num, den = a
-        if self._den_is_one(self.base, den):
+        num, den = self._base_pair(a)
+        if den == {(0,) * self.nvars: self.base.one()}:
             return mp_fmt(self.base, num, self.names, atom=atom)
         ns = mp_fmt(self.base, num, self.names, atom=True)
         ds = mp_fmt(self.base, den, self.names, atom=True)
@@ -1196,17 +1301,13 @@ class FunctionField(Domain):
         return f"({s})" if atom else s
 
     def nth_root(self, a, n):
-        num, den = a
-        if not self._den_is_one(self.base, den):
-            return None
-        if not num:
+        if not a[0]:
             return self.zero() if n > 0 else None
-        if len(num) == 1:
-            (e, c), = num.items()
-            if not any(e):
-                r = self.base.nth_root(c, n)
-                return self.from_base(r) if r is not None else None
-        return None
+        c = self.constant(a)
+        if c is None:
+            return None
+        r = self.base.nth_root(c, n)
+        return self.from_base(r) if r is not None else None
 
     def _signature(self):
         return ("rf", self.base._signature(), self.names)
@@ -1237,11 +1338,11 @@ def embed(src: Domain, dst: Domain, raw: El) -> El:
             if src.names != dst.names[: src.nvars]:
                 raise DomainMismatchError(f"cannot embed {src!r} into {dst!r}")
             pad = dst.nvars - src.nvars
-            num, den = raw
-            lift = lambda d: {
+            num, den = src._base_pair(raw)
+            lift = lambda d: dst.from_poly({
                 e + (0,) * pad: embed(src.base, dst.base, c) for e, c in d.items()
-            }
-            return dst._reduce(lift(num), lift(den))
+            })
+            return dst.div(lift(num), lift(den))
         return dst.from_base(embed(src, dst.base, raw))
     raise DomainMismatchError(f"cannot embed {src!r} into {dst!r}")
 
@@ -1255,14 +1356,8 @@ def rational_projection(domain: Domain, raw: El):
     if isinstance(domain, QuotientRing):
         return rational_projection(domain.base, raw[0])
     if isinstance(domain, FunctionField):
-        num, den = raw
-        if not domain._den_is_one(domain.base, den):
-            return None
-        if not num:
-            return rational_projection(domain.base, domain.base.zero())
-        zero = (0,) * domain.nvars
-        if zero in num and len(num) == 1:
-            return rational_projection(domain.base, num[zero])
+        c = domain.constant(raw)
+        return None if c is None else rational_projection(domain.base, c)
     return None
 
 

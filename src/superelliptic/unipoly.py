@@ -26,6 +26,7 @@ from .rings import (
     DomainMismatchError,
     El,
     FunctionField,
+    Integers,
     PrimeField,
     QuotientRing,
     Rationals,
@@ -363,8 +364,9 @@ def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     Over a finite domain (F_p, F_q towers) coefficients cannot grow, so
     monic Euclid runs directly.  Over every other field (Q, number-field
     towers, rational functions over any field) x is adjoined as the last
-    variable of a term dict, over the domain itself or over the base of
-    its parameters, and ``mp_gcd`` runs its primitive remainder sequence,
+    variable of a term dict, over the domain itself or over the ring of
+    its parameters (Z over Q), and ``mp_gcd`` runs its primitive remainder
+    sequence,
     which keeps the coefficients from exploding (Brown, JACM 18, 1971).
     """
     f._same(g)
@@ -375,28 +377,34 @@ def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
             a, b = b, a % b
         return a.monic()
     is_ff = isinstance(dom, FunctionField)
-    big = mp_gcd(dom.base if is_ff else dom, _adjoin_x(f), _adjoin_x(g))
+    big = mp_gcd(dom.ring if is_ff else dom, _adjoin_x(f), _adjoin_x(g))
     parts: dict[int, dict] = {}
     for mono, c in big.items():
         parts.setdefault(mono[-1], {})[mono[:-1]] = c
-    coeff = dom.from_poly if is_ff else (lambda part: part[()])
+    if is_ff:
+        # a normal-form polynomial over the ring over denominator 1 is
+        # already a canonical element
+        one = dom._one_dict()
+        coeff = lambda part: (part, one)
+    else:
+        coeff = lambda part: part[()]
     return UniPoly(dom, {e: coeff(part) for e, part in parts.items()}).monic()
 
 
 def _adjoin_x(p: UniPoly) -> dict:
     """p as a term dict with x as the last variable.  Over a function field
     the coefficients are first cleared of denominators (multiplied through
-    by their product) so the terms lie over the field's base."""
+    by their product) so the terms lie over the field's ring."""
     dom = p.domain
     if not isinstance(dom, FunctionField):
         return {(e,): c for e, c in p.coeffs.items()}
-    base = dom.base
+    ring = dom.ring
     den = dom._one_dict()
     for _, d in p.coeffs.values():
-        den = mp_mul(base, den, d)
+        den = mp_mul(ring, den, d)
     out = {}
     for e, (num, d) in p.coeffs.items():
-        for mono, c in mp_mul(base, num, mp_exact_div(base, den, d)).items():
+        for mono, c in mp_mul(ring, num, mp_exact_div(ring, den, d)).items():
             out[mono + (e,)] = c
     return out
 
@@ -451,6 +459,8 @@ def _mod_p_domain(dom: Domain, p: int) -> Domain:
 
 
 def _mod_p_raw(dom: Domain, raw, dom_p: Domain):
+    if isinstance(dom, Integers):
+        return raw % dom_p.p  # type: ignore[attr-defined]
     if isinstance(dom, Rationals):
         den = int(raw.denominator) % dom_p.p  # type: ignore[attr-defined]
         if den == 0:
@@ -460,7 +470,10 @@ def _mod_p_raw(dom: Domain, raw, dom_p: Domain):
         return tuple(_mod_p_raw(dom.base, c, dom_p.base) for c in raw)
     if isinstance(dom, FunctionField):
         num, den = raw
-        lift = lambda d: {e: _mod_p_raw(dom.base, c, dom_p.base) for e, c in d.items()}
+        ring_p = dom_p.ring
+        # a coefficient that p divides leaves the term dict
+        lift = lambda d: {e: cp for e, c in d.items()
+                          if not ring_p.is_zero(cp := _mod_p_raw(dom.ring, c, ring_p))}
         return dom_p._reduce(lift(num), lift(den))
     raise ValueError("no modular image for this value")
 

@@ -1,5 +1,6 @@
-"""Differential tests of `resultant`, `discriminant`, the tower product
-and inverse, and the rational roots behind parameter recovery against sympy.
+"""Differential tests of `resultant`, `discriminant`, `poly_gcd`, the tower
+product and inverse, rational-function arithmetic and the rational roots
+behind parameter recovery against sympy.
 
 sympy computes over Q[generators][x]: an element of a tower is written as a
 polynomial in its generator names (``I``, ``sqrt3``, ``w``), an F_p entry
@@ -15,7 +16,7 @@ import pytest
 
 sp = pytest.importorskip("sympy", exc_type=ImportError)
 
-from superelliptic import UniPoly, discriminant, mpq, resultant
+from superelliptic import UniPoly, discriminant, mpq, poly_gcd, resultant
 from superelliptic.groups import _q_roots
 from superelliptic.parser import build_domain, parse_expression
 from superelliptic.rings import (
@@ -164,6 +165,61 @@ def test_resultant_with_a_parameter():
     a = sp.Symbol("a")
     expected = sympy_resultant(X**2 + a * X + 1, X**2 - a)
     assert_matches(dom, resultant(f, g), expected, "Res(x^2 + a*x + 1, x^2 - a)")
+
+
+@pytest.mark.parametrize("name", list(DOMAINS))
+def test_poly_gcd_matches_sympy(name, rng):
+    """poly_gcd(h u, h v) is monic, and with the minimal polynomials it
+    generates the same ideal as f and g: the reduced Groebner bases agree
+    (over Q(params), in x over sympy's field of fractions)."""
+    dom = _domain(name)
+    char, _, params, top = DOMAINS[name]
+    gens, mins = minimal_polynomials(dom)
+    opts = {"order": "lex"}
+    if char:
+        opts["modulus"] = char
+    elif params:
+        opts["domain"] = sp.QQ.frac_field(*sp.symbols(params))
+    for _ in range(4):
+        h = random_poly(dom, rng, rng.randint(0, 2))
+        f = h * random_poly(dom, rng, rng.randint(1, top - 1))
+        g = h * random_poly(dom, rng, rng.randint(1, top - 1))
+        gcd = poly_gcd(f, g)
+        assert dom.is_one(gcd.coeff(gcd.degree())), f"gcd({f}, {g}) = {gcd}"
+        ours = sp.groebner([poly_to_sympy(gcd)] + mins, X, *gens, **opts)
+        theirs = sp.groebner([poly_to_sympy(f), poly_to_sympy(g)] + mins, X, *gens, **opts)
+        assert ours.exprs == theirs.exprs, f"gcd({f}, {g}) = {gcd}"
+
+
+@pytest.mark.parametrize("name", ["Q(a)", "Q(a, b)"])
+def test_rational_function_arithmetic_matches_sympy(name, rng):
+    """add, mul, div and pow over Q(params) against sympy.cancel, and the
+    canonical form: integer num and den, coprime in Z[params] (integer
+    content included), den with a positive graded-lex leading coefficient."""
+    dom = _domain(name)
+    syms = sp.symbols(dom.names)
+
+    def draw():  # nonzero, so that every op below is defined
+        while True:
+            num, den = random_element(dom, rng), random_element(dom, rng)
+            if not (dom.is_zero(num) or dom.is_zero(den)):
+                return dom.div(num, den)
+
+    for _ in range(14):
+        x, y = draw(), draw()
+        sx, sy = to_sympy(dom, x), to_sympy(dom, y)
+        op = rng.choice(["add", "mul", "div", "pow"])
+        if op == "pow":
+            k = rng.choice([-3, -2, 2, 3, 5])
+            out, expected = dom.pow(x, k), sx**k
+        else:
+            out = getattr(dom, op)(x, y)
+            expected = {"add": sx + sy, "mul": sx * sy, "div": sx / sy}[op]
+        assert sp.cancel(to_sympy(dom, out) - expected) == 0, f"{op}({dom.fmt(x)}, {dom.fmt(y)})"
+        num, den = (sp.Poly(sp.Add(*(c * sp.Mul(*(v**e for v, e in zip(syms, exps)))
+                                     for exps, c in part.items())), *syms) for part in out)
+        assert all(type(c) is int for part in out for c in part.values())
+        assert sp.gcd(num, den) == 1 and den.LC(order="grlex") > 0, dom.fmt(out)
 
 
 # towers for the product and inverse kernel; the last one is not a field

@@ -129,8 +129,8 @@ def _random_element(dom, rng, depth=0):
         den = {(0,) * dom.nvars: dom.base.one()}
         if rng.random() < 0.4:
             den = {tuple(rng.randint(0, 1) for _ in range(dom.nvars)): dom.base.one()}
-        raw = dom._reduce({e: c for e, c in num.items() if not dom.base.is_zero(c)} or dom.zero()[0], den)
-        return raw
+        num = dom.from_poly({e: c for e, c in num.items() if not dom.base.is_zero(c)})
+        return dom.div(num, dom.from_poly(den))
     raise AssertionError
 
 
@@ -159,7 +159,7 @@ def test_field_inverses_randomized(rng):
 
 def test_rational_function_equality_matches_cross_multiplication(rng):
     FF = FunctionField(QQ, ("a", "b"))
-    base = FF.base
+    base = FF.ring
     for _ in range(1000):
         x = _random_element(FF, rng)
         y = _random_element(FF, rng)
@@ -183,14 +183,25 @@ def test_function_field_requires_field_base():
         FunctionField(R, ("a",))
 
 
-def test_canonical_denominator_is_monic():
+def test_canonical_form_over_q_and_over_fp():
     FF = FunctionField(QQ, ("a",))
     a = FF.param("a")
     two_a = FF.mul(FF.from_int(2), a)
-    r = FF.div(FF.one(), two_a)  # 1/(2a) -> (1/2)/a
+    r = FF.div(FF.one(), two_a)  # 1/(2a), held over Z[a]
     num, den = r
-    assert den == {(1,): mpq(1)}
-    assert num == {(0,): mpq(1, 2)}
+    assert num == {(0,): 1} and den == {(1,): 2}
+    assert all(type(c) is int for c in (*num.values(), *den.values()))
+    assert FF.fmt(r) == "1/2/a"
+    # (4a + 6) / (2 - 6a) = -(2a + 3) / (3a - 1): the common integer
+    # content 2 cancels and the denominator's leading coefficient is positive
+    r = FF.div(FF.from_poly({(1,): mpq(4), (0,): mpq(6)}), FF.from_poly({(1,): mpq(-6), (0,): mpq(2)}))
+    assert r == ({(1,): -2, (0,): -3}, {(1,): 3, (0,): -1})
+    assert FF.fmt(r) == "(-2/3*a - 1)/(a - 1/3)"
+    assert FF.from_base(mpq(-3, 4)) == ({(0,): -3}, {(0,): 4})
+    assert FF.fmt(FF.from_base(mpq(-3, 4))) == "-3/4"
+    # over F_7 the denominator stays monic: 1/(2a) = 4/a
+    F7a = FunctionField(PrimeField(7), ("a",))
+    assert F7a.div(F7a.one(), F7a.mul(F7a.from_int(2), F7a.param("a"))) == ({(0,): 4}, {(1,): 1})
 
 
 def test_pow_matches_repeated_mul_without_surplus_products(monkeypatch):
@@ -209,6 +220,26 @@ def test_pow_matches_repeated_mul_without_surplus_products(monkeypatch):
         assert len(calls) <= 2 * (n.bit_length() - 1)
     assert FF.eq(FF.pow(x, 0), FF.one())
     assert FF.eq(FF.mul(FF.pow(x, -3), expected[3]), FF.one())
+
+
+@pytest.mark.parametrize("base, names", [(QQ, ("a",)), (QQ, ("a", "b")), (PrimeField(7), ("a",))],
+                         ids=["Q(a)", "Q(a,b)", "F_7(a)"])
+def test_pow_runs_no_gcd(base, names, monkeypatch):
+    """A power of a reduced fraction is reduced: pow needs no mp_gcd."""
+    FF = FunctionField(base, names)
+    params = [FF.param(n) for n in names]
+    num = FF.add(FF.mul(FF.from_int(3), params[0]), FF.from_int(2))
+    den = FF.sub(FF.mul(params[-1], params[-1]), FF.from_int(5))
+    x = FF.div(num, FF.mul(FF.from_int(4), den))
+    expected = {0: FF.one(), -3: FF.inv(FF.mul(x, FF.mul(x, x)))}
+    for n in range(1, 10):
+        expected[n] = FF.mul(expected[n - 1], x)
+    calls = []
+    real_gcd = rings.mp_gcd
+    monkeypatch.setattr(rings, "mp_gcd", lambda *args: calls.append(1) or real_gcd(*args))
+    for n in (*range(2, 10), -3):
+        assert FF.pow(x, n) == expected[n]
+    assert calls == []
 
 
 def test_mp_gcd_remainder_coefficients_stay_small(rng, monkeypatch):
