@@ -1157,7 +1157,9 @@ class FunctionField(Domain):
         return (mp_gen(self.ring, self.names.index(name), self.nvars), self._one_dict())
 
     def from_poly(self, terms: dict):
-        """The polynomial with base coefficients ``terms``."""
+        """The polynomial with base coefficients ``terms``; zero
+        coefficients are dropped."""
+        terms = {e: c for e, c in terms.items() if not self.base.is_zero(c)}
         if self.ring is self.base:
             return self._reduce(terms, self._one_dict())
         den = math.lcm(*(int(c.denominator) for c in terms.values()))

@@ -381,13 +381,9 @@ def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     parts: dict[int, dict] = {}
     for mono, c in big.items():
         parts.setdefault(mono[-1], {})[mono[:-1]] = c
-    if is_ff:
-        # a normal-form polynomial over the ring over denominator 1 is
-        # already a canonical element
-        one = dom._one_dict()
-        coeff = lambda part: (part, one)
-    else:
-        coeff = lambda part: part[()]
+    # over a function field each part is a polynomial over the ring, and
+    # over denominator 1 any such polynomial is a canonical element
+    coeff = (lambda part: (part, dom._one_dict())) if is_ff else (lambda part: part[()])
     return UniPoly(dom, {e: coeff(part) for e, part in parts.items()}).monic()
 
 

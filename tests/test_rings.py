@@ -199,6 +199,7 @@ def test_canonical_form_over_q_and_over_fp():
     assert FF.fmt(r) == "(-2/3*a - 1)/(a - 1/3)"
     assert FF.from_base(mpq(-3, 4)) == ({(0,): -3}, {(0,): 4})
     assert FF.fmt(FF.from_base(mpq(-3, 4))) == "-3/4"
+    assert FF.from_poly({(1,): mpq(0), (0,): mpq(0)}) == FF.zero()
     # over F_7 the denominator stays monic: 1/(2a) = 4/a
     F7a = FunctionField(PrimeField(7), ("a",))
     assert F7a.div(F7a.one(), F7a.mul(F7a.from_int(2), F7a.param("a"))) == ({(0,): 4}, {(1,): 1})
