@@ -97,7 +97,7 @@ def specialize(model: ModuliModel, root: El) -> DeltaForm:
     out = []
     for coeff in model.coeffs:
         acc = dom.zero()
-        for j in range(model.ring.degree - 1, -1, -1):
-            acc = dom.add(dom.mul(acc, root), coeff[j])
+        for c in reversed(model.ring.coords(coeff)):
+            acc = dom.add(dom.mul(acc, root), c)
         out.append(acc)
     return DeltaForm(dom, model.delta, tuple(out))

@@ -6,7 +6,7 @@ Supported domains, with the raw Python value used for their elements:
                            available, ``fractions.Fraction`` otherwise)
 * ``PrimeField(p)``     -- residues stored as ``int`` in ``[0, p)``
 * ``QuotientRing``      -- one extension step ``K[t]/(m(t))``; elements are
-                           tuples of base raws of length ``deg m``
+                           flat tuples of raws of the tower's bottom domain
 * ``FunctionField``     -- rational functions in named parameters over a
                            field; elements are reduced ``(num, den)`` pairs
                            of term dicts ``{exponent tuple: raw}``; over Q
@@ -31,15 +31,15 @@ monic-denominator form over Q.
 
 A tower whose chain ends at ``Rationals`` multiplies through an integer
 multiplication table (Cohen, GTM 138, 4.2), built once per tower and shared
-by equal towers: both operands are flattened to their rational coordinates,
-cleared of denominators, multiplied as integers through the table and
-divided once, then re-nested.  Its inverse solves the multiplication matrix
-fraction-free when the top step's base is a certified field (Q, or one
-quadratic step over Q whose discriminant is not a rational square).  A
-singular matrix, or any other base, falls back to extended Euclid, which
-raises :class:`ZeroDivisorError` with its factor.  Towers over a prime
-field or a ``FunctionField``, and towers over Q of total degree above 64,
-keep the nested arithmetic.
+by equal towers: the rational coordinates of both operands are cleared of
+denominators, multiplied as integers through the table and divided once.
+Its inverse solves the multiplication matrix fraction-free when the top
+step's base is a certified field (Q, or one quadratic step over Q whose
+discriminant is not a rational square).  A singular matrix, or any other
+base, falls back to extended Euclid, which raises :class:`ZeroDivisorError`
+with its factor.  Towers over a prime field or a ``FunctionField``, and
+towers over Q of total degree above 64, multiply stepwise by the schoolbook
+product over each base.
 """
 
 from __future__ import annotations
@@ -213,6 +213,8 @@ class Domain:
         raise NotImplementedError
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return isinstance(other, Domain) and self._signature() == other._signature()
 
     def __hash__(self):
@@ -450,38 +452,21 @@ class _MulTable(NamedTuple):
     """Structure constants of a tower over Q in its flat basis.
 
     The flat basis is the products of generator powers, in the order in
-    which the nested coordinate tuples list their rational leaves.  For
+    which an element's coordinate tuple lists its rational leaves.  For
     basis elements e_i, e_j, ``rows[i][j]`` holds the pairs (k, c) with
-    e_i * e_j = sum of c * e_k / ``den``; the c are integers.  ``inner`` is
-    the degrees of the steps below the top one, innermost first.
+    e_i * e_j = sum of c * e_k / ``den``; the c are integers.
     """
 
-    dim: int
     den: int
     rows: tuple
-    inner: tuple
 
 
 # tower signature -> _MulTable, shared by equal towers
 _TABLES: dict = {}
 # a table holds up to D^3 integers; towers of larger total degree D (none
-# in the catalog, whose largest is 16) keep the nested arithmetic
+# in the catalog, whose largest is 16) multiply by the schoolbook product
 _TABLE_MAX_DIM = 64
 _ZERO = mpq(0)
-
-
-def _flatten(raw, inner: tuple):
-    """The rational leaves of a nested tower element, in flat-basis order."""
-    for _ in inner:
-        raw = [c for x in raw for c in x]
-    return raw
-
-
-def _nest(vals, inner: tuple):
-    """Inverse of ``_flatten``: regroup leaves by the inner step degrees."""
-    for d in inner:
-        vals = [tuple(vals[i:i + d]) for i in range(0, len(vals), d)]
-    return tuple(vals)
 
 
 def _int_coords(flat) -> tuple[list, int]:
@@ -500,46 +485,40 @@ def _int_coords(flat) -> tuple[list, int]:
     return [(i, c.numerator * (den // c.denominator)) for i, c in nz], den
 
 
-def _from_ints(nums, den):
+def _from_ints(nums, den) -> tuple:
     """The rationals n / den, with one shared zero."""
     if den == 1:
-        return [mpq(n) if n else _ZERO for n in nums]
-    return [mpq(n, den) if n else _ZERO for n in nums]
+        return tuple(mpq(n) if n else _ZERO for n in nums)
+    return tuple(mpq(n, den) if n else _ZERO for n in nums)
 
 
-def _build_table(ring: "QuotientRing", dim: int, inner: tuple) -> _MulTable:
-    """The table of a tower over Q, from nested products of basis elements."""
+def _build_table(ring: "QuotientRing") -> _MulTable:
+    """The table of a tower over Q, from schoolbook products of its basis."""
+    dim = ring.dim
     one = mpq(1)
-    basis = [_nest([one if k == i else _ZERO for k in range(dim)], inner) for i in range(dim)]
+    basis = [tuple(one if k == i else _ZERO for k in range(dim)) for i in range(dim)]
     prods = {}
     for i in range(dim):
         for j in range(i, dim):
-            prods[i, j] = _flatten(ring._nested_mul(basis[i], basis[j]), inner)
+            prods[i, j] = ring._schoolbook_mul(basis[i], basis[j])
     den = math.lcm(*(c.denominator for v in prods.values() for c in v))
     rows = [[()] * dim for _ in range(dim)]
     for (i, j), v in prods.items():
         rows[i][j] = rows[j][i] = tuple(
             (k, c.numerator * (den // c.denominator)) for k, c in enumerate(v) if c)
-    return _MulTable(dim, den, tuple(map(tuple, rows)), inner)
+    return _MulTable(den, tuple(map(tuple, rows)))
 
 
 def _table_for(ring: "QuotientRing") -> _MulTable | None:
     """The shared table of a tower over Q of total degree at most
     ``_TABLE_MAX_DIM``, else None.  The chain test comes first, so that
     only towers over Q compute their signature."""
-    base = ring.base
-    if isinstance(base, Rationals):
-        dim, inner = ring.degree, ()
-    elif isinstance(base, QuotientRing) and base._table is not None:
-        dim, inner = ring.degree * base._table.dim, base._table.inner + (base.degree,)
-    else:
-        return None
-    if dim > _TABLE_MAX_DIM:
+    if not isinstance(ring.leaf, Rationals) or ring.dim > _TABLE_MAX_DIM:
         return None
     sig = ring._signature()
     table = _TABLES.get(sig)
     if table is None:
-        table = _TABLES[sig] = _build_table(ring, dim, inner)
+        table = _TABLES[sig] = _build_table(ring)
     return table
 
 
@@ -557,11 +536,16 @@ def _certified_field(dom: Domain) -> bool:
 class QuotientRing(Domain):
     """One extension step K[t]/(m(t)) with monic modulus m.
 
-    Elements are coordinate tuples of length ``deg m`` over the base, in
-    increasing powers of the generator.  The base must support inversion of
-    the elements met during extended-gcd inversion; a field base always
-    does.  Inverting a nonzero noninvertible element raises
-    :class:`ZeroDivisorError` with a discovered proper factor of ``m``.
+    An element is one flat tuple of ``dim`` raws of the ``leaf`` domain,
+    the first domain down the chain that is not a quotient ring: the
+    ``deg m`` base elements that are its coordinates in increasing powers
+    of the generator, each itself flat, laid end to end, so the innermost
+    generator varies fastest.  Only this module knows that layout; other
+    code reads the base coordinates through :meth:`coords`.  The base must
+    support inversion of the elements met during extended-gcd inversion; a
+    field base always does.  Inverting a nonzero noninvertible element
+    raises :class:`ZeroDivisorError` with a discovered proper factor of
+    ``m``.
 
     Over Q (every step of the chain a ``QuotientRing``, the bottom Q),
     ``mul`` goes through the tower's integer table, reducible moduli
@@ -569,7 +553,7 @@ class QuotientRing(Domain):
     base is a certified field, and takes extended Euclid when the matrix is
     singular or the base is not certified: a unit can meet a zero-divisor
     leading coefficient in Euclid over a non-field base, and that error is
-    part of the contract.  Raw values stay the nested tuples either way.
+    part of the contract.
     """
 
     def __init__(self, base: Domain, name: str, minpoly: tuple, *, field: bool | None = None):
@@ -584,28 +568,42 @@ class QuotientRing(Domain):
         self.degree = deg
         self.char = base.char
         self.is_field = bool(field)
+        # _step: the number of leaves per base coordinate
+        below = isinstance(base, QuotientRing)
+        self.leaf, self._step = (base.leaf, base.dim) if below else (base, 1)
+        self.dim = deg * self._step
         self._table = _table_for(self)
         self._flat_inv = self._table is not None and _certified_field(base)
 
+    def coords(self, a) -> tuple:
+        """The ``deg m`` base coordinates of a, constant term first."""
+        w = self._step
+        if w == 1:
+            return a
+        return tuple(a[i:i + w] for i in range(0, self.dim, w))
+
+    def _join(self, coords) -> tuple:
+        """Inverse of :meth:`coords`."""
+        if self._step == 1:
+            return tuple(coords)
+        return tuple(x for c in coords for x in c)
+
     def zero(self):
-        z = self.base.zero()
-        return (z,) * self.degree
+        return (self.leaf.zero(),) * self.dim
 
     def one(self):
-        z = self.base.zero()
-        return (self.base.one(),) + (z,) * (self.degree - 1)
+        return self.from_base(self.base.one())
 
     def gen(self):
         z = self.base.zero()
-        return (z, self.base.one()) + (z,) * (self.degree - 2)
+        return self._join((z, self.base.one()) + (z,) * (self.degree - 2))
 
     def from_int(self, n):
-        z = self.base.zero()
-        return (self.base.from_int(n),) + (z,) * (self.degree - 1)
+        return self.from_base(self.base.from_int(n))
 
     def from_base(self, a):
         z = self.base.zero()
-        return (a,) + (z,) * (self.degree - 1)
+        return self._join((a,) + (z,) * (self.degree - 1))
 
     def from_coeffs(self, coeffs) -> tuple:
         """Element from an iterable of base raws (constant first), reducing mod m."""
@@ -615,47 +613,45 @@ class QuotientRing(Domain):
         if _ul_deg(self.base, lst) >= self.degree:
             _, lst = _ul_divmod(self.base, lst, list(self.minpoly))
             lst += [self.base.zero()] * (self.degree - len(lst))
-        return tuple(lst[: self.degree])
+        return self._join(lst[: self.degree])
 
     def add(self, a, b):
-        add = self.base.add
-        return tuple(add(x, y) for x, y in zip(a, b))
+        return tuple(map(self.leaf.add, a, b))
 
     def sub(self, a, b):
-        sub = self.base.sub
-        return tuple(sub(x, y) for x, y in zip(a, b))
+        return tuple(map(self.leaf.sub, a, b))
 
     def neg(self, a):
-        neg = self.base.neg
-        return tuple(neg(x) for x in a)
+        return tuple(map(self.leaf.neg, a))
 
     def mul(self, a, b):
         table = self._table
         if table is None:
-            return self._nested_mul(a, b)
-        xa, da = _int_coords(_flatten(a, table.inner))
-        xb, db = _int_coords(_flatten(b, table.inner))
+            return self._schoolbook_mul(a, b)
+        xa, da = _int_coords(a)
+        xb, db = _int_coords(b)
         if not xa or not xb:
             return self.zero()
         rows = table.rows
-        acc = [0] * table.dim
+        acc = [0] * self.dim
         for i, x in xa:
             row = rows[i]
             for j, y in xb:
                 xy = x * y
                 for k, c in row[j]:
                     acc[k] += xy * c
-        return _nest(_from_ints(acc, da * db * table.den), table.inner)
+        return _from_ints(acc, da * db * table.den)
 
-    def _nested_mul(self, a, b):
-        """Schoolbook product over the base, then reduction mod m."""
+    def _schoolbook_mul(self, a, b):
+        """Schoolbook product of the base coordinates, then reduction mod m."""
         base = self.base
         d = self.degree
         prod = [base.zero()] * (2 * d - 1)
-        for i, x in enumerate(a):
+        cb = self.coords(b)
+        for i, x in enumerate(self.coords(a)):
             if base.is_zero(x):
                 continue
-            for j, y in enumerate(b):
+            for j, y in enumerate(cb):
                 if base.is_zero(y):
                     continue
                 prod[i + j] = base.add(prod[i + j], base.mul(x, y))
@@ -668,11 +664,11 @@ class QuotientRing(Domain):
             prod[i] = base.zero()
             for j in range(d):
                 prod[i - d + j] = base.sub(prod[i - d + j], base.mul(c, m[j]))
-        return tuple(prod[:d])
+        return self._join(prod[:d])
 
     def scale(self, a, c):
         mul = self.base.mul
-        return tuple(mul(x, c) for x in a)
+        return self._join(mul(x, c) for x in self.coords(a))
 
     def inv(self, a):
         base = self.base
@@ -683,7 +679,7 @@ class QuotientRing(Domain):
             if out is not None:
                 return out
         # extended Euclid on (a, m) over the base
-        r0, r1 = list(self.minpoly), list(a)
+        r0, r1 = list(self.minpoly), list(self.coords(a))
         s0, s1 = [base.zero()], [base.one()]
         while True:
             d1 = _ul_deg(base, r1)
@@ -720,9 +716,8 @@ class QuotientRing(Domain):
         divisions) of N y = e_0, where column j of the integer matrix N is
         da * den times the flat coordinates of a * e_j, so that
         a^-1 = da * den * y; None when N is singular (a is a zero divisor)."""
-        table = self._table
-        dim = table.dim
-        xa, da = _int_coords(_flatten(a, table.inner))
+        table, dim = self._table, self.dim
+        xa, da = _int_coords(a)
         rows = table.rows
         m = [[0] * (dim + 1) for _ in range(dim)]
         for i, x in xa:
@@ -748,26 +743,23 @@ class QuotientRing(Domain):
             prev = p
         # row k now reads prev * y_k = m[k][dim]
         scale = da * table.den
-        return _nest(_from_ints([r[dim] * scale for r in m], prev), table.inner)
+        return _from_ints([r[dim] * scale for r in m], prev)
 
     def eq(self, a, b):
-        eqb = self.base.eq
-        return all(eqb(x, y) for x, y in zip(a, b))
+        return all(map(self.leaf.eq, a, b))
 
     def is_zero(self, a):
-        zb = self.base.is_zero
-        return all(zb(x) for x in a)
+        return all(map(self.leaf.is_zero, a))
 
     def is_one(self, a):
-        base = self.base
-        return base.is_one(a[0]) and all(base.is_zero(x) for x in a[1:])
+        # leaf 0 is the constant coordinate of every step
+        return self.leaf.is_one(a[0]) and all(map(self.leaf.is_zero, a[1:]))
 
     def key(self, a):
-        kb = self.base.key
-        return tuple(kb(x) for x in a)
+        return tuple(map(self.leaf.key, a))
 
     def fmt(self, a, atom=False):
-        parts = _dense_terms(self.base, dict(enumerate(a)), self.name)
+        parts = _dense_terms(self.base, dict(enumerate(self.coords(a))), self.name)
         if not parts:
             return "0"
         s = "".join(parts)
@@ -779,7 +771,7 @@ class QuotientRing(Domain):
         if not self.base.is_finite:
             raise TypeError(f"{self} is not a finite domain")
         pools = [list(self.base.iter_elements()) for _ in range(self.degree)]
-        return (tuple(c) for c in itertools.product(*pools))
+        return (self._join(c) for c in itertools.product(*pools))
 
     @property
     def is_finite(self):
@@ -796,8 +788,9 @@ class QuotientRing(Domain):
                 if self.eq(self.pow(c, n), a):
                     return c
             return None
-        if all(self.base.is_zero(c) for c in a[1:]):
-            r = self.base.nth_root(a[0], n)
+        c0, *rest = self.coords(a)
+        if all(map(self.base.is_zero, rest)):
+            r = self.base.nth_root(c0, n)
             return self.from_base(r) if r is not None else None
         return None
 
@@ -1356,7 +1349,7 @@ def rational_projection(domain: Domain, raw: El):
     if isinstance(domain, Rationals):
         return raw
     if isinstance(domain, QuotientRing):
-        return rational_projection(domain.base, raw[0])
+        return rational_projection(domain.leaf, raw[0])
     if isinstance(domain, FunctionField):
         c = domain.constant(raw)
         return None if c is None else rational_projection(domain.base, c)
@@ -1370,6 +1363,40 @@ def common_rational(domain: Domain, raw: El):
     if q is None or not domain.eq(embed(QQ, domain, q), raw):
         return None
     return q
+
+
+def _mod_p_domain(dom: Domain, p: int) -> Domain:
+    """The image of a characteristic-zero domain modulo the prime p."""
+    if isinstance(dom, Rationals):
+        return PrimeField(p)
+    if isinstance(dom, QuotientRing):
+        base_p = _mod_p_domain(dom.base, p)
+        minpoly = tuple(_mod_p_raw(dom.base, c, base_p) for c in dom.minpoly)
+        return QuotientRing(base_p, dom.name, minpoly, field=True)
+    if isinstance(dom, FunctionField):
+        return FunctionField(_mod_p_domain(dom.base, p), dom.names)
+    raise ValueError("no modular image for this domain")
+
+
+def _mod_p_raw(dom: Domain, raw, dom_p: Domain):
+    """The image of a raw value of dom in its image domain ``dom_p``."""
+    if isinstance(dom, Integers):
+        return raw % dom_p.p  # type: ignore[attr-defined]
+    if isinstance(dom, Rationals):
+        den = int(raw.denominator) % dom_p.p  # type: ignore[attr-defined]
+        if den == 0:
+            raise ValueError("prime divides a denominator")
+        return dom_p.mul(dom_p.from_int(int(raw.numerator)), dom_p.inv(den))
+    if isinstance(dom, QuotientRing):
+        return tuple(_mod_p_raw(dom.leaf, c, dom_p.leaf) for c in raw)
+    if isinstance(dom, FunctionField):
+        num, den = raw
+        ring_p = dom_p.ring
+        # a coefficient that p divides leaves the term dict
+        lift = lambda d: {e: cp for e, c in d.items()
+                          if not ring_p.is_zero(cp := _mod_p_raw(dom.ring, c, ring_p))}
+        return dom_p._reduce(lift(num), lift(den))
+    raise ValueError("no modular image for this value")
 
 
 def tower_chain(domain: Domain) -> list[Domain]:

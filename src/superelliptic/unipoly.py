@@ -26,12 +26,10 @@ from .rings import (
     DomainMismatchError,
     El,
     FunctionField,
-    Integers,
-    PrimeField,
-    QuotientRing,
-    Rationals,
     ZeroDivisorError,
     _dense_terms,
+    _mod_p_domain,
+    _mod_p_raw,
     embed,
     mp_exact_div,
     mp_gcd,
@@ -440,38 +438,6 @@ def _coprime_mod_p(f: UniPoly, g: UniPoly, p: int) -> bool | None:
         return poly_gcd(fp, gp).degree() == 0
     except (ZeroDivisorError, ZeroDivisionError, ValueError):
         return None
-
-
-def _mod_p_domain(dom: Domain, p: int) -> Domain:
-    if isinstance(dom, Rationals):
-        return PrimeField(p)
-    if isinstance(dom, QuotientRing):
-        base_p = _mod_p_domain(dom.base, p)
-        minpoly = tuple(_mod_p_raw(dom.base, c, base_p) for c in dom.minpoly)
-        return QuotientRing(base_p, dom.name, minpoly, field=True)
-    if isinstance(dom, FunctionField):
-        return FunctionField(_mod_p_domain(dom.base, p), dom.names)
-    raise ValueError("no modular image for this domain")
-
-
-def _mod_p_raw(dom: Domain, raw, dom_p: Domain):
-    if isinstance(dom, Integers):
-        return raw % dom_p.p  # type: ignore[attr-defined]
-    if isinstance(dom, Rationals):
-        den = int(raw.denominator) % dom_p.p  # type: ignore[attr-defined]
-        if den == 0:
-            raise ValueError("prime divides a denominator")
-        return dom_p.mul(dom_p.from_int(int(raw.numerator)), dom_p.inv(den))
-    if isinstance(dom, QuotientRing):
-        return tuple(_mod_p_raw(dom.base, c, dom_p.base) for c in raw)
-    if isinstance(dom, FunctionField):
-        num, den = raw
-        ring_p = dom_p.ring
-        # a coefficient that p divides leaves the term dict
-        lift = lambda d: {e: cp for e, c in d.items()
-                          if not ring_p.is_zero(cp := _mod_p_raw(dom.ring, c, ring_p))}
-        return dom_p._reduce(lift(num), lift(den))
-    raise ValueError("no modular image for this value")
 
 
 def squarefree_test(f: UniPoly) -> bool:

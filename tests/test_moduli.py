@@ -6,6 +6,7 @@ from superelliptic import (
     DeltaForm,
     InvariantVector,
     PrimeField,
+    QuotientRing,
     invariants,
     mpq,
     reconstruct,
@@ -119,6 +120,29 @@ def test_specialization_consistency(rng):
         model = reconstruct(u)
         sp = specialize(model, a1)
         assert invariants(sp).values == u.values
+
+
+def _rand_tower(dom, rng):
+    """A random element of a tower over Q, built from base coordinates."""
+    if not isinstance(dom, QuotientRing):
+        return rand_mpq(rng)
+    return dom.from_coeffs([_rand_tower(dom.base, rng) for _ in range(dom.degree)])
+
+
+@pytest.mark.parametrize("exts", [[("I", "t^2 + 1")], [("I", "t^2 + 1"), ("s3", "t^2 - 3")]],
+                         ids=["Q(i)", "Q(i, sqrt3)"])
+def test_specialization_over_towers(exts, rng):
+    # the model ring t^r = u_1/2 sits over a tower; t -> a_1 reads each
+    # model coefficient through its base coordinates
+    dom = build_domain(0, exts, ())
+    for _ in range(10):
+        r = rng.randint(3, 5)
+        half = [_rand_tower(dom, rng) for _ in range((r - 1) // 2 + (1 if r % 2 == 0 else 0))]
+        while dom.is_zero(half[0]):
+            half[0] = _rand_tower(dom, rng)
+        u = invariants(symmetric_form(dom, 2, r, half))
+        # u_1/2 = a_1^r, with witness a_1
+        assert invariants(specialize(reconstruct(u), half[0])).values == u.values
 
 
 def test_specialize_rejects_wrong_root():

@@ -1,6 +1,6 @@
-"""Differential tests of `resultant`, `discriminant`, `poly_gcd`, the tower
-product and inverse, rational-function arithmetic and the rational roots
-behind parameter recovery against sympy.
+"""Differential tests of `resultant`, `discriminant`, `poly_gcd`,
+`invariants_of`, the tower product and inverse, rational-function
+arithmetic and the rational roots behind parameter recovery against sympy.
 
 sympy computes over Q[generators][x]: an element of a tower is written as a
 polynomial in its generator names (``I``, ``sqrt3``, ``w``), an F_p entry
@@ -16,7 +16,7 @@ import pytest
 
 sp = pytest.importorskip("sympy", exc_type=ImportError)
 
-from superelliptic import UniPoly, discriminant, mpq, poly_gcd, resultant
+from superelliptic import UniPoly, discriminant, invariants_of, mpq, poly_gcd, resultant
 from superelliptic.groups import _q_roots
 from superelliptic.parser import build_domain, parse_expression
 from superelliptic.rings import (
@@ -50,7 +50,7 @@ def to_sympy(dom, raw):
     names; F_p residues become integers."""
     if isinstance(dom, QuotientRing):
         t = sp.Symbol(dom.name)
-        return sp.Add(*(to_sympy(dom.base, c) * t**i for i, c in enumerate(raw)))
+        return sp.Add(*(to_sympy(dom.base, c) * t**i for i, c in enumerate(dom.coords(raw))))
     if isinstance(dom, FunctionField):
         syms = sp.symbols(dom.names)
 
@@ -70,7 +70,7 @@ def poly_to_sympy(f):
 
 def random_element(dom, rng):
     if isinstance(dom, QuotientRing):
-        return tuple(random_element(dom.base, rng) for _ in range(dom.degree))
+        return dom.from_coeffs([random_element(dom.base, rng) for _ in range(dom.degree)])
     if isinstance(dom, FunctionField):
         terms = {}
         for _ in range(rng.randint(1, 3)):
@@ -191,6 +191,50 @@ def test_poly_gcd_matches_sympy(name, rng):
         assert ours.exprs == theirs.exprs, f"gcd({f}, {g}) = {gcd}"
 
 
+@pytest.mark.parametrize("name", ["Q", "Q(i)", "Q(i, sqrt3)", "Q(a)"])
+def test_invariants_of_matches_sympy(name, rng):
+    """invariants_of on c * (sum a_i x^(delta i)), a_r = 1, with a planted
+    rescaling root: a_0 = lam^(delta r), lam = 1/mu.  sympy normalizes the
+    form itself, a_i' = a_i mu^(delta (r - i)), and evaluates
+    u_i = a_1'^(r-i) a_i' + a_(r-1)'^(r-i) a_(r-i)'.  Over Q our code finds
+    the root; over the other domains it mostly does not, and the corrected
+    invariants of the monic form must agree."""
+    dom = _domain(name)
+    gens, mins = minimal_polynomials(dom)
+
+    def draw():
+        while dom.is_zero(x := random_element(dom, rng)):
+            pass
+        return x
+
+    if mins:  # products in sympy's ring of the generators, reduced at once
+        ring = sp.ring(gens, sp.QQ)[0]
+        ideal = [ring.from_expr(m) for m in mins]
+        lift, mul = ring.from_expr, lambda x, y: (x * y).rem(ideal)
+    else:
+        lift, mul = (lambda e: e), (lambda x, y: x * y)
+
+    def power(x, k):
+        out = lift(sp.Integer(1))
+        for _ in range(k):
+            out = mul(out, x)
+        return out
+
+    for _ in range(3):
+        delta, r = rng.choice([1, 2]), rng.randint(3, 4)
+        mu = draw()
+        a = [dom.inv(dom.pow(mu, delta * r))] + [random_element(dom, rng) for _ in range(r - 1)]
+        a.append(dom.one())
+        c = draw()
+        f = UniPoly(dom, {delta * i: dom.mul(c, ai) for i, ai in enumerate(a) if not dom.is_zero(ai)})
+        u = invariants_of(f, delta)
+        smu = lift(to_sympy(dom, mu))
+        na = [mul(lift(to_sympy(dom, ai)), power(smu, delta * (r - i))) for i, ai in enumerate(a)]
+        for i in range(1, r + 1):
+            expected = mul(power(na[1], r - i), na[i]) + mul(power(na[r - 1], r - i), na[r - i])
+            assert_matches(dom, u[i], expected.as_expr(), f"u_{i} of {f}")
+
+
 @pytest.mark.parametrize("name", ["Q(a)", "Q(a, b)"])
 def test_rational_function_arithmetic_matches_sympy(name, rng):
     """add, mul, div and pow over Q(params) against sympy.cancel, and the
@@ -240,7 +284,7 @@ def test_tower_product_and_inverse_match_sympy(name, rng):
         a, b = random_element(dom, rng), random_element(dom, rng)
         sa, sb = to_sympy(dom, a), to_sympy(dom, b)
         prod = dom.mul(a, b)
-        assert prod == dom._nested_mul(a, b), f"{a} * {b}"
+        assert prod == dom._schoolbook_mul(a, b), f"{a} * {b}"
         assert_matches(dom, prod, sa * sb, f"{a} * {b}")
         if dom.is_zero(a):
             continue

@@ -14,7 +14,8 @@ from superelliptic import (
     mpq,
     rings,
 )
-from superelliptic.catalog import sqrt3_field, zeta5_field
+from superelliptic.catalog import multiplicative_generator, sqrt3_field, zeta5_field
+from superelliptic.groups import _rational_roots
 from superelliptic.parser import build_domain
 
 from conftest import rand_mpq
@@ -310,26 +311,41 @@ def test_finite_tower_enumeration_and_roots():
     assert r is not None and F9.eq(F9.mul(r, r), F9.from_int(-1))
 
 
+def test_two_step_finite_tower_first_found_choices():
+    # F_81 = F_9[v]/(v^2 - (1 + w)): the order in which elements are met
+    # decides which fixture generators and roots get printed
+    F3 = PrimeField(3)
+    F9 = adjoin(F3, "w", (1, 0, 1), field=True)
+    F81 = adjoin(F9, "v", (F9.neg(F9.add(F9.one(), F9.gen())), F9.zero(), F9.one()), field=True)
+    first = [F81.fmt(e) for e in list(F81.iter_elements())[:12]]
+    assert first == ["0", "w*v", "2*w*v", "v", "(w + 1)*v", "(2*w + 1)*v", "2*v",
+                     "(w + 2)*v", "(2*w + 2)*v", "w", "w*v + w", "2*w*v + w"]
+    assert F81.fmt(multiplicative_generator(F81)) == "v + w"
+    one = F81.one()
+    roots = _rational_roots(F81, [F81.neg(one), F81.zero(), F81.zero(), F81.zero(), one])
+    assert [F81.fmt(z) for z in roots] == ["w", "2*w", "1", "2"]
+
+
 # -- cost guards of the multiplication-table kernel -------------------------
 
 
 def _dense(dom, rng):
-    if isinstance(dom, QuotientRing):
-        return tuple(_dense(dom.base, rng) for _ in range(dom.degree))
-    return mpq(rng.randint(1, 9), rng.randint(1, 5)) * rng.choice((1, -1))
+    """A tower element over Q with every rational leaf nonzero."""
+    return tuple(mpq(rng.randint(1, 9), rng.randint(1, 5)) * rng.choice((1, -1))
+                 for _ in range(dom.dim))
 
 
 def test_product_over_q_i_zeta5_makes_no_rational_calls(monkeypatch, rng):
     K = zeta5_field()
     a, b = _dense(K, rng), _dense(K, rng)
-    expected = K._nested_mul(a, b)
+    expected = K._schoolbook_mul(a, b)
     calls = []
     for name in ("mul", "add"):
         real = getattr(Rationals, name)
         monkeypatch.setattr(Rationals, name,
                             lambda self, x, y, _real=real: calls.append(1) or _real(self, x, y))
-    K._nested_mul(a, b)
-    assert calls  # the spy sees the nested route
+    K._schoolbook_mul(a, b)
+    assert calls  # the spy sees the schoolbook route
     calls.clear()
     assert K.mul(a, b) == expected
     assert not calls
