@@ -226,6 +226,11 @@ class Rationals(Domain):
 
     char = 0
     is_field = True
+    # builtins, not methods: these run on every leaf of a tower over Q
+    add = staticmethod(operator.add)
+    neg = staticmethod(operator.neg)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
 
     def zero(self):
         return mpq(0)
@@ -235,18 +240,6 @@ class Rationals(Domain):
 
     def from_int(self, n):
         return mpq(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def sub(self, a, b):
-        return a - b
 
     def inv(self, a):
         if not a:
@@ -969,7 +962,22 @@ def mp_gcd(base: Domain, f: dict, g: dict) -> dict:
     scale grows exponentially in bit length along the sequence (Knuth,
     TAOCP vol. 2, 4.6.1).  Over Z the normal form removes the integer
     content as well.  A primitive part is only defined up to a unit, so
-    the normalization changes no result."""
+    the normalization changes no result.
+
+    Over Z, when x_v is the only variable in f and g, the heuristic gcd
+    GCDHEU runs first (Char, Geddes and Gonnet, J. Symbolic Comput. 7,
+    1989): one integer gcd in place of the remainder sequence.  Let f and
+    g be primitive, a the one of smaller height |a| (largest coefficient
+    magnitude), xi >= 2|a| + 2, and h the polynomial whose coefficients are
+    the symmetric xi-adic digits of gamma = gcd(f(xi), g(xi)), so that
+    h(xi) = gamma.  *Theorem:* if pp(h) divides f and g, it is their gcd.
+    For a nonconstant q dividing a, every root of q lies below
+    1 + |a| <= xi/2 in modulus (Cauchy), so |q(xi)| > xi/2.  The gcd G is
+    pp(h) q, and G(xi) divides gamma = cont(h) pp(h)(xi), so q(xi) divides
+    cont(h), which is at most xi/2 in size: q is constant.  A constant h
+    therefore means gcd 1 with no check; otherwise exact division checks
+    pp(h).  When that fails, xi grows (six times at most) before the
+    remainder sequence runs.  Both routes return the same normal form."""
     if not f and not g:
         return {}
     if not f:
@@ -984,6 +992,10 @@ def mp_gcd(base: Domain, f: dict, g: dict) -> dict:
             break
     if v < 0:
         return mp_const(base, base.one(), nv)
+    if isinstance(base, Integers) and all(sum(e) == e[v] for e in itertools.chain(f, g)):
+        h = _heu_gcd(f, g, v)
+        if h is not None:
+            return h
     cf, pf = _mp_content_pp(base, f, v)
     cg, pg = _mp_content_pp(base, g, v)
     cont = mp_gcd(base, cf, cg)
@@ -995,6 +1007,59 @@ def mp_gcd(base: Domain, f: dict, g: dict) -> dict:
         _, r = _mp_content_pp(base, r, v)
         a, b = b, r
     return _mp_normal(base, mp_mul(base, cont, b))[0]
+
+
+def _heu_gcd(f: dict, g: dict, v: int) -> dict | None:
+    """GCDHEU for f, g in Z[x_v] (see ``mp_gcd``), or None if it fails."""
+    nv = len(next(iter(f)))
+    fs, gs = _zz_dense_pp(f, v), _zz_dense_pp(g, v)
+    xi = 2 * min(max(map(abs, fs)), max(map(abs, gs))) + 2
+    for _ in range(6):
+        h, n = [], math.gcd(_zz_eval(fs, xi), _zz_eval(gs, xi))
+        while n:
+            d = n % xi
+            if d > xi // 2:
+                d -= xi
+            h.append(d)
+            n = (n - d) // xi
+        if len(h) == 1:
+            return mp_const(ZZ, 1, nv)
+        c = math.gcd(*h) if h[-1] > 0 else -math.gcd(*h)
+        h = [d // c for d in h]
+        if _zz_divides(fs, h) and _zz_divides(gs, h):
+            return {tuple(d if i == v else 0 for i in range(nv)): x for d, x in enumerate(h) if x}
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _zz_dense_pp(f: dict, v: int) -> list:
+    """Primitive part of f in Z[x_v] as a coefficient list, constant first."""
+    out = [0] * (_mv_deg(f, v) + 1)
+    for e, c in f.items():
+        out[e[v]] = c
+    cont = math.gcd(*out)
+    return [c // cont for c in out]
+
+
+def _zz_eval(p: list, x: int) -> int:
+    out = 0
+    for c in reversed(p):
+        out = out * x + c
+    return out
+
+
+def _zz_divides(p: list, h: list) -> bool:
+    """Whether h divides p in Z[x], by long division; lists constant first."""
+    m = len(h) - 1
+    r = list(p)
+    for i in range(len(p) - 1, m - 1, -1):
+        q, rem = divmod(r[i], h[m])
+        if rem:
+            return False
+        if q:
+            for j in range(m):
+                r[i - m + j] -= q * h[j]
+    return not any(r[:m])
 
 
 def _mp_normal(base: Domain, f: dict, *cofactors: dict) -> tuple:

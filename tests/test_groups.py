@@ -162,6 +162,14 @@ def test_template_exclusions_and_degenerations():
     b2 = s4.orbit("B2").poly
     assert t0 - t1.scale(dom.from_int(108)) == b2 * b2
 
+    # a seed template: the seed -1 is a root of the sextic orbit polynomial
+    a4b = fixture_by_name("a4_b")
+    dom4 = a4b.domain
+    assert dom4.is_zero(a4b.orbit("B1").poly.evaluate(dom4.from_int(-1)))
+    with pytest.raises(ExcludedParameterError) as e:
+        a4b.generic_template(dom4, dom4.from_int(-1))
+    assert e.value.orbit == "B1"
+
     a5 = fixture_by_name("a5")
     dom5 = a5.domain
     i5 = parse_expression("I", dom5).coeff(0)

@@ -1,6 +1,7 @@
 """Differential tests of `resultant`, `discriminant`, `poly_gcd`,
 `invariants_of`, the tower product and inverse, rational-function
-arithmetic and the rational roots behind parameter recovery against sympy.
+arithmetic, `mp_gcd` over Z and the rational roots behind parameter
+recovery against sympy.
 
 sympy computes over Q[generators][x]: an element of a tower is written as a
 polynomial in its generator names (``I``, ``sqrt3``, ``w``), an F_p entry
@@ -19,7 +20,9 @@ sp = pytest.importorskip("sympy", exc_type=ImportError)
 from superelliptic import UniPoly, discriminant, invariants_of, mpq, poly_gcd, resultant
 from superelliptic.groups import _q_roots
 from superelliptic.parser import build_domain, parse_expression
+from superelliptic import rings
 from superelliptic.rings import (
+    ZZ,
     FunctionField,
     PrimeField,
     QuotientRing,
@@ -264,6 +267,117 @@ def test_rational_function_arithmetic_matches_sympy(name, rng):
                                      for exps, c in part.items())), *syms) for part in out)
         assert all(type(c) is int for part in out for c in part.values())
         assert sp.gcd(num, den) == 1 and den.LC(order="grlex") > 0, dom.fmt(out)
+
+
+def _zz_poly(rng, nvars, var, deg, bound):
+    """A polynomial over Z in x_var alone, of degree deg, with coefficients
+    in [-bound, bound]."""
+    cs = [rng.randint(-bound, bound) for _ in range(deg)] + [rng.randint(1, bound)]
+    return {tuple(d if i == var else 0 for i in range(nvars)): c
+            for d, c in enumerate(cs) if c}
+
+
+def _zz_pair(rng, kind):
+    """(f, g) over Z for one case of the mp_gcd oracle; all but "bivariate"
+    are univariate in one of up to three variables."""
+    nvars = rng.randint(1, 3)
+    var = rng.randrange(nvars)
+    bound = 10**30 if kind == "huge" else rng.choice((1, 9, 10**6))
+
+    def poly(deg):
+        return _zz_poly(rng, nvars, var, deg, bound)
+
+    f, g = poly(rng.randint(0, 8)), poly(rng.randint(0, 8))
+    if kind in ("planted", "huge"):
+        h = poly(rng.randint(1, 5))
+        f, g = rings.mp_mul(ZZ, f, h), rings.mp_mul(ZZ, g, h)
+    elif kind == "content":
+        k = rng.randint(2, 10**9)
+        f = {e: c * k for e, c in f.items()}
+        g = {e: c * k * rng.randint(2, 99) for e, c in g.items()}
+    elif kind == "divides":
+        g = rings.mp_mul(ZZ, f, g)
+    elif kind == "constant":
+        f = {(0,) * nvars: rng.choice((-1, 1)) * rng.randint(1, 10**30)}
+    elif kind == "bivariate":
+        # contents along the second variable are gcds in Z[a] alone
+        nvars = 2
+        h = _zz_poly(rng, 2, 0, rng.randint(1, 3), 9)
+        f, g = ({(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-9, 9) or 1
+                 for _ in range(rng.randint(1, 4))} for _ in range(2))
+        f = rings.mp_mul(ZZ, rings.mp_mul(ZZ, f, h), _zz_poly(rng, 2, 0, 2, 9))
+        g = rings.mp_mul(ZZ, rings.mp_mul(ZZ, g, h), _zz_poly(rng, 2, 0, 2, 9))
+    flip = rng.randrange(4)  # negative leading coefficients
+    if flip & 1:
+        f = rings.mp_neg(ZZ, f)
+    if flip & 2:
+        g = rings.mp_neg(ZZ, g)
+    return f, g
+
+
+def assert_zz_gcd_matches(f, g):
+    """mp_gcd(ZZ, f, g) is sympy's gcd made primitive with a positive
+    graded-lex leading coefficient."""
+    syms = sp.symbols(f"x:{len(next(iter(f)))}")
+
+    def expr(d):
+        return sp.Add(*(c * sp.Mul(*(s**e for s, e in zip(syms, exps))) for exps, c in d.items()))
+
+    h = sp.Poly(sp.gcd(expr(f), expr(g)), *syms).primitive()[1]
+    if h.LC(order="grlex") < 0:
+        h = -h
+    expected = {exps: int(c) for exps, c in h.terms()}
+    assert rings.mp_gcd(ZZ, f, g) == expected, f"gcd({f}, {g})"
+
+
+ZZ_GCD_KINDS = ["planted", "content", "coprime", "divides", "constant", "huge", "bivariate"]
+
+
+@pytest.mark.parametrize("kind", ZZ_GCD_KINDS)
+def test_mp_gcd_over_z_matches_sympy(kind, rng, monkeypatch):
+    heu = []
+    real = rings._heu_gcd
+    monkeypatch.setattr(rings, "_heu_gcd", lambda *args: heu.append(1) or real(*args))
+    for _ in range(25):
+        assert_zz_gcd_matches(*_zz_pair(rng, kind))
+    assert heu  # the bivariate gcds reach GCDHEU through their contents
+
+
+def test_mp_gcd_over_z_retries_a_failed_candidate(monkeypatch):
+    # gcd 3x - 2: the digits of gamma at the first xi give a candidate that
+    # does not divide f, and the second xi finds the gcd
+    f = {(0,): 4, (1,): -4, (2,): -1, (3,): -3}
+    g = {(0,): 4, (1,): -8, (2,): -1, (3,): 6}
+    checked = []
+    real = rings._zz_divides
+    monkeypatch.setattr(rings, "_zz_divides", lambda p, h: checked.append(real(p, h)) or checked[-1])
+    assert_zz_gcd_matches(f, g)
+    assert rings.mp_gcd(ZZ, f, g) == {(0,): -2, (1,): 3}
+    assert checked[0] is False and checked[-1] is True
+
+
+@pytest.mark.parametrize("rejects", [1, None])
+def test_mp_gcd_over_z_retry_and_remainder_fallback_match_sympy(rejects, rng, monkeypatch):
+    """The division check refuses the first candidate of each gcd (a retry
+    at a larger xi) or every candidate (the remainder sequence runs)."""
+    refused, prem = [], []
+    real_div, real_prem = rings._zz_divides, rings._mp_prem
+
+    def divides(p, h):
+        if rejects is None or len(refused) < rejects:
+            refused.append(1)
+            return False
+        return real_div(p, h)
+
+    monkeypatch.setattr(rings, "_zz_divides", divides)
+    monkeypatch.setattr(rings, "_mp_prem", lambda *args: prem.append(1) or real_prem(*args))
+    for kind in ("planted", "huge", "content", "divides"):
+        for _ in range(6):
+            refused.clear()
+            f, g = _zz_pair(rng, kind)
+            assert_zz_gcd_matches(f, g)
+    assert refused
+    assert bool(prem) == (rejects is None)
 
 
 # towers for the product and inverse kernel; the last one is not a field
