@@ -17,10 +17,9 @@ import pytest
 
 sp = pytest.importorskip("sympy", exc_type=ImportError)
 
-from superelliptic import UniPoly, discriminant, invariants_of, mpq, poly_gcd, resultant
+from superelliptic import UniPoly, discriminant, invariants_of, mpq, poly_gcd, resultant, rings
 from superelliptic.groups import _q_roots
 from superelliptic.parser import build_domain, parse_expression
-from superelliptic import rings
 from superelliptic.rings import (
     ZZ,
     FunctionField,
@@ -340,7 +339,8 @@ def test_mp_gcd_over_z_matches_sympy(kind, rng, monkeypatch):
     monkeypatch.setattr(rings, "_heu_gcd", lambda *args: heu.append(1) or real(*args))
     for _ in range(25):
         assert_zz_gcd_matches(*_zz_pair(rng, kind))
-    assert heu  # the bivariate gcds reach GCDHEU through their contents
+    # every kind takes GCDHEU; the bivariate pairs through their contents
+    assert heu
 
 
 def test_mp_gcd_over_z_retries_a_failed_candidate(monkeypatch):
