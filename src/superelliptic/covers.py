@@ -228,11 +228,10 @@ def normalize(df: DeltaForm, root: El | None = None) -> tuple[DeltaForm, Normali
         inv = dom.inv(lead)
         coeffs = tuple(dom.mul(c, inv) for c in coeffs)
     a0 = coeffs[0]
-    s = df.delta * df.r
-    lam = None
     if dom.is_one(a0):
-        lam = dom.one()
-    elif root is not None:
+        return DeltaForm(dom, df.delta, coeffs), NormalizationRecord(lead, dom.one(), False)
+    s = df.delta * df.r
+    if root is not None:
         if not dom.eq(dom.pow(root, s), a0):
             raise CoverError("supplied root is not a correct rescaling witness")
         lam = root
@@ -240,13 +239,11 @@ def normalize(df: DeltaForm, root: El | None = None) -> tuple[DeltaForm, Normali
         lam = dom.nth_root(a0, s)
     if lam is None:
         return DeltaForm(dom, df.delta, coeffs), NormalizationRecord(lead, None, True)
-    # a_i' = lam^{delta(i-r)} a_i  (equivalently lam^{delta i} a_i / a_0)
+    # a_i' = lam^{delta(i-r)} a_i = lam^{delta i} a_i / a_0, by a ladder of lam^delta
     a0_inv = dom.inv(a0)
-    out = []
-    for i, c in enumerate(coeffs):
-        scaled = dom.mul(dom.mul(c, dom.pow(lam, df.delta * i)), a0_inv)
-        out.append(scaled)
-    return DeltaForm(dom, df.delta, tuple(out)), NormalizationRecord(lead, lam, False)
+    ladder = dom.powers(dom.pow(lam, df.delta), df.r)
+    out = tuple(dom.mul(dom.mul(c, lam_i), a0_inv) for c, lam_i in zip(coeffs, ladder))
+    return DeltaForm(dom, df.delta, out), NormalizationRecord(lead, lam, False)
 
 
 def merge(dfa: DeltaForm, dfb: DeltaForm) -> DeltaForm:

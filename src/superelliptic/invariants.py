@@ -88,13 +88,17 @@ def _invariant_values(df: DeltaForm, e: int, convention: str) -> InvariantVector
     dom = df.domain
     a = df.coeffs
     a0_inv = None if dom.is_one(a[0]) else dom.inv(a[0])
+    # each power once: a ladder to r - 1 for every base that is raised
+    left_pows = dom.powers(a[e], r - 1)
+    right_pows = dom.powers(a[r - e], r - 1)
+    inv_pows = None if a0_inv is None else dom.powers(a0_inv, r - 1)
     vals = []
     for i in range(1, r + 1):
         x = r - 1 if convention == "r-1" else r - i
-        left = dom.mul(dom.pow(a[e], x), a[i])
-        right = dom.mul(dom.pow(a[r - e], x), a[r - i])
+        left = dom.mul(left_pows[x], a[i])
+        right = dom.mul(right_pows[x], a[r - i])
         if a0_inv is not None:
-            left = dom.mul(dom.pow(a0_inv, r - i), left)
+            left = dom.mul(inv_pows[r - i], left)
             right = dom.mul(a0_inv, right)
         vals.append(dom.add(left, right))
     warns = (DEGENERATE_R2,) if r == 2 else ()

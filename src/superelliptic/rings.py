@@ -165,7 +165,8 @@ class Domain:
 
     def pow(self, a: El, n: int) -> El:
         """a**n by left-to-right binary powering: at most 2*floor(log2 n)
-        products, each a squaring or a product by a itself."""
+        products, each a squaring or a product by a itself.  For several
+        powers of one base, ``powers`` is cheaper."""
         if n < 0:
             a, n = self.inv(a), -n
         if n == 0:
@@ -175,6 +176,17 @@ class Domain:
             out = self.mul(out, out)
             if bit == "1":
                 out = self.mul(out, a)
+        return out
+
+    def powers(self, a: El, n: int) -> list[El]:
+        """[a^0, a^1, ..., a^n] for n >= 0, each power the product of the one
+        before it and a: n - 1 products in all, where a ``pow`` for each
+        exponent takes up to 2*floor(log2 k) for a^k."""
+        out = [self.one()]
+        if n:
+            out.append(a)
+        for _ in range(n - 1):
+            out.append(self.mul(out[-1], a))
         return out
 
     # -- predicates ----------------------------------------------------
@@ -1278,11 +1290,16 @@ class FunctionField(Domain):
         return (mp_neg(self.ring, a[0]), a[1])
 
     def mul(self, a, b):
+        """The product, reduced by ``_reduce``'s gcd unless both denominators
+        are one or the operands are equal: the square of a reduced pair is
+        reduced, as in ``pow``."""
         ring = self.ring
         n1, d1 = a
         n2, d2 = b
         if self._den_is_one(d1) and self._den_is_one(d2):
             return (mp_mul(ring, n1, n2), d1)
+        if a is b or self.eq(a, b):
+            return (mp_mul(ring, n1, n1), mp_mul(ring, d1, d1))
         return self._reduce(mp_mul(ring, n1, n2), mp_mul(ring, d1, d2))
 
     def inv(self, a):
@@ -1310,6 +1327,19 @@ class FunctionField(Domain):
             if bit == "1":
                 out_n, out_d = mp_mul(ring, out_n, num), mp_mul(ring, out_d, den)
         return (out_n, out_d)
+
+    def powers(self, a, n):
+        """[a^0, ..., a^n] by ``pow``'s rule: each (num^k, den^k) is the one
+        before it times (num, den), with no gcd."""
+        ring = self.ring
+        num, den = a
+        out = [self.one()]
+        if n:
+            out.append(a)
+        for _ in range(n - 1):
+            pn, pd = out[-1]
+            out.append((mp_mul(ring, pn, num), mp_mul(ring, pd, den)))
+        return out
 
     def exact_div(self, a, b):
         ring = self.ring

@@ -755,12 +755,25 @@ def _prs_resultant(f: UniPoly, g: UniPoly) -> El:
 
 def resultant(f: UniPoly, g: UniPoly) -> El:
     """Determinant of the Sylvester matrix of f and g, by the fraction-free
-    subresultant PRS."""
+    subresultant PRS.  When f = F(x^k) and g = G(x^k) with k >= 2, the PRS
+    runs on F and G, by
+
+        Res(F(x^k), G(x^k)) = Res(F, G)^k,
+
+    which follows from the root-product form Res(f, g) = lc(f)^deg g *
+    prod g(beta) over the roots beta of f: each root alpha of F gives k
+    roots beta of F(x^k), each with g(beta) = G(alpha), and lc(f)^deg g =
+    (lc(F)^deg G)^k.  It is a polynomial identity over Z, so it holds in
+    every characteristic, p | k included, with no sign factor.
+    """
     f._same(g)
     if f.is_zero() or g.is_zero():
         raise ValueError("resultant of the zero polynomial")
     if f.is_constant() and g.is_constant():
         return f.domain.one()
+    k = gcd(support_gcd(f), support_gcd(g))
+    if k >= 2:
+        return f.domain.pow(_prs_resultant(deflate(f, k), deflate(g, k)), k)
     return _prs_resultant(f, g)
 
 

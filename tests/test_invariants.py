@@ -236,6 +236,36 @@ def test_u_r_is_two(rng):
         assert u[r] == mpq(2)
 
 
+def test_invariants_of_takes_powers_by_ladder(monkeypatch):
+    """invariants_of raises no element to a power >= 2 through pow: each
+    power a_1^k, a_(r-1)^k, a_0^-k comes from a ladder.  The characteristic-3
+    stretch family (r = 90) has u_i = 2 except u_i = 1 + p for 9 | i < 90;
+    the root-free form (a_0 = a) takes the corrected invariants."""
+    from superelliptic.rings import FunctionField
+
+    dom = build_domain(3, [], ("a",))
+    a = dom.param("a")
+    p = dom.add(dom.mul(dom.from_int(2), a), dom.one())
+    stretch = parse_expression("((x^9 - x)^8 + 1)^10 - (2*a + 1)*(x^9 - x)^72", dom)
+    coeffs = [a, dom.add(a, dom.one()), dom.from_int(2), a, dom.one()]
+    root_free = UniPoly(dom, {4 * i: c for i, c in enumerate(coeffs)})
+    a0_inv = dom.inv(a)
+    expected = [dom.add(dom.mul(dom.pow(a0_inv, 4 - i), dom.mul(dom.pow(coeffs[1], 4 - i), coeffs[i])),
+                        dom.mul(a0_inv, dom.mul(dom.pow(coeffs[3], 4 - i), coeffs[4 - i])))
+                for i in range(1, 5)]
+    exponents = []
+    real_pow = FunctionField.pow
+    monkeypatch.setattr(FunctionField, "pow",
+                        lambda self, x, n: exponents.append(n) or real_pow(self, x, n))
+    u = invariants_of(stretch, 8)
+    assert u.r == 90
+    for i in range(1, 91):
+        assert dom.eq(u[i], dom.add(dom.one(), p) if i % 9 == 0 and i < 90 else dom.from_int(2)), f"u_{i}"
+    v = invariants_of(root_free, 4)
+    assert all(dom.eq(v[i], expected[i - 1]) for i in range(1, 5))
+    assert not [n for n in exponents if n >= 2]
+
+
 def test_shifted_invariants_symmetric_e1():
     dom = build_domain(0, [], ("a", "b"))
     a, b = dom.param("a"), dom.param("b")

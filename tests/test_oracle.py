@@ -160,6 +160,42 @@ def test_discriminant_matches_sympy(name, rng):
         done += 1
 
 
+@pytest.mark.parametrize("name", list(DOMAINS))
+def test_deflated_resultant_matches_sympy(name, rng):
+    """Res(F(x^k), G(x^k)) = Res(F, G)^k: pairs in x^2 and x^3 (over F_9,
+    k = 3 is a multiple of p), a constant operand, and mixed supports
+    4 | f, 6 | g, where k = 2."""
+    dom = _domain(name)
+    top = max(1, DOMAINS[name][3] - 2)
+    pairs = [(random_poly(dom, rng, rng.randint(1, top), delta),
+              random_poly(dom, rng, rng.randint(1, top), delta))
+             for delta in (2, 3) for _ in range(2)]
+    pairs.append((random_poly(dom, rng, 0), random_poly(dom, rng, 1, 3)))
+    pairs.append((random_poly(dom, rng, 1, 4), random_poly(dom, rng, 1, 6)))
+    for f, g in pairs:
+        what = f"Res({f}, {g})"
+        assert_matches(dom, resultant(f, g), sympy_resultant(poly_to_sympy(f), poly_to_sympy(g)), what)
+
+
+def test_resultant_runs_the_prs_on_the_deflated_pair(monkeypatch):
+    """The PRS sees F and G, not F(x^k) and G(x^k)."""
+    from superelliptic import unipoly
+
+    dom = _domain("Q")
+    real = unipoly._prs_resultant
+    seen = []
+    monkeypatch.setattr(unipoly, "_prs_resultant",
+                        lambda f, g: seen.append((int(f.degree()), int(g.degree()))) or real(f, g))
+    f = parse_expression("2*x^6 - x^3 + 5", dom)
+    g = parse_expression("x^9 + 3*x^6 - 7", dom)
+    assert resultant(f, g) == real(f, g)
+    f = parse_expression("x^8 - 3*x^4 + 1", dom)
+    g = parse_expression("3*x^6 + x^2 - 2", dom)
+    assert resultant(f, g) == real(f, g)
+    assert resultant(f, parse_expression("7", dom)) == 7**8
+    assert seen == [(2, 3), (4, 3), (2, 0)]
+
+
 def test_resultant_with_a_parameter():
     dom = _domain("Q(a)")
     f = parse_expression("x^2 + a*x + 1", dom)
@@ -193,13 +229,14 @@ def test_poly_gcd_matches_sympy(name, rng):
         assert ours.exprs == theirs.exprs, f"gcd({f}, {g}) = {gcd}"
 
 
-@pytest.mark.parametrize("name", ["Q", "Q(i)", "Q(i, sqrt3)", "Q(a)"])
+@pytest.mark.parametrize("name", ["Q", "Q(i)", "Q(i, sqrt3)", "Q(a)", "F_7", "F_9"])
 def test_invariants_of_matches_sympy(name, rng):
     """invariants_of on c * (sum a_i x^(delta i)), a_r = 1, with a planted
     rescaling root: a_0 = lam^(delta r), lam = 1/mu.  sympy normalizes the
     form itself, a_i' = a_i mu^(delta (r - i)), and evaluates
     u_i = a_1'^(r-i) a_i' + a_(r-1)'^(r-i) a_(r-i)'.  Over Q our code finds
-    the root; over the other domains it mostly does not, and the corrected
+    the root, and over F_7 and F_9 it finds one by search, so the form is
+    rescaled; over the other domains it mostly does not, and the corrected
     invariants of the monic form must agree."""
     dom = _domain(name)
     gens, mins = minimal_polynomials(dom)

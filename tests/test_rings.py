@@ -244,6 +244,67 @@ def test_pow_runs_no_gcd(base, names, monkeypatch):
     assert calls == []
 
 
+def test_square_by_mul_runs_no_gcd(monkeypatch):
+    """mul(x, x) is pow(x, 2): the square of a reduced fraction is reduced.
+    Over Q(a, b, c) the gcd of num^2 and den^2 runs the multivariate PRS,
+    which takes seconds on this x; the square takes well under a second."""
+    from superelliptic.parser import parse_constant
+
+    FF = build_domain(0, [], ("a", "b", "c"))
+    text = ("(-7/11*a^2*b^2*c^2 - 14/33*b^2*c - 7/88*a*c)/(a^2*b^4*c + 1/24*a^2*b^3*c^2"
+            " + 1/16*a*b^3*c^2 - 4/11*a*b^3 - 1/66*a*b^2*c - 1/44*b^2*c)")
+    x, x_copy = parse_constant(text, FF), parse_constant(text, FF)
+    calls = []
+    real_gcd = rings.mp_gcd
+    monkeypatch.setattr(rings, "mp_gcd", lambda *args: calls.append(1) or real_gcd(*args))
+    square = FF.pow(x, 2)
+    assert FF.mul(x, x) == square
+    assert FF.mul(x, x_copy) == square  # equal operands, not the same object
+    assert calls == []
+
+
+def _powers_bases():
+    F7 = PrimeField(7)
+    Qi = adjoin(QQ, "I", (QQ.one(), QQ.zero(), QQ.one()), field=True)
+    Qa = FunctionField(QQ, ("a",))
+    F7a = FunctionField(F7, ("a",))
+
+    def with_den(FF):  # (3a + 2) / (4 (a^2 - 5)): a denominator and content
+        a = FF.param("a")
+        num = FF.add(FF.mul(FF.from_int(3), a), FF.from_int(2))
+        return FF.div(num, FF.mul(FF.from_int(4), FF.sub(FF.mul(a, a), FF.from_int(5))))
+
+    return {
+        "Q": (QQ, mpq(-3, 7)),
+        "F_7": (F7, 3),
+        "Q(i)": (Qi, Qi.from_coeffs([mpq(1, 2), mpq(-2)])),
+        "Q(a)": (Qa, with_den(Qa)),
+        "F_7(a)": (F7a, with_den(F7a)),
+    }
+
+
+@pytest.mark.parametrize("name", ["Q", "F_7", "Q(i)", "Q(a)", "F_7(a)"])
+def test_powers_match_pow(name):
+    dom, a = _powers_bases()[name]
+    for n in (0, 1, 2, 9):
+        ladder = dom.powers(a, n)
+        assert len(ladder) == n + 1
+        for k, v in enumerate(ladder):
+            assert dom.eq(v, dom.pow(a, k)), f"{name}: a^{k} of powers(a, {n})"
+
+
+@pytest.mark.parametrize("name", ["Q(a)", "F_7(a)"])
+def test_function_field_powers_run_no_gcd(name, monkeypatch):
+    """The FunctionField ladder keeps pow's rule: (num^k, den^k) is reduced."""
+    dom, a = _powers_bases()[name]
+    expected = [dom.pow(a, k) for k in range(10)]
+    calls = []
+    real_gcd = rings.mp_gcd
+    monkeypatch.setattr(rings, "mp_gcd", lambda *args: calls.append(1) or real_gcd(*args))
+    assert dom.powers(a, 9) == expected
+    assert calls == []
+
+
 def test_mp_gcd_remainder_coefficients_stay_small(rng, monkeypatch):
     """The remainder sequence of mp_gcd over Q[a] must not carry the rational
     scale of each pseudo-division forward (exponential bit growth)."""
