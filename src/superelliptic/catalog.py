@@ -20,15 +20,18 @@ Every fixture is built exactly, over an explicit tower rooted in Q or F_p:
 * elem_abelian(p,t,m), psl(p,t), pgl(p,t) over F_{p^t}
 
 The five conjugated fixtures are the standard one moved by a matrix q
-(``_moved``): generators q^-1 g q, special orbits and the linear template
-transported by q.  Construction is validated on the fly: group closures must
-hit the declared order, the distinguished conjugated element must come out
-diagonal, and special-orbit sizes must match the classical counts.
+(``_moved``): generators q^-1 g q, special orbits moved by q^-1 through
+``groups.orbit_image`` and the linear template transported by q.  PSL(2, q)
+and PGL(2, q) come from one builder (``_projective``).  Construction is
+validated on the fly: group closures must hit the declared order, the
+distinguished conjugated element must come out diagonal, and special-orbit
+sizes must match the classical counts.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import operator
 import re
@@ -36,8 +39,8 @@ import re
 from .rings import QQ, Domain, El, PrimeField, QuotientRing, adjoin, embed, tower_chain
 from .unipoly import INF, Mobius, UniPoly, mobius_transport
 from .groups import (
-    GroupFixture, GroupError, SpecialOrbit, _eval_mod, group_elements, orbit_points,
-    orbit_polynomial,
+    GroupFixture, GroupError, SpecialOrbit, _eval_mod, group_elements, orbit_image,
+    orbit_points, orbit_polynomial,
 )
 from .parser import build_domain, parse_expression
 
@@ -111,22 +114,11 @@ def finite_field(p: int, t: int) -> Domain:
     if t > 3:
         raise ValueError("finite fields only shipped up to cubic extensions")
     # smallest monic irreducible of degree t: no roots suffices for t in (2,3)
-    for tail in _count_tuples(p, t):
-        coeffs = tail + (1,)
+    for tail in itertools.product(range(p), repeat=t):
+        coeffs = tail[::-1] + (1,)
         if all(_eval_mod(coeffs, x, p) for x in range(p)):
-            return adjoin(base, "w", tuple(coeffs), field=True)
+            return adjoin(base, "w", coeffs, field=True)
     raise AssertionError("no irreducible polynomial found")
-
-
-def _count_tuples(p: int, t: int):
-    total = p**t
-    for n in range(total):
-        out = []
-        m = n
-        for _ in range(t):
-            out.append(m % p)
-            m //= p
-        yield tuple(out)
 
 
 def multiplicative_generator(dom: Domain) -> El:
@@ -185,23 +177,8 @@ def _orbit_from_seed(elements, seed, expected_size: int, name: str) -> SpecialOr
 
 def _orbit_from_transport(std: SpecialOrbit, q: Mobius, name: str) -> SpecialOrbit:
     """The orbit ``std`` moved by q^-1, which must keep its size."""
-    dom = q.domain
-    t = mobius_transport(std.poly.map_domain(dom), q).monic()
-    drop = int(std.poly.degree()) - int(t.degree())
-    if drop not in (0, 1):
-        raise GroupError(f"orbit {name}: transport degree dropped by {drop}")
-    has_inf = bool(drop)
-    if std.includes_infinity:
-        # the preimage of infinity joins the orbit: the pole of the map,
-        # or infinity itself for an affine map
-        if dom.is_zero(q.c):
-            if has_inf:
-                raise GroupError(f"orbit {name}: infinity hit twice")
-            has_inf = True
-        else:
-            pole = dom.neg(dom.div(q.d, q.c))
-            t = t * UniPoly(dom, {1: dom.one(), 0: dom.neg(pole)})
-    size = int(t.degree()) + (1 if has_inf else 0)
+    t, has_inf = orbit_image(std.poly.map_domain(q.domain), std.includes_infinity, q.inverse())
+    size = int(t.degree()) + has_inf
     if size != std.size:
         raise GroupError(f"orbit {name}: got {size} points, expected {std.size}")
     return SpecialOrbit(name, t, has_inf)
@@ -666,69 +643,49 @@ PSL_PGL_CAVEAT = (
 )
 
 
-@functools.cache
-def pgl_fixture(p: int, t: int) -> GroupFixture:
+def _projective(p: int, t: int, k: int) -> GroupFixture:
+    """PGL(2, q) for k = 1 and PSL(2, q) for k = 2, with q = p^t: generated
+    by the scaling by xi^k (xi generates F_q^*), x -> (-1)^(k-1)/x and
+    x -> x + 1.  Order, delta and template exponents are PGL's divided by k."""
     q = p**t
     dom = finite_field(p, t)
     xi = multiplicative_generator(dom)
-    gens = [_scaling(dom, xi), _inversion(dom), _translation(dom, dom.one())]
+    inv = Mobius(dom, dom.zero(), dom.from_int((-1) ** (k - 1)), dom.one(), dom.zero())
+    gens = [_scaling(dom, dom.pow(xi, k)), inv, _translation(dom, dom.one())]
     binf = _int_poly(dom, {q: 1, 1: -1})
     b0 = (binf ** (q - 1)) + UniPoly.one(dom)
-    specials = [
-        SpecialOrbit("Binf", binf, True),
-        SpecialOrbit("B0", b0, False),
-    ]
+    specials = [SpecialOrbit("Binf", binf, True), SpecialOrbit("B0", b0, False)]
+    family = "pgl" if k == 1 else "psl"
     return GroupFixture(
-        name=f"pgl({p},{t})",
-        family="pgl",
+        name=f"{family}({p},{t})",
+        family=family,
         domain=dom,
         generators=gens,
-        order=q**3 - q,
-        delta=q - 1,
+        order=(q**3 - q) // k,
+        delta=(q - 1) // k,
         special_orbits=specials,
-        generic_size=q**3 - q,
+        generic_size=(q**3 - q) // k,
         template_kind="linear",
-        t0=b0 ** (q + 1),
-        t1=binf ** (q * (q - 1)),
+        t0=b0 ** ((q + 1) // k),
+        t1=binf ** (q * (q - 1) // k),
         excluded=[(dom.zero(), "B0")],
         caveats=(PSL_PGL_CAVEAT,),
         params=(p, t),
     )
+
+
+@functools.cache
+def pgl_fixture(p: int, t: int) -> GroupFixture:
+    return _projective(p, t, 1)
 
 
 @functools.cache
 def psl_fixture(p: int, t: int) -> GroupFixture:
-    q = p**t
     if p == 2:
         raise ValueError("PSL(2, 2^t) coincides with PGL; use the pgl fixture")
-    if (q - 1) // 2 < 2:
+    if (p**t - 1) // 2 < 2:
         raise ValueError("need q >= 5 for an extra automorphism inside PSL")
-    dom = finite_field(p, t)
-    xi = multiplicative_generator(dom)
-    neg_inv = Mobius(dom, dom.zero(), dom.from_int(-1), dom.one(), dom.zero())
-    gens = [_scaling(dom, dom.mul(xi, xi)), neg_inv, _translation(dom, dom.one())]
-    binf = _int_poly(dom, {q: 1, 1: -1})
-    b0 = (binf ** (q - 1)) + UniPoly.one(dom)
-    specials = [
-        SpecialOrbit("Binf", binf, True),
-        SpecialOrbit("B0", b0, False),
-    ]
-    return GroupFixture(
-        name=f"psl({p},{t})",
-        family="psl",
-        domain=dom,
-        generators=gens,
-        order=(q**3 - q) // 2,
-        delta=(q - 1) // 2,
-        special_orbits=specials,
-        generic_size=(q**3 - q) // 2,
-        template_kind="linear",
-        t0=b0 ** ((q + 1) // 2),
-        t1=binf ** (q * (q - 1) // 2),
-        excluded=[(dom.zero(), "B0")],
-        caveats=(PSL_PGL_CAVEAT,),
-        params=(p, t),
-    )
+    return _projective(p, t, 2)
 
 
 def psl_pgl_case_b_generators(fixture: GroupFixture) -> list[Mobius]:

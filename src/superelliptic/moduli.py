@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from .covers import BlowUpNeededError, DeltaForm
 from .invariants import InvariantVector, invariants
 from .rings import El, QuotientRing
+from .unipoly import UniPoly
 
 
 @dataclass(frozen=True)
@@ -94,10 +95,6 @@ def specialize(model: ModuliModel, root: El) -> DeltaForm:
     target = dom.div(model.source[1], dom.from_int(2))
     if not dom.eq(dom.pow(root, model.r), target):
         raise ValueError("root is not an r-th root of u_1/2")
-    out = []
-    for coeff in model.coeffs:
-        acc = dom.zero()
-        for c in reversed(model.ring.coords(coeff)):
-            acc = dom.add(dom.mul(acc, root), c)
-        out.append(acc)
-    return DeltaForm(dom, model.delta, tuple(out))
+    coords = model.ring.coords
+    out = tuple(UniPoly.from_list(dom, coords(c)).evaluate(root) for c in model.coeffs)
+    return DeltaForm(dom, model.delta, out)

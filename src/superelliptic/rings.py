@@ -1461,22 +1461,18 @@ def common_rational(domain: Domain, raw: El):
 
 
 def _mod_p_domain(dom: Domain, p: int) -> Domain:
-    """The image of a characteristic-zero domain modulo the prime p."""
+    """The image of Q, or of a tower over Q, modulo the prime p."""
     if isinstance(dom, Rationals):
         return PrimeField(p)
     if isinstance(dom, QuotientRing):
         base_p = _mod_p_domain(dom.base, p)
         minpoly = tuple(_mod_p_raw(dom.base, c, base_p) for c in dom.minpoly)
         return QuotientRing(base_p, dom.name, minpoly, field=True)
-    if isinstance(dom, FunctionField):
-        return FunctionField(_mod_p_domain(dom.base, p), dom.names)
     raise ValueError("no modular image for this domain")
 
 
 def _mod_p_raw(dom: Domain, raw, dom_p: Domain):
     """The image of a raw value of dom in its image domain ``dom_p``."""
-    if isinstance(dom, Integers):
-        return raw % dom_p.p  # type: ignore[attr-defined]
     if isinstance(dom, Rationals):
         den = int(raw.denominator) % dom_p.p  # type: ignore[attr-defined]
         if den == 0:
@@ -1484,13 +1480,6 @@ def _mod_p_raw(dom: Domain, raw, dom_p: Domain):
         return dom_p.mul(dom_p.from_int(int(raw.numerator)), dom_p.inv(den))
     if isinstance(dom, QuotientRing):
         return tuple(_mod_p_raw(dom.leaf, c, dom_p.leaf) for c in raw)
-    if isinstance(dom, FunctionField):
-        num, den = raw
-        ring_p = dom_p.ring
-        # a coefficient that p divides leaves the term dict
-        lift = lambda d: {e: cp for e, c in d.items()
-                          if not ring_p.is_zero(cp := _mod_p_raw(dom.ring, c, ring_p))}
-        return dom_p._reduce(lift(num), lift(den))
     raise ValueError("no modular image for this value")
 
 

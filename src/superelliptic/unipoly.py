@@ -406,19 +406,21 @@ def _adjoin_x(p: UniPoly) -> dict:
 def polys_coprime(f: UniPoly, g: UniPoly) -> bool:
     """Exact coprimality test.
 
-    In characteristic zero a reduction modulo a prime that keeps both
+    Over Q and towers over Q a reduction modulo a prime that keeps both
     degrees can only enlarge the gcd, so a constant gcd of the images
     certifies coprimality.  The images are coprime for almost every prime
     and their gcd is finite-field Euclid, several times cheaper than the
-    exact ``mp_gcd`` route; so the hot squarefree and disjointness checks
-    reach ``poly_gcd`` over the original domain only when no prime decides
-    (bad denominators, modulus collisions, a common factor mod p).
+    exact route; so the hot squarefree and disjointness checks reach
+    ``poly_gcd`` over the original domain only when no prime decides (bad
+    denominators, modulus collisions, a common factor mod p).  Over
+    Q(params) the exact gcd is cheaper than building the F_p(params) image,
+    so it is taken directly.
     """
     if f.is_zero() or g.is_zero():
         return False
     if f.is_constant() or g.is_constant():
         return True
-    if f.domain.char == 0:
+    if f.domain.char == 0 and not isinstance(f.domain, FunctionField):
         for p in (65537, 2147483647, 39916801):
             verdict = _coprime_mod_p(f, g, p)
             if verdict:

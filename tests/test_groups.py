@@ -11,6 +11,7 @@ from superelliptic import (
     Mobius,
     PrimeField,
     QQ,
+    SpecialOrbit,
     UniPoly,
     adjoin,
     classify,
@@ -27,9 +28,11 @@ from superelliptic import (
 )
 from superelliptic.catalog import (
     _moved,
+    _orbit_from_transport,
     a4_fixture,
     a5_c_fixture,
     catalog_to_json,
+    finite_field,
     fixture_by_name,
     load_catalog,
     multiplicative_generator,
@@ -587,6 +590,54 @@ def test_psl_pgl_case_b_transport():
         ["0", "2", "1", "0"],
         ["2*w + 2", "1", "2", "2*w + 1"],
     ]
+
+
+PROJECTIVE = ("pgl(5,1)", "pgl(7,1)", "pgl(2,2)", "pgl(2,3)", "psl(5,1)", "psl(7,1)", "psl(13,1)")
+
+
+def test_projective_fixtures_golden():
+    # PSL/PGL outside the standard catalog, pinned byte for byte
+    text = catalog_to_json({name: fixture_by_name(name) for name in PROJECTIVE})
+    stored = (pathlib.Path(__file__).parent / "golden" / "projective_fixtures.json").read_text()
+    assert text + "\n" == stored
+
+
+@pytest.mark.parametrize("name, message", [
+    ("psl(2,2)", "PSL(2, 2^t) coincides with PGL; use the pgl fixture"),
+    ("psl(3,1)", "need q >= 5 for an extra automorphism inside PSL"),
+])
+def test_psl_rejects_small_and_even_fields(name, message):
+    with pytest.raises(ValueError) as info:
+        fixture_by_name(name)
+    assert str(info.value) == message
+
+
+FINITE_FIELD_MODULI = {
+    2: ("t^2 + t + 1", "t^3 + t + 1"),
+    3: ("t^2 + 1", "t^3 + 2*t + 1"),
+    5: ("t^2 + 2", "t^3 + t + 1"),
+    7: ("t^2 + 1", "t^3 + 2"),
+    11: ("t^2 + 1", "t^3 + t + 4"),
+}
+
+
+@pytest.mark.parametrize("p", sorted(FINITE_FIELD_MODULI))
+def test_finite_field_takes_the_first_irreducible_modulus(p):
+    # the first monic irreducible in the order that counts the coefficient
+    # tuple (constant term first) up in base p
+    assert tuple(finite_field(p, t).fmt_minpoly("t") for t in (2, 3)) == FINITE_FIELD_MODULI[p]
+
+
+def test_orbit_transport_keeps_the_point_count():
+    # (x - 1)^2 (x + 1) is no orbit: q sends its double root 1 to infinity,
+    # so the moved point set has 2 points where 3 are declared
+    q = Mobius.from_ints(QQ, 1, 0, 1, -1)
+    x = UniPoly.gen(QQ)
+    moved = _orbit_from_transport(SpecialOrbit("B", x**3 - x, False), q, "B'")
+    assert moved.size == 3 and moved.includes_infinity
+    bad = SpecialOrbit("B", UniPoly.from_int_list(QQ, [1, -1, -1, 1]), False)
+    with pytest.raises(GroupError, match="got 2 points, expected 3"):
+        _orbit_from_transport(bad, q, "B'")
 
 
 def test_multiplicative_generator():

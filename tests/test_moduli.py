@@ -13,7 +13,7 @@ from superelliptic import (
     specialize,
     verify_roundtrip,
 )
-from superelliptic.parser import build_domain
+from superelliptic.parser import build_domain, parse_constant
 
 from conftest import rand_mpq, symmetric_form
 
@@ -120,6 +120,19 @@ def test_specialization_consistency(rng):
         model = reconstruct(u)
         sp = specialize(model, a1)
         assert invariants(sp).values == u.values
+    # the same round trip for a model over Q(i) and over Q(a): specialize
+    # reads each coefficient through the base coordinates of t
+    for exts, params, gen in (([("I", "t^2 + 1")], (), "I"), ([], ("a",), "a")):
+        dom = build_domain(0, exts, params)
+        for _ in range(6):
+            r = rng.randint(3, 6)
+            half = [parse_constant(f"{rng.randint(-4, 4)} + {rng.randint(1, 3)}*{gen}", dom)]
+            half += [parse_constant(f"{rand_mpq(rng)} + {rng.randint(-2, 2)}*{gen}", dom)
+                     for _ in range((r - 1) // 2 + (1 if r % 2 == 0 else 0) - 1)]
+            u = invariants(symmetric_form(dom, 2, r, half))
+            sp = specialize(reconstruct(u), half[0])
+            assert sp.domain == dom
+            assert all(map(dom.eq, invariants(sp).values, u.values))
 
 
 def _rand_tower(dom, rng):

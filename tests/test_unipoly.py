@@ -16,7 +16,7 @@ from superelliptic import (
     set_degree_cap,
     squarefree_test,
 )
-from superelliptic import rings
+from superelliptic import rings, unipoly
 from superelliptic.catalog import a5_fixture, zeta5_field
 from superelliptic.parser import build_domain, parse_constant, parse_expression
 from superelliptic.rings import QuotientRing
@@ -306,6 +306,28 @@ def test_gcd_of_random_products(rng):
         f, zero = rand_poly(2), UniPoly.zero(dom)
         assert poly_gcd(zero, f) == f.monic() and poly_gcd(f, zero) == f.monic()
         assert poly_gcd(zero, zero) == zero
+
+
+def test_coprimality_builds_images_only_over_number_fields(monkeypatch):
+    # over Q(a, b) polys_coprime runs the exact gcd and builds no F_p image;
+    # over Q(i) it still tries the mod-p image first
+    built = []
+    real = unipoly._mod_p_domain
+    monkeypatch.setattr(unipoly, "_mod_p_domain", lambda dom, p: built.append(p) or real(dom, p))
+    dom = build_domain(0, [], ("a", "b"))
+    pairs = [("x^3 + a*x + b", "x^2 - a"), ("x^4 - b*x^2 + a^2", "a*x^3 + x - b"),
+             ("x^2 + (a + b)*x + a*b", "x^5 + a")]
+    for f, g in ((parse_expression(f, dom), parse_expression(g, dom)) for f, g in pairs):
+        h = parse_expression("x^2 + a*x - b", dom)
+        assert not dom.is_zero(resultant(f, g))
+        assert unipoly.polys_coprime(f, g) and unipoly.polys_coprime(g, f)
+        assert not unipoly.polys_coprime(f * h, g * h)
+        assert not unipoly.polys_coprime(f * (h + f), g * (h + f))
+    assert not squarefree_test(parse_expression("(x - a)^2*(x + b)", dom))
+    assert not built
+    gauss = build_domain(0, [("I", "t^2 + 1")], ())
+    assert unipoly.polys_coprime(parse_expression("x^2 + I", gauss), parse_expression("x + 1", gauss))
+    assert built
 
 
 def test_proportional():
