@@ -29,17 +29,20 @@ and gcds, and the denominator's leading coefficient is divided out only
 when a value is printed or read over Q, so printed forms are those of the
 monic-denominator form over Q.
 
-A tower whose chain ends at ``Rationals`` multiplies through an integer
-multiplication table (Cohen, GTM 138, 4.2), built once per tower and shared
-by equal towers: the rational coordinates of both operands are cleared of
-denominators, multiplied as integers through the table and divided once.
-Its inverse solves the multiplication matrix fraction-free when the top
-step's base is a certified field (Q, or one quadratic step over Q whose
-discriminant is not a rational square).  A singular matrix, or any other
-base, falls back to extended Euclid, which raises :class:`ZeroDivisorError`
-with its factor.  Towers over a prime field or a ``FunctionField``, and
-towers over Q of total degree above 64, multiply stepwise by the schoolbook
-product over each base.
+A tower whose chain ends at ``Rationals`` or at a ``PrimeField``
+multiplies through an integer multiplication table (Cohen, GTM 138, 4.2),
+built once per tower and shared by equal towers.  Over Q the rational
+coordinates of both operands are cleared of denominators, multiplied as
+integers through the table and divided once; over F_p the residues are
+multiplied as integers and reduced once mod p.  Its inverse solves the
+multiplication matrix (fraction-free over Q, mod p over F_p) when the top
+step's base is a certified field (Q, F_p, or one quadratic step over Q
+whose discriminant is not a rational square).  The image of a tower over Q
+modulo p takes that inverse exactly when the tower itself does.  A
+singular matrix, or any other base, falls back to extended Euclid, which
+raises :class:`ZeroDivisorError` with its factor.  Towers over a
+``FunctionField``, and towers of total degree above 64, multiply stepwise
+by the schoolbook product over each base.
 """
 
 from __future__ import annotations
@@ -449,17 +452,19 @@ def _ul_divmod(base: Domain, a: list, b: list) -> tuple[list, list]:
 
 
 # ---------------------------------------------------------------------------
-# integer multiplication tables for towers over Q (Cohen, GTM 138, 4.2)
+# integer multiplication tables for towers over Q and over F_p (Cohen,
+# GTM 138, 4.2)
 # ---------------------------------------------------------------------------
 
 
 class _MulTable(NamedTuple):
-    """Structure constants of a tower over Q in its flat basis.
+    """Structure constants of a tower over Q or F_p in its flat basis.
 
     The flat basis is the products of generator powers, in the order in
-    which an element's coordinate tuple lists its rational leaves.  For
-    basis elements e_i, e_j, ``rows[i][j]`` holds the pairs (k, c) with
-    e_i * e_j = sum of c * e_k / ``den``; the c are integers.
+    which an element's coordinate tuple lists its leaves.  For basis
+    elements e_i, e_j, ``rows[i][j]`` holds the pairs (k, c) with
+    e_i * e_j = sum of c * e_k / ``den``; the c are nonzero integers.  Over
+    F_p, ``den`` is 1 and the c are residues in [1, p).
     """
 
     den: int
@@ -476,7 +481,8 @@ _ZERO = mpq(0)
 
 def _int_coords(flat) -> tuple[list, int]:
     """The nonzero leaves as (index, integer) pairs over one common
-    denominator, and that denominator."""
+    denominator, and that denominator; for F_p residues, which are ints,
+    the residues themselves and 1."""
     nz = []
     den = 1
     for i, c in enumerate(flat):
@@ -498,14 +504,15 @@ def _from_ints(nums, den) -> tuple:
 
 
 def _build_table(ring: "QuotientRing") -> _MulTable:
-    """The table of a tower over Q, from schoolbook products of its basis."""
-    dim = ring.dim
-    one = mpq(1)
-    basis = [tuple(one if k == i else _ZERO for k in range(dim)) for i in range(dim)]
+    """The table of a tower over Q or F_p, from schoolbook products of its
+    basis."""
+    dim, leaf = ring.dim, ring.leaf
+    basis = [tuple(leaf.one() if k == i else leaf.zero() for k in range(dim)) for i in range(dim)]
     prods = {}
     for i in range(dim):
         for j in range(i, dim):
             prods[i, j] = ring._schoolbook_mul(basis[i], basis[j])
+    # a residue is an int, whose denominator is 1
     den = math.lcm(*(c.denominator for v in prods.values() for c in v))
     rows = [[()] * dim for _ in range(dim)]
     for (i, j), v in prods.items():
@@ -515,10 +522,10 @@ def _build_table(ring: "QuotientRing") -> _MulTable:
 
 
 def _table_for(ring: "QuotientRing") -> _MulTable | None:
-    """The shared table of a tower over Q of total degree at most
+    """The shared table of a tower over Q or F_p of total degree at most
     ``_TABLE_MAX_DIM``, else None.  The chain test comes first, so that
-    only towers over Q compute their signature."""
-    if not isinstance(ring.leaf, Rationals) or ring.dim > _TABLE_MAX_DIM:
+    only such towers compute their signature."""
+    if not isinstance(ring.leaf, (Rationals, PrimeField)) or ring.dim > _TABLE_MAX_DIM:
         return None
     sig = ring._signature()
     table = _TABLES.get(sig)
@@ -528,14 +535,34 @@ def _table_for(ring: "QuotientRing") -> _MulTable | None:
 
 
 def _certified_field(dom: Domain) -> bool:
-    """Whether dom is known to be a field: Q, or one quadratic step over Q
-    whose discriminant is not a square in Q."""
-    if isinstance(dom, Rationals):
+    """Whether dom is known to be a field: Q, F_p, or one quadratic step
+    over Q whose discriminant is not a square in Q."""
+    if isinstance(dom, (Rationals, PrimeField)):
         return True
     if isinstance(dom, QuotientRing) and dom.degree == 2 and isinstance(dom.base, Rationals):
         c, b, _ = dom.minpoly
         return QQ.nth_root(mpq(b * b - 4 * c), 2) is None
     return False
+
+
+def _solve_mod_p(m: list, p: int) -> tuple | None:
+    """The solution mod p of the square system whose augmented integer
+    matrix is m (one right-hand column), by Gauss-Jordan elimination; None
+    when the square part is singular mod p."""
+    dim = len(m)
+    m = [[v % p for v in r] for r in m]
+    for col in range(dim):
+        piv = next((r for r in range(col, dim) if m[r][col]), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        s = pow(m[col][col], -1, p)
+        top = m[col] = [v * s % p for v in m[col]]
+        for r in range(dim):
+            f = m[r][col]
+            if f and r != col:
+                m[r] = [(u - f * v) % p for u, v in zip(m[r], top)]
+    return tuple(r[dim] for r in m)
 
 
 class QuotientRing(Domain):
@@ -552,13 +579,16 @@ class QuotientRing(Domain):
     raises :class:`ZeroDivisorError` with a discovered proper factor of
     ``m``.
 
-    Over Q (every step of the chain a ``QuotientRing``, the bottom Q),
-    ``mul`` goes through the tower's integer table, reducible moduli
-    included.  ``inv`` solves the table's multiplication matrix when the
-    base is a certified field, and takes extended Euclid when the matrix is
-    singular or the base is not certified: a unit can meet a zero-divisor
-    leading coefficient in Euclid over a non-field base, and that error is
-    part of the contract.
+    Over Q or F_p (every step of the chain a ``QuotientRing``, the bottom
+    Q or a prime field), ``mul`` goes through the tower's integer table,
+    reducible moduli included, and reduces once: one division over Q, one
+    ``% p`` per leaf over F_p.  ``inv`` solves the table's multiplication
+    matrix when the base is a certified field, and takes extended Euclid
+    when the matrix is singular or the base is not certified: a unit can
+    meet a zero-divisor leading coefficient in Euclid over a non-field
+    base, and that error is part of the contract.  An image modulo p
+    (``_mod_p_domain``) solves the matrix exactly when its source tower
+    does.
     """
 
     def __init__(self, base: Domain, name: str, minpoly: tuple, *, field: bool | None = None):
@@ -645,6 +675,9 @@ class QuotientRing(Domain):
                 xy = x * y
                 for k, c in row[j]:
                     acc[k] += xy * c
+        p = self.char
+        if p:
+            return tuple(v % p for v in acc)
         return _from_ints(acc, da * db * table.den)
 
     def _schoolbook_mul(self, a, b):
@@ -717,11 +750,13 @@ class QuotientRing(Domain):
             s0, s1 = s1, new
 
     def _table_inv(self, a):
-        """a^-1 by a fraction-free Gauss-Jordan solve (Bareiss's exact
-        divisions) of N y = e_0, where column j of the integer matrix N is
-        da * den times the flat coordinates of a * e_j, so that
-        a^-1 = da * den * y; None when N is singular (a is a zero divisor)."""
-        table, dim = self._table, self.dim
+        """a^-1 by a Gauss-Jordan solve of N y = e_0, where column j of the
+        integer matrix N holds the table coordinates of a * e_j; None when N
+        is singular (a is a zero divisor).  Over F_p the solve runs mod p and
+        a^-1 = y.  Over Q it is fraction-free (Bareiss's exact divisions),
+        column j is da * den times the flat coordinates of a * e_j, and
+        a^-1 = da * den * y."""
+        table, dim, p = self._table, self.dim, self.char
         xa, da = _int_coords(a)
         rows = table.rows
         m = [[0] * (dim + 1) for _ in range(dim)]
@@ -731,6 +766,8 @@ class QuotientRing(Domain):
                 for k, c in row[j]:
                     m[k][j] += x * c
         m[0][dim] = 1
+        if p:
+            return _solve_mod_p(m, p)
         prev = 1
         for col in range(dim):
             piv = next((r for r in range(col, dim) if m[r][col]), None)
@@ -1467,7 +1504,15 @@ def _mod_p_domain(dom: Domain, p: int) -> Domain:
     if isinstance(dom, QuotientRing):
         base_p = _mod_p_domain(dom.base, p)
         minpoly = tuple(_mod_p_raw(dom.base, c, base_p) for c in dom.minpoly)
-        return QuotientRing(base_p, dom.name, minpoly, field=True)
+        image = QuotientRing(base_p, dom.name, minpoly, field=True)
+        # The matrix solve inverts every unit of the image, which need not
+        # be a field; that certifies a gcd mod p, since a monic Euclid that
+        # inverts only units is valid in every residue field above p.  A
+        # tower that inverts by Euclid over an uncertified base may instead
+        # raise ZeroDivisorError on a unit, and its image must not turn
+        # that error into a coprimality verdict.
+        image._flat_inv = dom._flat_inv and image._table is not None
+        return image
     raise ValueError("no modular image for this domain")
 
 

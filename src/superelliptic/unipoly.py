@@ -19,14 +19,16 @@ does not re-monicize.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 from .rings import (
     Domain,
     DomainMismatchError,
     El,
     FunctionField,
+    QuotientRing,
     ZeroDivisorError,
+    _ZERO,
     _dense_terms,
     _mod_p_domain,
     _mod_p_raw,
@@ -34,6 +36,7 @@ from .rings import (
     mp_exact_div,
     mp_gcd,
     mp_mul,
+    mpq,
     tower_chain,
 )
 
@@ -576,9 +579,12 @@ def mobius_transport(f: UniPoly, m: Mobius) -> UniPoly:
     weigh f_e by d^(n-e), shift by b and scale by a^i.  A shift by a unit t
     scales by t^i, shifts by 1 with additions only and scales back by
     t^(-i); consecutive scalings are merged into one.  The cost is O(n)
-    multiplications, at most three inversions and n(n + 1) additions,
-    against O(n^2) multiplications for the Horner expansion of the sum
-    above.  Every step is exact, so both give the same polynomial.
+    multiplications and at most three inversions, against O(n^2)
+    multiplications for the Horner expansion of the sum above.  The two
+    shifts by 1 take n(n + 1)/2 plain ``int`` additions each per leaf
+    column of the coefficients: over Q after one common denominator is
+    cleared, over F_p with one reduction mod p at the end.  Every step is
+    exact, so both give the same polynomial.
 
     Horner runs instead over a domain with a function field in its tower
     (the shifts bring denominators, and each addition of rational functions
@@ -651,13 +657,30 @@ def _scale_powers(dom: Domain, h: list[El], t: El, s: El | None = None) -> list[
 
 
 def _shift_by_one(dom: Domain, g: list[El]) -> list[El]:
-    """The coefficients of g(x + 1) in place, by n(n + 1)/2 additions."""
-    add = dom.add
+    """The coefficients of g(x + 1), for g over Q, F_p or a tower over
+    them, by n(n + 1)/2 integer additions per leaf column.
+
+    The shift is linear over the leaves, so each leaf coordinate, read as a
+    column down the coefficients, shifts on its own.  Over Q the leaves are
+    brought to one common denominator first and divided by it once at the
+    end; over F_p they are residues, reduced once mod p at the end.
+    All-zero columns are not shifted."""
+    tower = isinstance(dom, QuotientRing)
+    leaf = dom.leaf if tower else dom
+    cols = list(zip(*g)) if tower else [g]
+    # a residue is an int, whose denominator is 1
+    den = lcm(*{c.denominator for col in cols for c in col})
+    cols = [[c.numerator * (den // c.denominator) for c in col] for col in cols]
+    p = leaf.char
     n = len(g) - 1
-    for i in range(n):
-        for j in range(n - 1, i - 1, -1):
-            g[j] = add(g[j], g[j + 1])
-    return g
+    out = []
+    for col in cols:
+        if any(col):
+            for i in range(n):
+                for j in range(n - 1, i - 1, -1):
+                    col[j] += col[j + 1]
+        out.append([v % p for v in col] if p else [mpq(v, den) if v else _ZERO for v in col])
+    return [tuple(row) for row in zip(*out)] if tower else list(out[0])
 
 
 def _horner_transport(f: UniPoly, m: Mobius) -> UniPoly:

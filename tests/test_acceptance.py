@@ -305,10 +305,11 @@ def test_criterion_8_group_fixture_suite():
         for orb in fx.special_orbits:
             if orb.poly.is_constant():
                 continue
+            # the point set with its infinity flag, for every orbit; branch
+            # polynomials also transport proportionally, with no degree drop
+            assert orbit_set_invariant(orb, fx), (name, orb.name)
             if orb.branchable:
                 assert is_invariant(orb.poly, fx), (name, orb.name)
-            else:
-                assert orbit_set_invariant(orb, fx), (name, orb.name)
     # generic templates decompose back with exact parameter recovery
     for name, a_int in rational_param_fixtures.items():
         fx = fixture_by_name(name)

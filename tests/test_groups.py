@@ -110,17 +110,16 @@ def test_orbit_polynomial_symbolic_seed_matches_template():
 
 
 def test_special_orbits_invariant_and_sized():
-    # branch-capable orbit polynomials transport proportionally; the orbits
-    # through 0 or infinity are checked as stable point sets
+    # every orbit is a stable point set, its infinity flag included;
+    # branch-capable orbit polynomials also transport proportionally
     for name in CHEAP:
         fx = fixture_by_name(name)
         for orb in fx.special_orbits:
             if orb.poly.is_constant():
                 continue
+            assert orbit_set_invariant(orb, fx), (name, orb.name)
             if orb.branchable:
                 assert is_invariant(orb.poly, fx), (name, orb.name)
-            else:
-                assert orbit_set_invariant(orb, fx), (name, orb.name)
             assert orb.size * (fx.order // orb.size) == fx.order, (name, orb.name)
 
 

@@ -13,11 +13,14 @@ nonzero; for the discriminant over F_p, p does not divide deg f, so that
 deg f' does not drop either.
 """
 
+import copy
+
 import pytest
 
 sp = pytest.importorskip("sympy", exc_type=ImportError)
 
 from superelliptic import UniPoly, discriminant, invariants_of, mpq, poly_gcd, resultant, rings
+from superelliptic.catalog import zeta5_field
 from superelliptic.groups import _q_roots
 from superelliptic.parser import build_domain, parse_expression
 from superelliptic.rings import (
@@ -25,6 +28,7 @@ from superelliptic.rings import (
     FunctionField,
     PrimeField,
     QuotientRing,
+    ZeroDivisorError,
     tower_chain,
 )
 
@@ -444,6 +448,72 @@ def test_tower_product_and_inverse_match_sympy(name, rng):
         assert_matches(dom, dom.one(), sa * to_sympy(dom, dom.inv(a)), f"1 / {a}")
         inverted += 1
     assert inverted >= 6
+
+
+def _prime_field_towers():
+    """F_9, F_81 = F_9[v] with v^2 = w + 1, and the image of Q(i, zeta5)
+    modulo 65537, where i^2 + 1 splits, so the image is no field."""
+    F9 = build_domain(3, [("w", "t^2 + 1")], ())
+    F81 = QuotientRing(F9, "v", (F9.neg(F9.add(F9.one(), F9.gen())), F9.zero(), F9.one()), field=True)
+    return {"F_9": F9, "F_81": F81, "Q(i, zeta5) mod 65537": rings._mod_p_domain(zeta5_field(), 65537)}
+
+
+def assert_matches_mod_p(dom, ours, expected, what):
+    """ours equals expected in GF(p)[generators] reduced by the minimal
+    polynomials, taken with the top generator first, so that each leads
+    with a power of its own generator."""
+    gens, mins = minimal_polynomials(dom)
+    diff = sp.expand(to_sympy(dom, ours) - expected)
+    assert sp.reduced(diff, mins[::-1], *gens[::-1], modulus=dom.char)[1] == 0, what
+
+
+def _euclid_inv(dom, a):
+    """a^-1 in dom by the extended Euclid route alone."""
+    euclid = copy.copy(dom)
+    euclid._flat_inv = False
+    return euclid.inv(a)
+
+
+@pytest.mark.parametrize("name", ["F_9", "F_81", "Q(i, zeta5) mod 65537"])
+def test_tower_tables_mod_p_match_sympy(name, rng):
+    dom = _prime_field_towers()[name]
+    assert dom._table is not None and dom._table.den == 1
+    inverted = 0
+    for _ in range(12):
+        a, b = random_element(dom, rng), random_element(dom, rng)
+        sa, sb = to_sympy(dom, a), to_sympy(dom, b)
+        prod = dom.mul(a, b)
+        assert prod == dom._schoolbook_mul(a, b), f"{a} * {b}"
+        assert_matches_mod_p(dom, prod, sa * sb, f"{a} * {b}")
+        if dom.is_zero(a):
+            continue
+        flat = dom._table_inv(a)
+        assert flat is not None, f"{a} is a unit"
+        assert flat == _euclid_inv(dom, a) == dom.inv(a), f"1 / {a}"
+        assert_matches_mod_p(dom, dom.one(), sa * to_sympy(dom, flat), f"1 / {a}")
+        inverted += 1
+    assert inverted >= 10
+
+
+def test_zero_divisor_of_a_prime_field_image_keeps_the_euclid_factor(rng):
+    dom = _prime_field_towers()["Q(i, zeta5) mod 65537"]
+    assert dom._flat_inv and dom.base._flat_inv
+    c = 256  # c^2 = -1 mod 65537
+    i = dom.from_base(dom.base.gen())
+    for unit in (dom.one(), dom.gen(), random_element(dom, rng)):
+        zd = dom.mul(dom.sub(i, dom.from_int(c)), unit)
+        assert dom._table_inv(zd) is None
+        with pytest.raises(ZeroDivisorError) as flat:
+            dom.inv(zd)
+        with pytest.raises(ZeroDivisorError) as euclid:
+            _euclid_inv(dom, zd)
+        assert flat.value.factor == euclid.value.factor
+        assert flat.value.domain == euclid.value.domain
+        assert str(flat.value) == str(euclid.value)
+    # the factor found in the base is i - c
+    with pytest.raises(ZeroDivisorError) as base:
+        dom.base.inv(dom.base.sub(dom.base.gen(), dom.base.from_int(c)))
+    assert base.value.factor == (65537 - c, 1) and base.value.domain == PrimeField(65537)
 
 
 def test_rational_roots_match_sympy(rng):

@@ -170,6 +170,85 @@ def test_transport_cost_is_linear_in_degree():
         assert t.degree() == n and proportional(t, f) is not None
 
 
+# domains of the integer-column Taylor shift: Q, F_p and towers over them
+SHIFT_DOMAINS = {
+    "Q": QQ,
+    "F_7": PrimeField(7),
+    "F_9": build_domain(3, [("i", "t^2 + 1")], ()),
+    "Q(i, sqrt3)": build_domain(0, [("I", "t^2 + 1"), ("s3", "t^2 - 3")], ()),
+    "Q(i, zeta5)": zeta5_field(),
+}
+
+
+def _random_coeffs(dom, rng, n):
+    """n + 1 coefficients with zeros, mixed denominators and, over a tower,
+    one leaf column that is zero in every coefficient."""
+    leaf = dom.leaf if isinstance(dom, QuotientRing) else dom
+    dim = dom.dim if isinstance(dom, QuotientRing) else 1
+    dead = rng.randrange(1, dim) if dim > 1 else None
+
+    def leaf_value(k):
+        if k == dead or rng.random() < 0.3:
+            return leaf.zero()
+        if leaf.char:
+            return rng.randrange(leaf.char)
+        return mpq(rng.randint(-40, 40), rng.choice((1, 2, 3, 7, 12, 25)))
+
+    coeffs = []
+    for _ in range(n + 1):
+        flat = tuple(leaf_value(k) for k in range(dim))
+        coeffs.append(flat if dim > 1 else flat[0])
+    return coeffs
+
+
+def _shift_by_additions(dom, g):
+    """g(x + 1) by the plain loop of domain additions."""
+    g = list(g)
+    n = len(g) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            g[j] = dom.add(g[j], g[j + 1])
+    return g
+
+
+@pytest.mark.parametrize("name", list(SHIFT_DOMAINS))
+def test_shift_by_one_matches_domain_additions(name, rng):
+    dom = SHIFT_DOMAINS[name]
+    for n in (0, 1, 2, 3, 7, 12, 20):
+        for _ in range(3):
+            g = _random_coeffs(dom, rng, n)
+            assert unipoly._shift_by_one(dom, list(g)) == _shift_by_additions(dom, g), (name, g)
+    zero = [dom.zero()] * 6
+    assert unipoly._shift_by_one(dom, list(zero)) == zero
+
+
+@pytest.mark.parametrize("name", list(SHIFT_DOMAINS))
+def test_shift_transport_matches_horner(name, rng):
+    dom = SHIFT_DOMAINS[name]
+
+    def element():
+        return _random_coeffs(dom, rng, 0)[0]
+
+    def mobius(zero_at=None):
+        while True:
+            entries = [element() for _ in range(4)]
+            if zero_at is not None:
+                entries[zero_at] = dom.zero()
+            try:
+                return Mobius(dom, *entries)
+            except ValueError:  # singular matrix
+                pass
+
+    maps = [mobius(2), mobius(3)] + [mobius() for _ in range(3)]  # c = 0, d = 0
+    for n in (1, 4, 11, 20):
+        coeffs = _random_coeffs(dom, rng, n)
+        while dom.is_zero(coeffs[n]):
+            coeffs[n] = element()
+        f = UniPoly.from_list(dom, coeffs)
+        for m in maps:
+            assert mobius_transport(f, m) == unipoly._horner_transport(f, m), (name, f, m)
+
+
 def test_parametric_transport_takes_the_gcd_free_path(monkeypatch):
     dom = build_domain(0, [], ("a", "b"))
     f = parse_expression("x^8 + a*x^5 - b*x^2 + 1", dom)
@@ -328,6 +407,50 @@ def test_coprimality_builds_images_only_over_number_fields(monkeypatch):
     gauss = build_domain(0, [("I", "t^2 + 1")], ())
     assert unipoly.polys_coprime(parse_expression("x^2 + I", gauss), parse_expression("x + 1", gauss))
     assert built
+
+
+def test_coprimality_over_q_i_zeta5_runs_tables_in_the_image(monkeypatch):
+    # the images' tables are built once per image tower: build them first
+    K = zeta5_field()
+    for p in (65537, 2147483647, 39916801):
+        assert rings._mod_p_domain(K, p)._flat_inv
+    inside, verdicts, hits = [], [], []
+    real_coprime, real_mul, real_divmod = unipoly._coprime_mod_p, QuotientRing._schoolbook_mul, rings._ul_divmod
+
+    def coprime(f, g, p):
+        inside.append(p)
+        try:
+            verdicts.append(real_coprime(f, g, p))
+            return verdicts[-1]
+        finally:
+            inside.pop()
+
+    def schoolbook(self, a, b):
+        if inside:
+            hits.append("_schoolbook_mul")
+        return real_mul(self, a, b)
+
+    def divmod_(*args):
+        if inside:
+            hits.append("_ul_divmod")
+        return real_divmod(*args)
+
+    monkeypatch.setattr(unipoly, "_coprime_mod_p", coprime)
+    monkeypatch.setattr(QuotientRing, "_schoolbook_mul", schoolbook)
+    monkeypatch.setattr(rings, "_ul_divmod", divmod_)
+    f = a5_fixture().orbit("B0").poly
+    assert f.domain == K and f.degree() == 20
+    assert squarefree_test(f)
+    assert verdicts == [True] and not hits
+
+
+def test_image_of_an_uncertified_tower_keeps_euclid():
+    # Q[t]/(t^3 - t) is no field, so I over it inverts by Euclid, and so
+    # does its image mod p, though the image's base F_p is certified
+    K = build_domain(0, [("t", "t^3-t")], (), sugar_i=True)
+    assert K._table is not None and K.base._flat_inv and not K._flat_inv
+    image = rings._mod_p_domain(K, 65537)
+    assert image._table is not None and image.base._flat_inv and not image._flat_inv
 
 
 def test_proportional():
