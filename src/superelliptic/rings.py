@@ -5,8 +5,12 @@ Supported domains, with the raw Python value used for their elements:
 * ``Rationals``         -- arbitrary-precision rationals (``gmpy2.mpq`` when
                            available, ``fractions.Fraction`` otherwise)
 * ``PrimeField(p)``     -- residues stored as ``int`` in ``[0, p)``
-* ``QuotientRing``      -- one extension step ``K[t]/(m(t))``; elements are
-                           flat tuples of raws of the tower's bottom domain
+* ``QuotientRing``      -- one extension step ``K[t]/(m(t))``; over Q (the
+                           chain ends at ``Rationals``) elements are canonical
+                           pairs ``(nums, den)`` of integer leaf coordinates
+                           over one positive denominator, over F_p flat
+                           tuples of residues, over a function field flat
+                           tuples of its raws
 * ``FunctionField``     -- rational functions in named parameters over a
                            field; elements are reduced ``(num, den)`` pairs
                            of term dicts ``{exponent tuple: raw}``; over Q
@@ -31,18 +35,19 @@ monic-denominator form over Q.
 
 A tower whose chain ends at ``Rationals`` or at a ``PrimeField``
 multiplies through an integer multiplication table (Cohen, GTM 138, 4.2),
-built once per tower and shared by equal towers.  Over Q the rational
-coordinates of both operands are cleared of denominators, multiplied as
-integers through the table and divided once; over F_p the residues are
-multiplied as integers and reduced once mod p.  Its inverse solves the
-multiplication matrix (fraction-free over Q, mod p over F_p) when the top
-step's base is a certified field (Q, F_p, or one quadratic step over Q
-whose discriminant is not a rational square).  The image of a tower over Q
-modulo p takes that inverse exactly when the tower itself does.  A
-singular matrix, or any other base, falls back to extended Euclid, which
-raises :class:`ZeroDivisorError` with its factor.  Towers over a
-``FunctionField``, and towers of total degree above 64, multiply stepwise
-by the schoolbook product over each base.
+built once per tower and shared by equal towers.  Over Q the integer
+numerators of both operands are multiplied through the table and the
+product is divided once by the gcd with its denominator (Knuth, TAOCP
+vol. 2, 4.5.1), so a product makes no rational number; over F_p
+the residues are multiplied as integers and reduced once mod p.  Its
+inverse solves the multiplication matrix (fraction-free over Q, mod p over
+F_p) when the top step's base is a certified field (Q, F_p, or one
+quadratic step over Q whose discriminant is not a rational square).  The
+image of a tower over Q modulo p takes that inverse exactly when the tower
+itself does.  A singular matrix, or any other base, falls back to extended
+Euclid, which raises :class:`ZeroDivisorError` with its factor.  Towers
+over a ``FunctionField``, and towers of total degree above 64, multiply
+stepwise by the schoolbook product over each base.
 """
 
 from __future__ import annotations
@@ -461,10 +466,10 @@ class _MulTable(NamedTuple):
     """Structure constants of a tower over Q or F_p in its flat basis.
 
     The flat basis is the products of generator powers, in the order in
-    which an element's coordinate tuple lists its leaves.  For basis
-    elements e_i, e_j, ``rows[i][j]`` holds the pairs (k, c) with
-    e_i * e_j = sum of c * e_k / ``den``; the c are nonzero integers.  Over
-    F_p, ``den`` is 1 and the c are residues in [1, p).
+    which an element lists its leaf coordinates.  For basis elements e_i,
+    e_j, ``rows[i][j]`` holds the pairs (k, c) with e_i * e_j = sum of
+    c * e_k / ``den``; the c are nonzero integers.  Over F_p, ``den`` is 1
+    and the c are residues in [1, p).
     """
 
     den: int
@@ -479,45 +484,31 @@ _TABLE_MAX_DIM = 64
 _ZERO = mpq(0)
 
 
-def _int_coords(flat) -> tuple[list, int]:
-    """The nonzero leaves as (index, integer) pairs over one common
-    denominator, and that denominator; for F_p residues, which are ints,
-    the residues themselves and 1."""
-    nz = []
-    den = 1
-    for i, c in enumerate(flat):
-        if c:
-            nz.append((i, c))
-            d = c.denominator
-            if d != 1 and den % d:
-                den = math.lcm(den, d)
-    if den == 1:
-        return [(i, c.numerator) for i, c in nz], 1
-    return [(i, c.numerator * (den // c.denominator)) for i, c in nz], den
-
-
-def _from_ints(nums, den) -> tuple:
-    """The rationals n / den, with one shared zero."""
-    if den == 1:
-        return tuple(mpq(n) if n else _ZERO for n in nums)
-    return tuple(mpq(n, den) if n else _ZERO for n in nums)
+def _canonical(nums, den: int) -> tuple:
+    """The canonical pair of the rationals n / den, n in the sequence nums,
+    for den > 0: an int tuple and an int, divided by their gcd."""
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            return tuple(n // g for n in nums), den // g
+    return tuple(nums), den
 
 
 def _build_table(ring: "QuotientRing") -> _MulTable:
     """The table of a tower over Q or F_p, from schoolbook products of its
     basis."""
-    dim, leaf = ring.dim, ring.leaf
-    basis = [tuple(leaf.one() if k == i else leaf.zero() for k in range(dim)) for i in range(dim)]
+    dim, over_q = ring.dim, ring._over_q
+    units = [tuple(int(k == i) for k in range(dim)) for i in range(dim)]
+    basis = [(u, 1) for u in units] if over_q else units
     prods = {}
     for i in range(dim):
         for j in range(i, dim):
-            prods[i, j] = ring._schoolbook_mul(basis[i], basis[j])
-    # a residue is an int, whose denominator is 1
-    den = math.lcm(*(c.denominator for v in prods.values() for c in v))
+            v = ring._schoolbook_mul(basis[i], basis[j])
+            prods[i, j] = v if over_q else (v, 1)
+    den = math.lcm(*(d for _, d in prods.values()))
     rows = [[()] * dim for _ in range(dim)]
-    for (i, j), v in prods.items():
-        rows[i][j] = rows[j][i] = tuple(
-            (k, c.numerator * (den // c.denominator)) for k, c in enumerate(v) if c)
+    for (i, j), (nums, d) in prods.items():
+        rows[i][j] = rows[j][i] = tuple((k, c * (den // d)) for k, c in enumerate(nums) if c)
     return _MulTable(den, tuple(map(tuple, rows)))
 
 
@@ -568,27 +559,33 @@ def _solve_mod_p(m: list, p: int) -> tuple | None:
 class QuotientRing(Domain):
     """One extension step K[t]/(m(t)) with monic modulus m.
 
-    An element is one flat tuple of ``dim`` raws of the ``leaf`` domain,
+    An element lists ``dim`` leaf coordinates over the ``leaf`` domain,
     the first domain down the chain that is not a quotient ring: the
     ``deg m`` base elements that are its coordinates in increasing powers
     of the generator, each itself flat, laid end to end, so the innermost
-    generator varies fastest.  Only this module knows that layout; other
-    code reads the base coordinates through :meth:`coords`.  The base must
-    support inversion of the elements met during extended-gcd inversion; a
-    field base always does.  Inverting a nonzero noninvertible element
-    raises :class:`ZeroDivisorError` with a discovered proper factor of
-    ``m``.
+    generator varies fastest.  Over Q (``leaf`` is ``Rationals``) the raw is
+    the canonical pair ``(nums, den)``: a tuple of ``dim`` ints and an int
+    ``den > 0`` with gcd(den, *nums) = 1, the coordinates being n / den; so
+    equal values have equal raws, zero is ``((0,) * dim, 1)``, and ``eq``
+    and ``key`` need no arithmetic.  Over any other leaf the raw is the
+    flat tuple of leaf raws.  Only this module knows that layout (and
+    ``unipoly._shift_by_one``, which shifts integer leaf columns); other
+    code reads the base coordinates through :meth:`coords` and builds
+    values from them through :meth:`from_coeffs`.  The base must support
+    inversion of the elements met during extended-gcd inversion; a field
+    base always does.  Inverting a nonzero noninvertible element raises
+    :class:`ZeroDivisorError` with a discovered proper factor of ``m``.
 
     Over Q or F_p (every step of the chain a ``QuotientRing``, the bottom
     Q or a prime field), ``mul`` goes through the tower's integer table,
-    reducible moduli included, and reduces once: one division over Q, one
-    ``% p`` per leaf over F_p.  ``inv`` solves the table's multiplication
-    matrix when the base is a certified field, and takes extended Euclid
-    when the matrix is singular or the base is not certified: a unit can
-    meet a zero-divisor leading coefficient in Euclid over a non-field
-    base, and that error is part of the contract.  An image modulo p
-    (``_mod_p_domain``) solves the matrix exactly when its source tower
-    does.
+    reducible moduli included, and reduces once: one gcd with the
+    denominator over Q, one ``% p`` per leaf over F_p.  ``inv`` solves the
+    table's multiplication matrix when the base is a certified field, and
+    takes extended Euclid when the matrix is singular or the base is not
+    certified: a unit can meet a zero-divisor leading coefficient in Euclid
+    over a non-field base, and that error is part of the contract.  An
+    image modulo p (``_mod_p_domain``) solves the matrix exactly when its
+    source tower does.
     """
 
     def __init__(self, base: Domain, name: str, minpoly: tuple, *, field: bool | None = None):
@@ -607,23 +604,41 @@ class QuotientRing(Domain):
         below = isinstance(base, QuotientRing)
         self.leaf, self._step = (base.leaf, base.dim) if below else (base, 1)
         self.dim = deg * self._step
+        # elements are (nums, den) pairs
+        self._over_q = isinstance(self.leaf, Rationals)
         self._table = _table_for(self)
         self._flat_inv = self._table is not None and _certified_field(base)
 
     def coords(self, a) -> tuple:
         """The ``deg m`` base coordinates of a, constant term first."""
         w = self._step
+        if self._over_q:
+            nums, den = a
+            if w == 1:
+                return tuple(mpq(n, den) if n else _ZERO for n in nums)
+            return tuple(_canonical(nums[i:i + w], den) for i in range(0, self.dim, w))
         if w == 1:
             return a
         return tuple(a[i:i + w] for i in range(0, self.dim, w))
 
     def _join(self, coords) -> tuple:
         """Inverse of :meth:`coords`."""
+        if self._over_q:
+            if self._step == 1:
+                coords = [((int(c.numerator),), int(c.denominator)) for c in coords]
+            else:
+                coords = list(coords)
+            # for each prime q, the input whose den holds the highest power
+            # of q has a numerator prime to q, so this pair is canonical
+            den = math.lcm(*(d for _, d in coords))
+            return tuple(n * (den // d) for nums, d in coords for n in nums), den
         if self._step == 1:
             return tuple(coords)
         return tuple(x for c in coords for x in c)
 
     def zero(self):
+        if self._over_q:
+            return (0,) * self.dim, 1
         return (self.leaf.zero(),) * self.dim
 
     def one(self):
@@ -651,34 +666,48 @@ class QuotientRing(Domain):
         return self._join(lst[: self.degree])
 
     def add(self, a, b):
-        return tuple(map(self.leaf.add, a, b))
+        if not self._over_q:
+            return tuple(map(self.leaf.add, a, b))
+        (na, da), (nb, db) = a, b
+        if da == db:
+            return _canonical(list(map(operator.add, na, nb)), da)
+        return _canonical([x * db + y * da for x, y in zip(na, nb)], da * db)
 
     def sub(self, a, b):
-        return tuple(map(self.leaf.sub, a, b))
+        if not self._over_q:
+            return tuple(map(self.leaf.sub, a, b))
+        (na, da), (nb, db) = a, b
+        if da == db:
+            return _canonical(list(map(operator.sub, na, nb)), da)
+        return _canonical([x * db - y * da for x, y in zip(na, nb)], da * db)
 
     def neg(self, a):
-        return tuple(map(self.leaf.neg, a))
+        if not self._over_q:
+            return tuple(map(self.leaf.neg, a))
+        nums, den = a
+        return tuple(map(operator.neg, nums)), den
 
     def mul(self, a, b):
         table = self._table
         if table is None:
             return self._schoolbook_mul(a, b)
-        xa, da = _int_coords(a)
-        xb, db = _int_coords(b)
-        if not xa or not xb:
-            return self.zero()
+        over_q = self._over_q
+        if over_q:
+            (a, da), (b, db) = a, b
+        xb = [(j, y) for j, y in enumerate(b) if y]
         rows = table.rows
         acc = [0] * self.dim
-        for i, x in xa:
-            row = rows[i]
-            for j, y in xb:
-                xy = x * y
-                for k, c in row[j]:
-                    acc[k] += xy * c
+        for i, x in enumerate(a):
+            if x:
+                row = rows[i]
+                for j, y in xb:
+                    xy = x * y
+                    for k, c in row[j]:
+                        acc[k] += xy * c
+        if over_q:
+            return _canonical(acc, da * db * table.den)
         p = self.char
-        if p:
-            return tuple(v % p for v in acc)
-        return _from_ints(acc, da * db * table.den)
+        return tuple(v % p for v in acc)
 
     def _schoolbook_mul(self, a, b):
         """Schoolbook product of the base coordinates, then reduction mod m."""
@@ -753,18 +782,21 @@ class QuotientRing(Domain):
         """a^-1 by a Gauss-Jordan solve of N y = e_0, where column j of the
         integer matrix N holds the table coordinates of a * e_j; None when N
         is singular (a is a zero divisor).  Over F_p the solve runs mod p and
-        a^-1 = y.  Over Q it is fraction-free (Bareiss's exact divisions),
-        column j is da * den times the flat coordinates of a * e_j, and
-        a^-1 = da * den * y."""
+        a^-1 = y.  Over Q, with a = (nums, da), column j is da * den times
+        the flat coordinates of a * e_j, the solve is fraction-free
+        (Bareiss's exact divisions) and ends with prev * y = r for the last
+        pivot prev, so a^-1 = (da * den * r, prev), its sign moved to r when
+        prev < 0."""
         table, dim, p = self._table, self.dim, self.char
-        xa, da = _int_coords(a)
+        nums, da = a if self._over_q else (a, 1)
         rows = table.rows
         m = [[0] * (dim + 1) for _ in range(dim)]
-        for i, x in xa:
-            row = rows[i]
-            for j in range(dim):
-                for k, c in row[j]:
-                    m[k][j] += x * c
+        for i, x in enumerate(nums):
+            if x:
+                row = rows[i]
+                for j in range(dim):
+                    for k, c in row[j]:
+                        m[k][j] += x * c
         m[0][dim] = 1
         if p:
             return _solve_mod_p(m, p)
@@ -783,21 +815,31 @@ class QuotientRing(Domain):
                 f = cur[col]
                 m[r] = [(p * u - f * v) // prev for u, v in zip(cur, top)]
             prev = p
-        # row k now reads prev * y_k = m[k][dim]
         scale = da * table.den
-        return _from_ints([r[dim] * scale for r in m], prev)
+        if prev < 0:
+            scale, prev = -scale, -prev
+        return _canonical([r[dim] * scale for r in m], prev)
 
     def eq(self, a, b):
+        if self._over_q:
+            return a == b
         return all(map(self.leaf.eq, a, b))
 
     def is_zero(self, a):
+        if self._over_q:
+            return not any(a[0])
         return all(map(self.leaf.is_zero, a))
 
     def is_one(self, a):
         # leaf 0 is the constant coordinate of every step
+        if self._over_q:
+            nums, den = a
+            return den == 1 and nums[0] == 1 and not any(nums[1:])
         return self.leaf.is_one(a[0]) and all(map(self.leaf.is_zero, a[1:]))
 
     def key(self, a):
+        if self._over_q:
+            return a
         return tuple(map(self.leaf.key, a))
 
     def fmt(self, a, atom=False):
@@ -1481,6 +1523,9 @@ def rational_projection(domain: Domain, raw: El):
     if isinstance(domain, Rationals):
         return raw
     if isinstance(domain, QuotientRing):
+        if domain._over_q:
+            nums, den = raw
+            return mpq(nums[0], den)
         return rational_projection(domain.leaf, raw[0])
     if isinstance(domain, FunctionField):
         c = domain.constant(raw)
@@ -1523,8 +1568,13 @@ def _mod_p_raw(dom: Domain, raw, dom_p: Domain):
         if den == 0:
             raise ValueError("prime divides a denominator")
         return dom_p.mul(dom_p.from_int(int(raw.numerator)), dom_p.inv(den))
-    if isinstance(dom, QuotientRing):
-        return tuple(_mod_p_raw(dom.leaf, c, dom_p.leaf) for c in raw)
+    if isinstance(dom, QuotientRing):  # a tower over Q: a (nums, den) pair
+        nums, den = raw
+        p = dom_p.char
+        if den % p == 0:
+            raise ValueError("prime divides a denominator")
+        s = pow(den, -1, p)
+        return tuple(n * s % p for n in nums)
     raise ValueError("no modular image for this value")
 
 

@@ -29,6 +29,7 @@ from .rings import (
     QuotientRing,
     ZeroDivisorError,
     _ZERO,
+    _canonical,
     _dense_terms,
     _mod_p_domain,
     _mod_p_raw,
@@ -270,14 +271,16 @@ class UniPoly:
         if not other.coeffs:
             raise ZeroDivisionError("division by zero polynomial")
         dg = max(other.coeffs)
-        lead_inv = dom.inv(other.coeffs[dg])
+        lead = other.coeffs[dg]
+        # a monic divisor needs no product by 1: raws are canonical
+        lead_inv = None if dom.is_one(lead) else dom.inv(lead)
         rem = dict(self.coeffs)
         quo: dict[int, El] = {}
         while rem:
             dr = max(rem)
             if dr < dg:
                 break
-            f = dom.mul(rem[dr], lead_inv)
+            f = rem[dr] if lead_inv is None else dom.mul(rem[dr], lead_inv)
             quo[dr - dg] = f
             for e, c in other.coeffs.items():
                 t = e + dr - dg
@@ -661,26 +664,36 @@ def _shift_by_one(dom: Domain, g: list[El]) -> list[El]:
     them, by n(n + 1)/2 integer additions per leaf column.
 
     The shift is linear over the leaves, so each leaf coordinate, read as a
-    column down the coefficients, shifts on its own.  Over Q the leaves are
-    brought to one common denominator first and divided by it once at the
-    end; over F_p they are residues, reduced once mod p at the end.
+    column down the coefficients, shifts on its own.  Over Q the integer
+    numerators are brought to the lcm of the coefficients' denominators
+    first, and each shifted coefficient is divided by it once at the end;
+    over F_p the leaves are residues, reduced once mod p at the end.
     All-zero columns are not shifted."""
     tower = isinstance(dom, QuotientRing)
-    leaf = dom.leaf if tower else dom
-    cols = list(zip(*g)) if tower else [g]
-    # a residue is an int, whose denominator is 1
-    den = lcm(*{c.denominator for col in cols for c in col})
-    cols = [[c.numerator * (den // c.denominator) for c in col] for col in cols]
-    p = leaf.char
+    p = dom.char
+    # each coefficient as integer leaves over a denominator; a residue is
+    # an int, whose denominator is 1
+    if tower and not p:
+        pairs = g
+    elif tower:
+        pairs = [(c, 1) for c in g]
+    else:
+        pairs = [((c.numerator,), c.denominator) for c in g]
+    den = lcm(*(d for _, d in pairs))
+    cols = [list(col) for col in zip(*(
+        nums if d == den else [v * (den // d) for v in nums] for nums, d in pairs))]
     n = len(g) - 1
-    out = []
     for col in cols:
         if any(col):
             for i in range(n):
                 for j in range(n - 1, i - 1, -1):
                     col[j] += col[j + 1]
-        out.append([v % p for v in col] if p else [mpq(v, den) if v else _ZERO for v in col])
-    return [tuple(row) for row in zip(*out)] if tower else list(out[0])
+    rows = zip(*cols)
+    if p:
+        return [tuple(v % p for v in row) for row in rows] if tower else [v % p for v in cols[0]]
+    if tower:
+        return [_canonical(row, den) for row in rows]
+    return [mpq(v, den) if v else _ZERO for v in cols[0]]
 
 
 def _horner_transport(f: UniPoly, m: Mobius) -> UniPoly:

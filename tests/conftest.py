@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from superelliptic import DeltaForm, mpq, parse_expression
+from superelliptic import DeltaForm, QuotientRing, mpq, parse_expression
 from superelliptic.parser import domain_with_sugar
 
 
@@ -22,6 +22,17 @@ def rand_mpq(rng, lo=-9, hi=9, den=4):
     num = rng.randint(lo, hi)
     d = rng.randint(1, den)
     return mpq(num, d)
+
+
+def tower_from_leaves(dom, leaves):
+    """The tower element whose flat leaf coordinates, innermost generator
+    fastest, are ``leaves``; built through ``from_coeffs`` only."""
+    if not isinstance(dom, QuotientRing):
+        (leaf,) = leaves
+        return leaf
+    w = len(leaves) // dom.degree
+    return dom.from_coeffs([tower_from_leaves(dom.base, leaves[i:i + w])
+                            for i in range(0, len(leaves), w)])
 
 
 def symmetric_form(dom, delta, r, half_values):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from superelliptic import (
@@ -13,12 +15,13 @@ from superelliptic import (
     embed,
     mpq,
     rings,
+    unipoly,
 )
-from superelliptic.catalog import multiplicative_generator, sqrt3_field, zeta5_field
+from superelliptic.catalog import gaussian_field, multiplicative_generator, sqrt3_field, zeta5_field
 from superelliptic.groups import _rational_roots
 from superelliptic.parser import build_domain
 
-from conftest import rand_mpq
+from conftest import rand_mpq, tower_from_leaves
 
 
 def sqrt3():
@@ -66,27 +69,27 @@ def test_f3_example():
 def test_sqrt3_square_fixture():
     # (25 - 15 s3)^2 = 1300 - 750 s3, reduced modulo t^2 - 3 by hand
     K = sqrt3()
-    a = (mpq(25), mpq(-15))
-    assert K.mul(a, a) == (mpq(1300), mpq(-750))
+    a = K.from_coeffs([mpq(25), mpq(-15)])
+    assert K.coords(K.mul(a, a)) == (mpq(1300), mpq(-750))
 
 
 def test_tower_inverse():
     K = sqrt3()
     t = K.gen()
     assert K.mul(t, K.inv(t)) == K.one()
-    assert K.inv(t) == (mpq(0), mpq(1, 3))
+    assert K.coords(K.inv(t)) == (mpq(0), mpq(1, 3))
 
 
 def test_zero_divisor_carries_factor():
     # t^3 - 8 = (t - 2)(t^2 + 2t + 4); inverting t - 2 must expose t - 2
     R = adjoin(QQ, "t", (QQ.from_int(-8), QQ.zero(), QQ.zero(), QQ.one()))
     with pytest.raises(ZeroDivisorError) as info:
-        R.inv((mpq(-2), mpq(1), mpq(0)))
+        R.inv(R.from_coeffs([mpq(-2), mpq(1), mpq(0)]))
     assert info.value.factor == (mpq(-2), mpq(1))
     with pytest.raises(ZeroDivisionError):
         R.inv(R.zero())
     # arithmetic in the non-field quotient still works
-    x = (mpq(1), mpq(1), mpq(0))
+    x = R.from_coeffs([mpq(1), mpq(1), mpq(0)])
     assert R.mul(x, R.one()) == x
 
 
@@ -121,7 +124,7 @@ def _random_element(dom, rng, depth=0):
     if dom is QQ or isinstance(dom, type(QQ)):
         return rand_mpq(rng)
     if isinstance(dom, QuotientRing):
-        return tuple(_random_element(dom.base, rng) for _ in range(dom.degree))
+        return dom.from_coeffs([_random_element(dom.base, rng) for _ in range(dom.degree)])
     if isinstance(dom, FunctionField):
         num = {}
         for _ in range(rng.randint(1, 3)):
@@ -392,11 +395,13 @@ def test_two_step_finite_tower_first_found_choices():
 
 def _dense(dom, rng):
     """A tower element over Q with every rational leaf nonzero."""
-    return tuple(mpq(rng.randint(1, 9), rng.randint(1, 5)) * rng.choice((1, -1))
-                 for _ in range(dom.dim))
+    return tower_from_leaves(dom, [mpq(rng.randint(1, 9), rng.randint(1, 5)) * rng.choice((1, -1))
+                                   for _ in range(dom.dim)])
 
 
 def test_product_over_q_i_zeta5_makes_no_rational_calls(monkeypatch, rng):
+    """A product, sum, difference and table inverse over Q(i, zeta5) run on
+    integer leaves: no rational operation and no ``mpq`` is made."""
     K = zeta5_field()
     a, b = _dense(K, rng), _dense(K, rng)
     expected = K._schoolbook_mul(a, b)
@@ -405,11 +410,16 @@ def test_product_over_q_i_zeta5_makes_no_rational_calls(monkeypatch, rng):
         real = getattr(Rationals, name)
         monkeypatch.setattr(Rationals, name, staticmethod(
             lambda x, y, _real=real: calls.append(1) or _real(x, y)))
-    K._schoolbook_mul(a, b)
-    assert calls  # the spy sees the schoolbook route
+    real_mpq = rings.mpq
+    monkeypatch.setattr(rings, "mpq", lambda *args: calls.append(1) or real_mpq(*args))
+    K.fmt(a)
+    assert calls  # the spies see a read of the rational leaves
     calls.clear()
-    assert K.mul(a, b) == expected
+    product, total, diff, inverse = K.mul(a, b), K.add(a, b), K.sub(a, b), K.inv(a)
     assert not calls
+    assert product == expected
+    assert K.sub(total, b) == a and K.add(diff, b) == a
+    assert K.is_one(K.mul(a, inverse))
 
 
 def test_inverse_over_q_i_sqrt3_runs_no_euclid(monkeypatch, rng):
@@ -460,3 +470,129 @@ def test_nested_route_over_parameters_prime_fields_and_large_degree():
     assert big._table is None and not big._flat_inv
     w = big.gen()
     assert big.mul(big.pow(w, 64), w) == big.from_int(2)
+
+
+# -- the canonical (nums, den) raw of towers over Q --------------------------
+
+
+def _canonical_towers():
+    return {
+        "Q(i)": gaussian_field(),
+        "Q(i, sqrt3)": sqrt3_field(),
+        "Q(i, zeta5)": zeta5_field(),
+        "Q[t]/(t^2 - 1)": adjoin(QQ, "t", (QQ.from_int(-1), QQ.zero(), QQ.one())),
+        "big": adjoin(QQ, "w", (QQ.from_int(-2),) + (QQ.zero(),) * 64 + (QQ.one(),)),
+    }
+
+
+def _assert_canonical(dom, v):
+    nums, den = v
+    assert type(den) is int and den > 0, v
+    assert len(nums) == dom.dim and all(type(n) is int for n in nums), v
+    assert math.gcd(den, *nums) == 1, v  # so zero is ((0,) * dim, 1)
+
+
+@pytest.mark.parametrize("name", list(_canonical_towers()))
+def test_tower_raws_over_q_are_canonical(name, rng):
+    """Every operation returns the canonical pair, so equal values reached
+    by two routes have equal raws and keys (the dedupe of group elements
+    and orbit points relies on it)."""
+    dom = _canonical_towers()[name]
+    sparse = dom.dim > 16  # big: few nonzero leaves keep Euclid cheap
+
+    def element():
+        leaves = [rand_mpq(rng, -9, 9, 12) if not sparse or rng.random() < 0.05 else QQ.zero()
+                  for _ in range(dom.dim)]
+        leaves[rng.randrange(dom.dim)] = mpq(rng.randint(1, 9), rng.randint(1, 12))
+        return tower_from_leaves(dom, leaves)
+
+    def same(x, y):
+        assert x == y and dom.eq(x, y) and dom.key(x) == dom.key(y)
+
+    zero, one = dom.zero(), dom.one()
+    _assert_canonical(dom, zero)
+    assert zero == ((0,) * dom.dim, 1) and dom.is_zero(zero) and dom.is_one(one)
+    g = dom.gen()
+    for _ in range(3 if sparse else 8):
+        a, b, c = element(), element(), element()
+        q = rand_mpq(rng, -30, 30, 18)
+        base_value = tower_from_leaves(dom.base, [rand_mpq(rng, -9, 9, 6) for _ in range(dom.base.dim)]) \
+            if isinstance(dom.base, QuotientRing) else q
+        results = [a, b, c, embed(QQ, dom, q), dom.from_base(base_value),
+                   dom.add(a, b), dom.sub(a, b), dom.neg(a), dom.mul(a, b),
+                   dom.scale(a, base_value), dom.sub(a, a), dom.add(a, dom.neg(a))]
+        # from_coeffs reduces a list longer than the degree modulo m
+        long = [tower_from_leaves(dom.base, [rand_mpq(rng) for _ in range(dom.base.dim)])
+                if isinstance(dom.base, QuotientRing) else rand_mpq(rng)
+                for _ in range(dom.degree + 3)]
+        reduced = dom.from_coeffs(long)
+        powers = dom.powers(g, len(long) - 1)
+        expected = zero
+        for coeff, power in zip(long, powers):
+            expected = dom.add(expected, dom.mul(dom.from_base(coeff), power))
+        same(reduced, expected)
+        results.append(reduced)
+        try:
+            inverse = dom.inv(a)
+        except ZeroDivisorError:  # a zero divisor of t^2 - 1
+            assert name == "Q[t]/(t^2 - 1)"
+        else:
+            results.append(inverse)
+            same(dom.mul(a, inverse), one)
+            if not sparse:
+                same(dom.inv(inverse), a)
+        for v in results:
+            _assert_canonical(dom, v)
+        same(dom.mul(dom.mul(a, b), c), dom.mul(a, dom.mul(b, c)))
+        same(dom.mul(a, dom.add(b, c)), dom.add(dom.mul(a, b), dom.mul(a, c)))
+        same(dom.sub(a, a), zero)
+        same(dom.add(dom.sub(a, b), b), a)
+        same(dom.neg(dom.neg(a)), a)
+        same(embed(QQ, dom, q), dom.mul(dom.from_int(q.numerator), dom.inv(dom.from_int(q.denominator))))
+    coeffs = [element() for _ in range(6)] + [zero]
+    for v in unipoly._shift_by_one(dom, coeffs):
+        _assert_canonical(dom, v)
+
+
+def test_table_inverse_makes_the_denominator_positive():
+    """Bareiss's last pivot is the determinant, here negative: the inverse
+    moves its sign to the numerators."""
+    K = sqrt3()
+    a = K.from_coeffs([mpq(1), mpq(1)])  # 1 + s3, norm 1 - 3 = -2
+    inverse = K.inv(a)
+    assert K.coords(inverse) == (mpq(-1, 2), mpq(1, 2))
+    assert inverse == ((-1, 1), 2)
+
+
+# -- tower paths the other tests leave unrun -----------------------------------
+
+
+def test_tower_fmt_atom_and_nth_root():
+    K = sqrt3_field()  # Q(i, sqrt3)
+    i = K.from_base(K.base.gen())
+    s = K.gen()
+    assert K.fmt(K.add(s, K.one()), atom=True) == "(sqrt3 + 1)"
+    assert K.fmt(K.neg(s), atom=True) == "(-sqrt3)"
+    assert K.fmt(s, atom=True) == "sqrt3"
+    assert K.fmt(K.mul(i, s), atom=True) == "I*sqrt3"
+    assert K.fmt(K.add(i, s), atom=True) == "(sqrt3 + I)"
+    # over an infinite tower only base elements are searched, step by step
+    assert K.nth_root(s, 2) is None
+    assert K.nth_root(K.add(s, K.one()), 3) is None
+    assert K.nth_root(K.from_int(-1), 2) is None  # i^2, but Q has no root
+    assert K.nth_root(K.from_int(16), 4) == K.from_int(2)
+    assert K.nth_root(embed(QQ, K, mpq(-27, 8)), 3) == embed(QQ, K, mpq(-3, 2))
+
+
+def test_common_rational_over_towers():
+    K = sqrt3_field()  # Q(i, sqrt3)
+    q = mpq(-7, 12)
+    assert common_rational(K, embed(QQ, K, q)) == q
+    assert common_rational(K, K.zero()) == 0
+    assert common_rational(K, K.gen()) is None
+    assert common_rational(K, K.add(embed(QQ, K, q), K.from_base(K.base.gen()))) is None
+    FF = FunctionField(QQ, ("a",))
+    eps = QuotientRing(FF, "e", (FF.from_int(-2), FF.zero(), FF.one()))
+    assert common_rational(eps, embed(QQ, eps, q)) == q
+    assert common_rational(eps, eps.from_base(FF.param("a"))) is None
+    assert common_rational(eps, eps.gen()) is None

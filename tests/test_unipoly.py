@@ -22,7 +22,7 @@ from superelliptic.parser import build_domain, parse_constant, parse_expression
 from superelliptic.rings import QuotientRing
 from superelliptic.unipoly import NEG_INF, _res_with_derivative
 
-from conftest import qpoly
+from conftest import qpoly, tower_from_leaves
 
 
 def P(ints):
@@ -196,8 +196,7 @@ def _random_coeffs(dom, rng, n):
 
     coeffs = []
     for _ in range(n + 1):
-        flat = tuple(leaf_value(k) for k in range(dim))
-        coeffs.append(flat if dim > 1 else flat[0])
+        coeffs.append(tower_from_leaves(dom, [leaf_value(k) for k in range(dim)]))
     return coeffs
 
 
@@ -442,6 +441,24 @@ def test_coprimality_over_q_i_zeta5_runs_tables_in_the_image(monkeypatch):
     assert f.domain == K and f.degree() == 20
     assert squarefree_test(f)
     assert verdicts == [True] and not hits
+
+
+def test_a_prime_dividing_a_denominator_gives_no_image_verdict():
+    # 65537 divides a denominator of c, so that prime builds no image of f
+    # and polys_coprime decides at the next prime or exactly
+    K = build_domain(0, [("I", "t^2 + 1"), ("s3", "t^2 - 3")], ())
+    p = 65537
+    c = parse_constant(f"1/{p}*I + s3", K)
+    with pytest.raises(ValueError, match="prime divides a denominator"):
+        rings._mod_p_raw(K, c, rings._mod_p_domain(K, p))
+    f = UniPoly(K, {2: K.one(), 1: K.one(), 0: c})
+    g = UniPoly(K, {1: K.one(), 0: K.from_int(-1)})
+    h = UniPoly(K, {1: K.one(), 0: c})
+    assert unipoly._coprime_mod_p(f, g, p) is None
+    assert unipoly.polys_coprime(f, g) and unipoly.polys_coprime(g, f)
+    assert unipoly._coprime_mod_p(f * h, g * h, p) is None
+    assert not unipoly.polys_coprime(f * h, g * h)
+    assert poly_gcd(f * h, g * h) == h
 
 
 def test_image_of_an_uncertified_tower_keeps_euclid():
