@@ -459,6 +459,14 @@ def test_a_prime_dividing_a_denominator_gives_no_image_verdict():
     assert unipoly._coprime_mod_p(f * h, g * h, p) is None
     assert not unipoly.polys_coprime(f * h, g * h)
     assert poly_gcd(f * h, g * h) == h
+    # the same over Q
+    q = mpq(3, p)
+    f, g, h = P([q, 1, 1]), P([-1, 1]), P([q, 1])
+    with pytest.raises(ValueError, match="prime divides a denominator"):
+        rings._mod_p_raw(QQ, q, rings._mod_p_domain(QQ, p))
+    assert unipoly._coprime_mod_p(f, g, p) is None
+    assert unipoly.polys_coprime(f, g)
+    assert not unipoly.polys_coprime(f * h, g * h)
 
 
 def test_image_of_an_uncertified_tower_keeps_euclid():
