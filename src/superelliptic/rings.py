@@ -18,6 +18,11 @@ Supported domains, with the raw Python value used for their elements:
                            in Z[params], coprime), over any other field
                            they are base raws
 
+Every raw a domain returns is canonical: equal values have equal raws.
+So ``eq`` is ``==`` in every domain, and ``key`` is the raw itself wherever
+the raw can be hashed (a function field keys its term dicts as sorted
+tuples).  No domain works equality out again from its arithmetic.
+
 Domains are immutable and hashable; every operation is a pure function of
 raw values, so values can be shared freely between threads.  Operations on
 mismatched domains raise :class:`DomainMismatchError`; inverting a nonzero
@@ -130,7 +135,13 @@ def _is_prime(n: int) -> bool:
 
 
 class Domain:
-    """Abstract base for coefficient domains."""
+    """Abstract base for coefficient domains.
+
+    The contract of every domain: each raw it returns is canonical, so
+    equal values have equal raws.  ``eq`` is therefore ``==``,
+    ``is_zero`` and ``is_one`` compare with the canonical zero and one, and
+    ``key`` returns the raw wherever it can be hashed.
+    """
 
     char: int
     is_field: bool
@@ -203,15 +214,15 @@ class Domain:
         return a == b
 
     def is_zero(self, a: El) -> bool:
-        return self.eq(a, self.zero())
+        return a == self.zero()
 
     def is_one(self, a: El) -> bool:
-        return self.eq(a, self.one())
+        return a == self.one()
 
     # -- misc ------------------------------------------------------------
 
     def key(self, a: El):
-        """Hashable canonical key of a raw value."""
+        """Hashable key of a raw value: the raw itself, which is canonical."""
         return a
 
     def fmt(self, a: El, atom: bool = False) -> str:
@@ -354,6 +365,7 @@ class PrimeField(Domain):
     """The prime field F_p, elements stored as reduced residues."""
 
     is_field = True
+    is_zero = staticmethod(operator.not_)
 
     def __init__(self, p: int):
         if not _is_prime(p):
@@ -383,7 +395,7 @@ class PrimeField(Domain):
         return a * b % self.p
 
     def inv(self, a):
-        if a % self.p == 0:
+        if not a:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
 
@@ -392,11 +404,8 @@ class PrimeField(Domain):
             return pow(self.inv(a), -n, self.p)
         return pow(a, n, self.p)
 
-    def is_zero(self, a):
-        return a % self.p == 0
-
     def is_one(self, a):
-        return a % self.p == 1
+        return a == 1
 
     def fmt(self, a, atom=False):
         return str(a)
@@ -565,10 +574,9 @@ class QuotientRing(Domain):
     of the generator, each itself flat, laid end to end, so the innermost
     generator varies fastest.  Over Q (``leaf`` is ``Rationals``) the raw is
     the canonical pair ``(nums, den)``: a tuple of ``dim`` ints and an int
-    ``den > 0`` with gcd(den, *nums) = 1, the coordinates being n / den; so
-    equal values have equal raws, zero is ``((0,) * dim, 1)``, and ``eq``
-    and ``key`` need no arithmetic.  Over any other leaf the raw is the
-    flat tuple of leaf raws.  Only this module knows that layout (and
+    ``den > 0`` with gcd(den, *nums) = 1, the coordinates being n / den, and
+    zero is ``((0,) * dim, 1)``.  Over any other leaf the raw is the flat
+    tuple of leaf raws.  Only this module knows that layout (and
     ``unipoly._shift_by_one``, which shifts integer leaf columns); other
     code reads the base coordinates through :meth:`coords` and builds
     values from them through :meth:`from_coeffs`.  The base must support
@@ -608,6 +616,7 @@ class QuotientRing(Domain):
         self._over_q = isinstance(self.leaf, Rationals)
         self._table = _table_for(self)
         self._flat_inv = self._table is not None and _certified_field(base)
+        self._zero, self._one = self.zero(), self.one()
 
     def coords(self, a) -> tuple:
         """The ``deg m`` base coordinates of a, constant term first."""
@@ -820,27 +829,17 @@ class QuotientRing(Domain):
             scale, prev = -scale, -prev
         return _canonical([r[dim] * scale for r in m], prev)
 
-    def eq(self, a, b):
-        if self._over_q:
-            return a == b
-        return all(map(self.leaf.eq, a, b))
-
     def is_zero(self, a):
-        if self._over_q:
-            return not any(a[0])
-        return all(map(self.leaf.is_zero, a))
+        return a == self._zero
 
     def is_one(self, a):
-        # leaf 0 is the constant coordinate of every step
-        if self._over_q:
-            nums, den = a
-            return den == 1 and nums[0] == 1 and not any(nums[1:])
-        return self.leaf.is_one(a[0]) and all(map(self.leaf.is_zero, a[1:]))
+        return a == self._one
 
     def key(self, a):
-        if self._over_q:
-            return a
-        return tuple(map(self.leaf.key, a))
+        # term dicts cannot be hashed, so a function-field leaf keys each raw
+        if isinstance(self.leaf, FunctionField):
+            return tuple(map(self.leaf.key, a))
+        return a
 
     def fmt(self, a, atom=False):
         parts = _dense_terms(self.base, dict(enumerate(self.coords(a))), self.name)
@@ -1263,7 +1262,7 @@ class FunctionField(Domain):
     """Rational functions in named parameters over a field base.
 
     Elements are pairs ``(num, den)`` of term dicts over ``ring``, reduced
-    to a canonical form; equality is structural on that form.  Over Q the
+    to the canonical form of the ``Domain`` contract.  Over Q the
     ring is Z: num and den are coprime in Z[params], integer content
     included, and den has a positive graded-lex leading coefficient.  Over
     any other field the ring is the base and den is monic (graded-lex
@@ -1377,7 +1376,7 @@ class FunctionField(Domain):
         n2, d2 = b
         if self._den_is_one(d1) and self._den_is_one(d2):
             return (mp_mul(ring, n1, n2), d1)
-        if a is b or self.eq(a, b):
+        if a == b:
             return (mp_mul(ring, n1, n1), mp_mul(ring, d1, d1))
         return self._reduce(mp_mul(ring, n1, n2), mp_mul(ring, d1, d2))
 
@@ -1431,20 +1430,6 @@ class FunctionField(Domain):
             if q is not None:
                 return (q, d1)
         return self.div(a, b)
-
-    def eq(self, a, b):
-        n1, d1 = a
-        n2, d2 = b
-        if len(n1) != len(n2) or len(d1) != len(d2):
-            return False
-        return self._dict_eq(n1, n2) and self._dict_eq(d1, d2)
-
-    def _dict_eq(self, f, g):
-        eqb = self.ring.eq
-        for e, c in f.items():
-            if e not in g or not eqb(c, g[e]):
-                return False
-        return True
 
     def is_zero(self, a):
         return not a[0]

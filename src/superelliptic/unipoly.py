@@ -250,12 +250,7 @@ class UniPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, UniPoly):
             return NotImplemented
-        if self.domain != other.domain:
-            return False
-        if set(self.coeffs) != set(other.coeffs):
-            return False
-        eq = self.domain.eq
-        return all(eq(c, other.coeffs[e]) for e, c in self.coeffs.items())
+        return self.domain == other.domain and self.coeffs == other.coeffs
 
     def __hash__(self):
         key = self.domain.key
@@ -272,7 +267,7 @@ class UniPoly:
             raise ZeroDivisionError("division by zero polynomial")
         dg = max(other.coeffs)
         lead = other.coeffs[dg]
-        # a monic divisor needs no product by 1: raws are canonical
+        # a monic divisor needs no product by 1: raws are canonical (Domain)
         lead_inv = None if dom.is_one(lead) else dom.inv(lead)
         rem = dict(self.coeffs)
         quo: dict[int, El] = {}
@@ -552,14 +547,6 @@ class Mobius:
     def map_domain(self, dst: Domain) -> "Mobius":
         src = self.domain
         return Mobius(dst, *(embed(src, dst, e) for e in self.entries()))
-
-    def __eq__(self, other):
-        if not isinstance(other, Mobius):
-            return NotImplemented
-        return self.domain == other.domain and self.key() == other.key()
-
-    def __hash__(self):
-        return hash((self.domain, self.key()))
 
     def __repr__(self):
         fmt = self.domain.fmt

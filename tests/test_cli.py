@@ -86,6 +86,24 @@ def test_exit_codes():
     assert code in (0, 2, 3)  # tower over F_7 is allowed; just must not crash
 
 
+@pytest.mark.parametrize(
+    "argv, code, kind, message",
+    [
+        (["genus", "--n", "2", "x^3 + sqrt(x)"], 4, "parse", "sqrt() takes a single integer literal"),
+        (["genus", "--n", "2", "(x^3 + 1"], 4, "parse", "expected ')'"),
+        (["genus", "--n", "2", "--ext", "t:t^2+1", "--ext", "t:t^2+2", "x^3+t"], 2, "ValueError",
+         "duplicate extension generator 't'"),
+        (["genus", "--n", "2", "--ext", "tt^2+1", "x^3+1"], 2, "ValueError", "--ext needs NAME:MINPOLY"),
+        (["genus", "--n", "1", "x^3+1"], 3, "CoverError", "cover order n must be at least 2"),
+        (["genus", "--n", "2", "5"], 3, "CoverError", "branch factors must be nonconstant"),
+    ],
+)
+def test_exit_codes_of_input_errors(argv, code, kind, message):
+    got, text = run(argv)
+    error = json.loads(text)["error"]
+    assert (got, error["kind"]) == (code, kind) and message in error["message"]
+
+
 def test_genus_with_factored_input():
     code, text = run(
         ["genus", "--n", "4", "--factor", "x + 1:2", "--factor", "x - 1:1", "--factor", "x - 2:1"]

@@ -134,6 +134,19 @@ def test_delta_form():
         delta_form(f, 2)
 
 
+def test_delta_form_validation():
+    one, zero = QQ.one(), QQ.zero()
+    for delta, coeffs, message in [(0, (one, one), "delta must be at least 1"),
+                                   (1, (one,), "degree at least delta"),
+                                   (1, (zero, one), "a_0 = 0"),
+                                   (1, (one, zero), "a_r = 0")]:
+        with pytest.raises(CoverError, match=message):
+            DeltaForm(QQ, delta, coeffs)
+    monic = DeltaForm(QQ, 1, (one, one))
+    with pytest.raises(CoverError, match="monic"):
+        merge(monic, DeltaForm(QQ, 1, (one, QQ.from_int(2))))
+
+
 def test_normalize_identity_and_monicize():
     dom = qpoly("a", "a").domain
     a = dom.fmt  # noqa: F841

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import pytest
@@ -17,7 +18,13 @@ from superelliptic import (
     rings,
     unipoly,
 )
-from superelliptic.catalog import gaussian_field, multiplicative_generator, sqrt3_field, zeta5_field
+from superelliptic.catalog import (
+    finite_field,
+    gaussian_field,
+    multiplicative_generator,
+    sqrt3_field,
+    zeta5_field,
+)
 from superelliptic.groups import _rational_roots
 from superelliptic.parser import build_domain
 
@@ -115,7 +122,9 @@ def _domains_for_axioms():
     FF = FunctionField(QQ, ("a", "b"))
     F7 = PrimeField(7)
     eps = QuotientRing(FF, "e", (FF.neg(FF.one()), FF.zero(), FF.zero(), FF.one()))
-    return [QQ, F7, K, FF, eps]
+    # one domain of each family: F_9, F_7(a) and Q(i)(a) as well
+    return [QQ, F7, K, FF, eps, finite_field(3, 2),
+            FunctionField(F7, ("a",)), FunctionField(gaussian_field(), ("a",))]
 
 
 def _random_element(dom, rng, depth=0):
@@ -139,17 +148,50 @@ def _random_element(dom, rng, depth=0):
 
 
 def test_ring_axioms_randomized(rng):
+    """Equal values reached by two routes have equal raws and keys: every
+    domain returns canonical raws."""
     for dom in _domains_for_axioms():
         for _ in range(60):
             x = _random_element(dom, rng)
             y = _random_element(dom, rng)
             z = _random_element(dom, rng)
-            assert dom.eq(dom.add(dom.add(x, y), z), dom.add(x, dom.add(y, z)))
-            assert dom.eq(dom.mul(dom.mul(x, y), z), dom.mul(x, dom.mul(y, z)))
-            assert dom.eq(dom.mul(x, dom.add(y, z)), dom.add(dom.mul(x, y), dom.mul(x, z)))
-            assert dom.eq(dom.add(x, y), dom.add(y, x))
-            assert dom.eq(dom.mul(x, y), dom.mul(y, x))
-            assert dom.eq(dom.sub(x, x), dom.zero())
+            for u, v in [
+                (dom.add(dom.add(x, y), z), dom.add(x, dom.add(y, z))),
+                (dom.mul(dom.mul(x, y), z), dom.mul(x, dom.mul(y, z))),
+                (dom.mul(x, dom.add(y, z)), dom.add(dom.mul(x, y), dom.mul(x, z))),
+                (dom.add(x, y), dom.add(y, x)),
+                (dom.mul(x, y), dom.mul(y, x)),
+                (dom.sub(x, x), dom.zero()),
+            ]:
+                assert dom.eq(u, v) and dom.key(u) == dom.key(v)
+
+
+def test_f9_predicates_call_no_prime_field_method(monkeypatch, rng):
+    """F_9 holds canonical residues, so is_zero, is_one, eq and key compare
+    raws and call no method of the prime field below it."""
+    F9 = finite_field(3, 2)
+    zero, one = F9.zero(), F9.one()
+    values = [_random_element(F9, rng) for _ in range(12)] + [zero, one]
+    calls = []
+    for name in dir(PrimeField):
+        attr = inspect.getattr_static(PrimeField, name)
+        if name.startswith("__") or not callable(attr):
+            continue
+        static = isinstance(attr, staticmethod)
+
+        def spy(*args, _real=attr.__func__ if static else attr, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(PrimeField, name, staticmethod(spy) if static else spy)
+    F9.add(values[0], values[1])
+    assert "add" in calls  # the spies see leaf arithmetic
+    calls.clear()
+    for x in values:
+        assert F9.is_zero(x) == (x == zero) and F9.is_one(x) == (x == one)
+        assert all(F9.eq(x, y) == (x == y) for y in values)
+        hash(F9.key(x))
+    assert F9.is_zero(zero) and F9.is_one(one) and not calls
 
 
 def test_field_inverses_randomized(rng):
