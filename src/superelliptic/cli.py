@@ -28,6 +28,7 @@ from .covers import (
     CoverError,
     CyclicCover,
     SharedBranchPointError,
+    _check_cover_order,
     delta_form,
     admissible_deltas,
     merge,
@@ -172,7 +173,8 @@ def _cmd_deltas(args):
 
 def _cmd_invariants(args):
     dom = _domain_for(args, [args.poly])
-    if args.n:
+    if args.n is not None:
+        _check_cover_order(args.n)
         if dom.char and gcd(dom.char, args.n) != 1:
             raise CoverError(f"characteristic {dom.char} divides the cover order {args.n}")
         if args.delta > 1 and args.n % args.delta:
@@ -196,6 +198,8 @@ def _cmd_invariants(args):
 
 def _cmd_locus(args):
     dom = _domain_for(args, [args.poly])
+    if args.n is not None:
+        _check_cover_order(args.n)
     u = invariants_of(parse_expression(args.poly, dom), args.delta)
     rep = locus_test(u)
     result = {
@@ -204,7 +208,7 @@ def _cmd_locus(args):
         "component": rep.component,
         "invariants": u.fmt(),
     }
-    if args.n and rep.component != "none":
+    if args.n is not None and rep.component != "none":
         result["component_group"] = rep.component_group(args.n, args.delta)
     warnings = ["degenerate r = 2"] if rep.degenerate_r2 else []
     return result, warnings
@@ -379,7 +383,7 @@ def _build_argparser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", help="dihedral invariants of a delta-form")
     p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--n", type=int, default=0, help="cover order, validated when given")
+    p.add_argument("--n", type=int, default=None, help="cover order, validated when given")
     p.add_argument("--shift", type=int, default=0, help="use shifted invariants u^(e)")
     p.add_argument("--convention", choices=("r-1", "r-i"), default="r-1")
     p.add_argument("poly")
@@ -387,7 +391,7 @@ def _build_argparser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("locus", help="higher-cyclic / dihedral locus predicates")
     p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--n", type=int, default=0)
+    p.add_argument("--n", type=int, default=None)
     p.add_argument("poly")
     _common_flags(p)
 
@@ -470,9 +474,9 @@ def run(argv: list[str]) -> tuple[int, str]:
         )
     command = args.command
     previous_cap = degree_cap()
-    if getattr(args, "max_degree", None):
-        set_degree_cap(args.max_degree)
     try:
+        if getattr(args, "max_degree", None) is not None:
+            set_degree_cap(args.max_degree)
         if command == "batch":
             _cmd_batch(args)
             return 0, ""

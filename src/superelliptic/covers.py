@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .rings import Domain, DomainMismatchError, El
+from .rings import Domain, DomainMismatchError, El, _ul_mul
 from .unipoly import UniPoly, compose, polys_coprime, resultant, squarefree_test, support_gcd
 
 OUTSIDE_EQ2 = "ramification at infinity is partial (n does not divide d but gcd(n, d) > 1)"
@@ -46,6 +46,11 @@ class BlowUpNeededError(ValueError):
     """u_1 = 0; reconstruction must go through the shifted invariants."""
 
 
+def _check_cover_order(n: int) -> None:
+    if n < 2:
+        raise CoverError("cover order n must be at least 2")
+
+
 @dataclass(frozen=True)
 class CyclicCover:
     """y^n = prod g_j(x)^{d_j} with squarefree, pairwise coprime g_j."""
@@ -55,8 +60,7 @@ class CyclicCover:
     domain: Domain = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.n < 2:
-            raise CoverError("cover order n must be at least 2")
+        _check_cover_order(self.n)
         if not self.factors:
             raise CoverError("at least one branch factor is required")
         dom = self.factors[0][0].domain
@@ -266,10 +270,4 @@ def merge(dfa: DeltaForm, dfb: DeltaForm) -> DeltaForm:
     coprime = polys_coprime(fa, fb) if dom.is_field else not dom.is_zero(resultant(fa, fb))
     if not coprime:
         raise SharedBranchPointError("shared branch point: resultant of the factors is zero")
-    ra, rb = dfa.r, dfb.r
-    z = dom.zero()
-    out = [z] * (ra + rb + 1)
-    for i, a in enumerate(dfa.coeffs):
-        for j, b in enumerate(dfb.coeffs):
-            out[i + j] = dom.add(out[i + j], dom.mul(a, b))
-    return DeltaForm(dom, dfa.delta, tuple(out))
+    return DeltaForm(dom, dfa.delta, tuple(_ul_mul(dom, dfa.coeffs, dfb.coeffs)))

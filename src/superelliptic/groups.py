@@ -47,7 +47,7 @@ from .rings import (
     mpq,
     rational_projection,
 )
-from .covers import CoverError
+from .covers import CoverError, _check_cover_order
 from .invariants import invariants_of
 from .unipoly import INF, Mobius, UniPoly, mobius_transport, poly_gcd, proportional, squarefree_test
 
@@ -698,6 +698,7 @@ def classify(fixture: GroupFixture, report: OrbitReport, n: int) -> AutGroupRepo
     table leaves integers unsolved ("suitable" exponents) or defers to an
     external description, a caveat says so instead of inventing values.
     """
+    _check_cover_order(n)
     if report.fixture != fixture.name:
         raise GroupError("orbit report was computed against a different fixture")
     delta = fixture.delta

@@ -52,7 +52,7 @@ image of a tower over Q modulo p takes that inverse exactly when the tower
 itself does.  A singular matrix, or any other base, falls back to extended
 Euclid, which raises :class:`ZeroDivisorError` with its factor.  Towers
 over a ``FunctionField``, and towers of total degree above 64, multiply
-stepwise by the schoolbook product over each base.
+stepwise, by one convolution (``_ul_mul``) and one division (``_ul_divmod``).
 """
 
 from __future__ import annotations
@@ -435,8 +435,8 @@ class PrimeField(Domain):
 
 
 # ---------------------------------------------------------------------------
-# dense univariate helpers over an arbitrary base domain (coefficient lists,
-# constant term first) -- shared by QuotientRing reduction and inversion
+# the stepwise kernel: one convolution and one division of coefficient lists
+# (constant term first) over any base, for QuotientRing products and inverses
 # ---------------------------------------------------------------------------
 
 
@@ -447,21 +447,36 @@ def _ul_deg(base: Domain, c: list) -> int:
     return -1
 
 
-def _ul_divmod(base: Domain, a: list, b: list) -> tuple[list, list]:
+def _ul_mul(base: Domain, a, b) -> list:
+    """Schoolbook product of coefficient lists, with no product formed for
+    a zero entry."""
+    add, mul, is_zero = base.add, base.mul, base.is_zero
+    out = [base.zero()] * (len(a) + len(b) - 1)
+    nb = [(j, y) for j, y in enumerate(b) if not is_zero(y)]
+    for i, x in enumerate(a):
+        if not is_zero(x):
+            for j, y in nb:
+                out[i + j] = add(out[i + j], mul(x, y))
+    return out
+
+
+def _ul_divmod(base: Domain, a, b) -> tuple[list, list]:
     """Long division of coefficient lists; leading coeff of b must be invertible."""
     db = _ul_deg(base, b)
     if db < 0:
         raise ZeroDivisionError("division by zero polynomial")
-    lead_inv = base.inv(b[db])
+    # a monic divisor needs no product by 1: raws are canonical (Domain)
+    lead_inv = None if base.is_one(b[db]) else base.inv(b[db])
     rem = list(a)
     dr = _ul_deg(base, rem)
     quo = [base.zero()] * max(dr - db + 1, 0)
-    while dr >= db:
-        f = base.mul(rem[dr], lead_inv)
-        quo[dr - db] = f
-        for i in range(db + 1):
-            rem[dr - db + i] = base.sub(rem[dr - db + i], base.mul(f, b[i]))
-        dr = _ul_deg(base, rem)
+    for k in range(dr, db - 1, -1):
+        if not base.is_zero(rem[k]):
+            f = rem[k] if lead_inv is None else base.mul(rem[k], lead_inv)
+            quo[k - db] = f
+            rem[k] = base.zero()  # rem[k] - f * b[db] is exactly zero
+            for i in range(db):
+                rem[k - db + i] = base.sub(rem[k - db + i], base.mul(f, b[i]))
     return quo, rem
 
 
@@ -576,13 +591,13 @@ class QuotientRing(Domain):
     the canonical pair ``(nums, den)``: a tuple of ``dim`` ints and an int
     ``den > 0`` with gcd(den, *nums) = 1, the coordinates being n / den, and
     zero is ``((0,) * dim, 1)``.  Over any other leaf the raw is the flat
-    tuple of leaf raws.  Only this module knows that layout (and
-    ``unipoly._shift_by_one``, which shifts integer leaf columns); other
+    tuple of leaf raws.  Only this module knows that layout; other
     code reads the base coordinates through :meth:`coords` and builds
-    values from them through :meth:`from_coeffs`.  The base must support
-    inversion of the elements met during extended-gcd inversion; a field
-    base always does.  Inverting a nonzero noninvertible element raises
-    :class:`ZeroDivisorError` with a discovered proper factor of ``m``.
+    values from them through :meth:`from_coeffs`.  Off the table, products,
+    reductions and extended Euclid run on ``_ul_mul`` and ``_ul_divmod`` over
+    the base, which must invert the leading coefficients Euclid meets; a
+    field base always does.  Inverting a nonzero noninvertible element
+    raises :class:`ZeroDivisorError` with a discovered proper factor of ``m``.
 
     Over Q or F_p (every step of the chain a ``QuotientRing``, the bottom
     Q or a prime field), ``mul`` goes through the tower's integer table,
@@ -666,13 +681,9 @@ class QuotientRing(Domain):
 
     def from_coeffs(self, coeffs) -> tuple:
         """Element from an iterable of base raws (constant first), reducing mod m."""
-        lst = list(coeffs)
-        if len(lst) < self.degree:
-            lst += [self.base.zero()] * (self.degree - len(lst))
-        if _ul_deg(self.base, lst) >= self.degree:
-            _, lst = _ul_divmod(self.base, lst, list(self.minpoly))
-            lst += [self.base.zero()] * (self.degree - len(lst))
-        return self._join(lst[: self.degree])
+        d = self.degree
+        _, rem = _ul_divmod(self.base, coeffs, self.minpoly)
+        return self._join(rem[:d] + [self.base.zero()] * (d - len(rem)))
 
     def add(self, a, b):
         if not self._over_q:
@@ -720,27 +731,7 @@ class QuotientRing(Domain):
 
     def _schoolbook_mul(self, a, b):
         """Schoolbook product of the base coordinates, then reduction mod m."""
-        base = self.base
-        d = self.degree
-        prod = [base.zero()] * (2 * d - 1)
-        cb = self.coords(b)
-        for i, x in enumerate(self.coords(a)):
-            if base.is_zero(x):
-                continue
-            for j, y in enumerate(cb):
-                if base.is_zero(y):
-                    continue
-                prod[i + j] = base.add(prod[i + j], base.mul(x, y))
-        # reduce modulo the monic modulus
-        m = self.minpoly
-        for i in range(2 * d - 2, d - 1, -1):
-            c = prod[i]
-            if base.is_zero(c):
-                continue
-            prod[i] = base.zero()
-            for j in range(d):
-                prod[i - d + j] = base.sub(prod[i - d + j], base.mul(c, m[j]))
-        return self._join(prod[:d])
+        return self.from_coeffs(_ul_mul(self.base, self.coords(a), self.coords(b)))
 
     def scale(self, a, c):
         mul = self.base.mul
@@ -763,11 +754,8 @@ class QuotientRing(Domain):
                 # gcd is r0
                 d0 = _ul_deg(base, r0)
                 if d0 == 0:
-                    c = base.inv(r0[0])
-                    out = [base.mul(x, c) for x in s0]
-                    return self.from_coeffs(out)
-                lead = base.inv(r0[d0])
-                factor = tuple(base.mul(x, lead) for x in r0[: d0 + 1])
+                    return self.from_coeffs(_ul_mul(base, s0, [base.inv(r0[0])]))
+                factor = tuple(_ul_mul(base, r0[: d0 + 1], [base.inv(r0[d0])]))
                 raise ZeroDivisorError(
                     f"zero divisor in {self!r}: modulus has factor of degree {d0}",
                     self.base,
@@ -776,16 +764,8 @@ class QuotientRing(Domain):
             quo, rem = _ul_divmod(base, r0, r1)
             r0, r1 = r1, rem
             # s0 - quo*s1
-            prod = [base.zero()] * (len(quo) + len(s1))
-            for i, q in enumerate(quo):
-                if base.is_zero(q):
-                    continue
-                for j, s in enumerate(s1):
-                    prod[i + j] = base.add(prod[i + j], base.mul(q, s))
-            ln = max(len(s0), len(prod))
-            s0 = s0 + [base.zero()] * (ln - len(s0))
-            new = [base.sub(s0[i], prod[i] if i < len(prod) else base.zero()) for i in range(ln)]
-            s0, s1 = s1, new
+            pairs = itertools.zip_longest(s0, _ul_mul(base, quo, s1), fillvalue=base.zero())
+            s0, s1 = s1, [base.sub(x, y) for x, y in pairs]
 
     def _table_inv(self, a):
         """a^-1 by a Gauss-Jordan solve of N y = e_0, where column j of the
@@ -886,6 +866,43 @@ class QuotientRing(Domain):
     def fmt_minpoly(self, var: str | None = None) -> str:
         terms = _dense_terms(self.base, dict(enumerate(self.minpoly)), var or self.name)
         return "".join(terms) or "0"
+
+
+def _shift_by_one(dom: Domain, g: list[El]) -> list[El]:
+    """The coefficients of g(x + 1), for g over Q, F_p or a tower over
+    them, by n(n + 1)/2 integer additions per leaf column.
+
+    The shift is linear over the leaves, so each leaf coordinate, read as a
+    column down the coefficients, shifts on its own.  Over Q the integer
+    numerators are brought to the lcm of the coefficients' denominators
+    first, and each shifted coefficient is divided by it once at the end;
+    over F_p the leaves are residues, reduced once mod p at the end.
+    All-zero columns are not shifted."""
+    tower = isinstance(dom, QuotientRing)
+    p = dom.char
+    # each coefficient as integer leaves over a denominator; a residue is
+    # an int, whose denominator is 1
+    if tower and not p:
+        pairs = g
+    elif tower:
+        pairs = [(c, 1) for c in g]
+    else:
+        pairs = [((c.numerator,), c.denominator) for c in g]
+    den = math.lcm(*(d for _, d in pairs))
+    cols = [list(col) for col in zip(*(
+        nums if d == den else [v * (den // d) for v in nums] for nums, d in pairs))]
+    n = len(g) - 1
+    for col in cols:
+        if any(col):
+            for i in range(n):
+                for j in range(n - 1, i - 1, -1):
+                    col[j] += col[j + 1]
+    rows = zip(*cols)
+    if p:
+        return [tuple(v % p for v in row) for row in rows] if tower else [v % p for v in cols[0]]
+    if tower:
+        return [_canonical(row, den) for row in rows]
+    return [mpq(v, den) if v else _ZERO for v in cols[0]]
 
 
 def adjoin(base: Domain, name: str, minpoly, *, field: bool | None = None) -> QuotientRing:

@@ -19,25 +19,22 @@ does not re-monicize.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 
 from .rings import (
     Domain,
     DomainMismatchError,
     El,
     FunctionField,
-    QuotientRing,
     ZeroDivisorError,
-    _ZERO,
-    _canonical,
     _dense_terms,
     _mod_p_domain,
     _mod_p_raw,
+    _shift_by_one,
     embed,
     mp_exact_div,
     mp_gcd,
     mp_mul,
-    mpq,
     tower_chain,
 )
 
@@ -644,43 +641,6 @@ def _scale_powers(dom: Domain, h: list[El], t: El, s: El | None = None) -> list[
             pw = t if pw is None else mul(pw, t)
         out.append(c if pw is None or is_zero(c) else mul(c, pw))
     return out
-
-
-def _shift_by_one(dom: Domain, g: list[El]) -> list[El]:
-    """The coefficients of g(x + 1), for g over Q, F_p or a tower over
-    them, by n(n + 1)/2 integer additions per leaf column.
-
-    The shift is linear over the leaves, so each leaf coordinate, read as a
-    column down the coefficients, shifts on its own.  Over Q the integer
-    numerators are brought to the lcm of the coefficients' denominators
-    first, and each shifted coefficient is divided by it once at the end;
-    over F_p the leaves are residues, reduced once mod p at the end.
-    All-zero columns are not shifted."""
-    tower = isinstance(dom, QuotientRing)
-    p = dom.char
-    # each coefficient as integer leaves over a denominator; a residue is
-    # an int, whose denominator is 1
-    if tower and not p:
-        pairs = g
-    elif tower:
-        pairs = [(c, 1) for c in g]
-    else:
-        pairs = [((c.numerator,), c.denominator) for c in g]
-    den = lcm(*(d for _, d in pairs))
-    cols = [list(col) for col in zip(*(
-        nums if d == den else [v * (den // d) for v in nums] for nums, d in pairs))]
-    n = len(g) - 1
-    for col in cols:
-        if any(col):
-            for i in range(n):
-                for j in range(n - 1, i - 1, -1):
-                    col[j] += col[j + 1]
-    rows = zip(*cols)
-    if p:
-        return [tuple(v % p for v in row) for row in rows] if tower else [v % p for v in cols[0]]
-    if tower:
-        return [_canonical(row, den) for row in rows]
-    return [mpq(v, den) if v else _ZERO for v in cols[0]]
 
 
 def _horner_transport(f: UniPoly, m: Mobius) -> UniPoly:

@@ -96,6 +96,22 @@ def test_exit_codes():
         (["genus", "--n", "2", "--ext", "tt^2+1", "x^3+1"], 2, "ValueError", "--ext needs NAME:MINPOLY"),
         (["genus", "--n", "1", "x^3+1"], 3, "CoverError", "cover order n must be at least 2"),
         (["genus", "--n", "2", "5"], 3, "CoverError", "branch factors must be nonconstant"),
+        (["genus", "--n", "2", "--max-degree", "-1", "x^2+1"], 2, "ValueError",
+         "degree cap must be positive"),
+        (["genus", "--n", "2", "--max-degree", "0", "x^2+1"], 2, "ValueError",
+         "degree cap must be positive"),
+        (["classify", "--fixture", "cyclic(3)", "--n", "-3", "x^3-5"], 3, "CoverError",
+         "cover order n must be at least 2"),
+        (["classify", "--fixture", "s4", "--n", "0", "(x^8+14*x^4+1)^3 - 7*(x^5-x)^4"], 3, "CoverError",
+         "cover order n must be at least 2"),
+        (["invariants", "--delta", "1", "--n", "-2", "x^3+x+1"], 3, "CoverError",
+         "cover order n must be at least 2"),
+        (["invariants", "--delta", "1", "--n", "0", "x^3+x+1"], 3, "CoverError",
+         "cover order n must be at least 2"),
+        (["locus", "--delta", "1", "--n", "-2", "x^3+x+1"], 3, "CoverError",
+         "cover order n must be at least 2"),
+        (["locus", "--delta", "1", "--n", "1", "x^3+x+1"], 3, "CoverError",
+         "cover order n must be at least 2"),
     ],
 )
 def test_exit_codes_of_input_errors(argv, code, kind, message):
@@ -265,6 +281,7 @@ def test_batch_reports_bad_lines_in_their_slots(tmp_path, capsys):
                 "{not json",
                 json.dumps({"args": ["x^2 - 1"]}),
                 json.dumps(["deltas"]),
+                json.dumps({"command": "deltas", "args": ["--max-degree", "-1", "x^2 - 1"]}),
                 json.dumps({"command": "resultant", "args": ["x^2 - 1", "x^2 - 4"]}),
             ]
         )
@@ -272,10 +289,11 @@ def test_batch_reports_bad_lines_in_their_slots(tmp_path, capsys):
     )
     assert run(["batch", str(reqs), "--jobs", "2"]) == (0, "")
     lines = [json.loads(ln) for ln in capsys.readouterr().out.strip().splitlines()]
-    assert [ln["exit"] for ln in lines] == [0, 2, 2, 2, 0]
+    assert [ln["exit"] for ln in lines] == [0, 2, 2, 2, 2, 0]
     assert all(ln["error"]["kind"] == "usage" for ln in lines[1:4])
     assert lines[0]["result"]["deltas"] == [1, 2, 3, 6]
-    assert lines[4]["result"]["resultant"] == "9"
+    assert lines[4]["error"] == {"kind": "ValueError", "message": "degree cap must be positive"}
+    assert lines[5]["result"]["resultant"] == "9"
 
 
 def test_batch_line_cannot_run_batch(tmp_path, capsys):

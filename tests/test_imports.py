@@ -1,5 +1,6 @@
 """The package imports no test-only dependency: sympy is an oracle for the
-tests, and hypothesis and pytest run them."""
+tests, and hypothesis and pytest run them.  No module but ``rings`` uses
+the helpers that build tower raws."""
 
 import ast
 import pathlib
@@ -21,4 +22,20 @@ def test_src_imports_no_test_only_dependency():
     assert len(files) >= 10
     found = {(f.name, root) for f in files
              for root in _imported_roots(ast.parse(f.read_text(), str(f))) if root in TEST_ONLY}
+    assert not found
+
+
+def _names_used(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_only_rings_reads_tower_raws():
+    """``_canonical`` and ``_ZERO`` build tower raws over Q; only ``rings``,
+    which owns that layout, may use them."""
+    found = {(f.name, name) for f in sorted(SRC.glob("*.py")) if f.name != "rings.py"
+             for name in _names_used(ast.parse(f.read_text(), str(f))) if name in {"_canonical", "_ZERO"}}
     assert not found

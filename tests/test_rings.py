@@ -16,7 +16,6 @@ from superelliptic import (
     embed,
     mpq,
     rings,
-    unipoly,
 )
 from superelliptic.catalog import (
     finite_field,
@@ -98,6 +97,14 @@ def test_zero_divisor_carries_factor():
     # arithmetic in the non-field quotient still works
     x = R.from_coeffs([mpq(1), mpq(1), mpq(0)])
     assert R.mul(x, R.one()) == x
+    # over Q(a), stepwise: e^3 - 1 = (e - 1)(e^2 + e + 1); the factor is monic
+    Qa = FunctionField(QQ, ("a",))
+    a, one, zero = Qa.param("a"), Qa.one(), Qa.zero()
+    E = adjoin(Qa, "e", (Qa.neg(one), zero, zero, one))
+    for coeffs, factor in (([Qa.neg(a), a], (Qa.neg(one), one)), ([a, a, a], (one, one, one))):
+        with pytest.raises(ZeroDivisorError) as info:
+            E.inv(E.from_coeffs(coeffs))
+        assert info.value.factor == factor
 
 
 def test_adjoin_validation():
@@ -195,7 +202,9 @@ def test_f9_predicates_call_no_prime_field_method(monkeypatch, rng):
 
 
 def test_field_inverses_randomized(rng):
-    for dom in (QQ, PrimeField(11), sqrt3(), FunctionField(QQ, ("a",))):
+    Qa = FunctionField(QQ, ("a",))
+    Qa_e = adjoin(Qa, "e", (Qa.neg(Qa.param("a")), Qa.zero(), Qa.one()), field=True)
+    for dom in (QQ, PrimeField(11), sqrt3(), Qa, Qa_e):
         for _ in range(40):
             x = _random_element(dom, rng)
             if dom.is_zero(x):
@@ -592,7 +601,7 @@ def test_tower_raws_over_q_are_canonical(name, rng):
         same(dom.neg(dom.neg(a)), a)
         same(embed(QQ, dom, q), dom.mul(dom.from_int(q.numerator), dom.inv(dom.from_int(q.denominator))))
     coeffs = [element() for _ in range(6)] + [zero]
-    for v in unipoly._shift_by_one(dom, coeffs):
+    for v in rings._shift_by_one(dom, coeffs):
         _assert_canonical(dom, v)
 
 
