@@ -36,7 +36,10 @@ Over Q they compute in Z[params] (Knuth, TAOCP vol. 2, 4.5.1 and 4.6.1):
 the coefficients are integers, with no rational arithmetic in the products
 and gcds, and the denominator's leading coefficient is divided out only
 when a value is printed or read over Q, so printed forms are those of the
-monic-denominator form over Q.
+monic-denominator form over Q.  Sums and products follow Henrici's rule
+(P. Henrici, "A subroutine for computations with rational numbers", JACM
+3, 1956; Knuth, TAOCP vol. 2, 4.5.1): gcds of the factors are taken
+before they are multiplied, and no gcd of a product is ever taken.
 
 A tower whose chain ends at ``Rationals`` or at a ``PrimeField``
 multiplies through an integer multiplication table (Cohen, GTM 138, 4.2),
@@ -500,8 +503,12 @@ class _MulTable(NamedTuple):
     rows: tuple
 
 
-# tower signature -> _MulTable, shared by equal towers
+# tower signature -> _MulTable, shared by equal towers, in order of last
+# use; past _TABLES_MAX tables the least recently used is dropped (a table
+# of degree 64 takes about 6 MiB; the workloads of perfbench hold at most
+# 19 at once)
 _TABLES: dict = {}
+_TABLES_MAX = 32
 # a table holds up to D^3 integers; towers of larger total degree D (none
 # in the catalog, whose largest is 16) multiply by the schoolbook product
 _TABLE_MAX_DIM = 64
@@ -539,13 +546,17 @@ def _build_table(ring: "QuotientRing") -> _MulTable:
 def _table_for(ring: "QuotientRing") -> _MulTable | None:
     """The shared table of a tower over Q or F_p of total degree at most
     ``_TABLE_MAX_DIM``, else None.  The chain test comes first, so that
-    only such towers compute their signature."""
+    only such towers compute their signature.  A table in use is moved to
+    the end of ``_TABLES``, so the first entry is the least recently used."""
     if not isinstance(ring.leaf, (Rationals, PrimeField)) or ring.dim > _TABLE_MAX_DIM:
         return None
     sig = ring._signature()
-    table = _TABLES.get(sig)
+    table = _TABLES.pop(sig, None)
     if table is None:
-        table = _TABLES[sig] = _build_table(ring)
+        table = _build_table(ring)
+        if len(_TABLES) >= _TABLES_MAX:
+            del _TABLES[next(iter(_TABLES))]
+    _TABLES[sig] = table
     return table
 
 
@@ -1190,6 +1201,21 @@ def _mp_normal(base: Domain, f: dict, *cofactors: dict) -> tuple:
     return tuple({e: x // c for e, x in g.items()} for g in (f,) + cofactors)
 
 
+def _is_const(f: dict) -> bool:
+    """Whether the nonzero term dict f is a constant."""
+    return len(f) == 1 and not any(next(iter(f)))
+
+
+def _cross_gcd(base: Domain, f: dict, g: dict) -> dict | None:
+    """``mp_gcd(base, f, g)`` for nonzero f and g, or None when it is a
+    constant.  A constant operand takes no gcd: its only common factor
+    with the other is integer content, which ``_mp_normal`` cancels."""
+    if _is_const(f) or _is_const(g):
+        return None
+    h = mp_gcd(base, f, g)
+    return None if _is_const(h) else h
+
+
 def _mp_content_pp(base: Domain, f: dict, v: int) -> tuple[dict, dict]:
     """(content, primitive part) of f along variable v, both in normal form.
 
@@ -1286,6 +1312,21 @@ class FunctionField(Domain):
     leading coefficient 1).  ``from_base``, ``from_poly`` and ``fmt`` speak
     in base values: over Q, ``fmt`` divides num and den by the leading
     coefficient of den, so it prints the monic-denominator form.
+
+    ``mul`` and ``add`` reduce the factors, not the product, by Henrici's
+    rule (JACM 3, 1956; Knuth, TAOCP vol. 2, 4.5.1), which holds over any
+    gcd domain.  For reduced n1/d1 and n2/d2:
+
+    * n1/d1 * n2/d2 = (n1/g1)(n2/g2) / ((d1/g2)(d2/g1)) with
+      g1 = gcd(n1, d2) and g2 = gcd(n2, d1), and that pair is reduced;
+    * n1/d1 + n2/d2, with g = gcd(d1, d2) and
+      t = n1 (d2/g) + n2 (d1/g), is (t/h) / ((d1/g)(d2/h)) with
+      h = gcd(t, g): a prime factor of t divides neither d1/g nor d2/g.
+
+    So no gcd of a product is taken, and a gcd with a constant operand is
+    skipped; over Z the integer content the two parts still share is
+    cancelled by ``_reduce``.  ``sub``, ``div`` and ``exact_div`` go
+    through these two.
     """
 
     is_field = True
@@ -1334,17 +1375,12 @@ class FunctionField(Domain):
     # canonical reduction
 
     def _reduce(self, num: dict, den: dict):
-        ring = self.ring
-        if not den:
-            raise ZeroDivisionError("zero denominator")
+        """The canonical pair of num/den, for num and den with no common
+        factor of positive degree: only a unit is divided out, over Z the
+        integer content the two share and the sign of den."""
         if not num:
             return self.zero()
-        if len(den) > 1 or any(next(iter(den))):
-            g = mp_gcd(ring, num, den)
-            if mp_total_deg(g) > 0:
-                num = mp_exact_div(ring, num, g)  # type: ignore[assignment]
-                den = mp_exact_div(ring, den, g)  # type: ignore[assignment]
-        den, num = _mp_normal(ring, den, num)
+        den, num = _mp_normal(self.ring, den, num)
         return (num, den)
 
     def _den_is_one(self, den):
@@ -1373,21 +1409,44 @@ class FunctionField(Domain):
     # arithmetic
 
     def add(self, a, b):
+        """The sum by Henrici's rule (see the class docstring): with
+        g = gcd(d1, d2), t = n1 (d2/g) + n2 (d1/g) is reduced only by
+        gcd(t, g).  A denominator 1 needs no gcd, equal denominators skip
+        the first."""
         ring = self.ring
         n1, d1 = a
         n2, d2 = b
-        if self._den_is_one(d1) and self._den_is_one(d2):
-            return (mp_add(ring, n1, n2), d1)
-        num = mp_add(ring, mp_mul(ring, n1, d2), mp_mul(ring, n2, d1))
-        return self._reduce(num, mp_mul(ring, d1, d2))
+        if self._den_is_one(d1):
+            if self._den_is_one(d2):
+                return (mp_add(ring, n1, n2), d1)
+            n1, d1, n2, d2 = n2, d2, n1, d1
+        if self._den_is_one(d2):
+            # n1 + n2 d1 shares no factor with d1, integer content included
+            return (mp_add(ring, n1, mp_mul(ring, n2, d1)), d1)
+        if d1 == d2:
+            t, g, e1 = mp_add(ring, n1, n2), d1, None
+        else:
+            g = _cross_gcd(ring, d1, d2)
+            if g is None:
+                num = mp_add(ring, mp_mul(ring, n1, d2), mp_mul(ring, n2, d1))
+                return self._reduce(num, mp_mul(ring, d1, d2))
+            e1 = mp_exact_div(ring, d1, g)
+            t = mp_add(ring, mp_mul(ring, n1, mp_exact_div(ring, d2, g)), mp_mul(ring, n2, e1))
+        if not t:
+            return self.zero()
+        g2 = _cross_gcd(ring, t, g)
+        if g2 is not None:
+            t, d2 = mp_exact_div(ring, t, g2), mp_exact_div(ring, d2, g2)
+        return self._reduce(t, d2 if e1 is None else mp_mul(ring, e1, d2))
 
     def neg(self, a):
         return (mp_neg(self.ring, a[0]), a[1])
 
     def mul(self, a, b):
-        """The product, reduced by ``_reduce``'s gcd unless both denominators
-        are one or the operands are equal: the square of a reduced pair is
-        reduced, as in ``pow``."""
+        """The product by Henrici's rule (see the class docstring): n1 and
+        d2 are divided by their gcd, n2 and d1 by theirs.  No gcd is taken
+        when both denominators are one or the operands are equal: the
+        square of a reduced pair is reduced, as in ``pow``."""
         ring = self.ring
         n1, d1 = a
         n2, d2 = b
@@ -1395,6 +1454,14 @@ class FunctionField(Domain):
             return (mp_mul(ring, n1, n2), d1)
         if a == b:
             return (mp_mul(ring, n1, n1), mp_mul(ring, d1, d1))
+        if not n1 or not n2:
+            return self.zero()
+        g1 = _cross_gcd(ring, n1, d2)
+        if g1 is not None:
+            n1, d2 = mp_exact_div(ring, n1, g1), mp_exact_div(ring, d2, g1)
+        g2 = _cross_gcd(ring, n2, d1)
+        if g2 is not None:
+            n2, d1 = mp_exact_div(ring, n2, g2), mp_exact_div(ring, d1, g2)
         return self._reduce(mp_mul(ring, n1, n2), mp_mul(ring, d1, d2))
 
     def inv(self, a):

@@ -112,6 +112,12 @@ def test_exit_codes():
          "cover order n must be at least 2"),
         (["locus", "--delta", "1", "--n", "1", "x^3+x+1"], 3, "CoverError",
          "cover order n must be at least 2"),
+        (["classify", "--fixture", "dihedral(4)", "--n", "6", "x^8 + 3*x^4 + 1"], 3, "GroupError",
+         "extra automorphism order 4 must divide n = 6"),
+        # the orbits B0 (x^3 + 3x) and B1 (x^2 - 1) of dihedral_b(3), whose
+        # extra automorphism has order 2: an odd n fails the divisibility test
+        (["classify", "--fixture", "dihedral_b(3)", "--n", "3", "(x^3 + 3*x)*(x^2 - 1)"], 3,
+         "GroupError", "extra automorphism order 2 must divide n = 3"),
     ],
 )
 def test_exit_codes_of_input_errors(argv, code, kind, message):
@@ -330,6 +336,43 @@ def test_batch_jobs_selects_nothing(tmp_path, capsys):
         code, text = run(["batch", str(reqs), "--jobs", jobs])
         assert code == 2 and json.loads(text)["exit"] == 2
     assert capsys.readouterr().out == ""
+
+
+def test_dihedral_b_odd_n_from_a_catalog(tmp_path):
+    """The dihedral_b table needs 2 | n.  The standard fixture has delta 2,
+    so an odd n fails its divisibility test first; a catalog that declares
+    delta 1 for the same fixture reaches the table's own test."""
+    data = json.loads(run(["catalog"])[1])["result"]["catalog"]
+    fx = data["fixtures"]["dihedral_b(3)"]
+    fx["name"], fx["delta"] = "dihedral_b1(3)", 1
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps({"schema": data["schema"], "fixtures": {fx["name"]: fx}}))
+    argv = ["classify", "--fixture", "dihedral_b1(3)", "--catalog", str(path), "(x^3 + 3*x)*(x^2 - 1)"]
+    assert run([*argv[:-1], "--n", "2", argv[-1]])[0] == 0
+    code, text = run([*argv[:-1], "--n", "3", argv[-1]])
+    error = json.loads(text)["error"]
+    assert (code, error["kind"]) == (3, "GroupError")
+    assert error["message"] == "the order-2 extra automorphism needs 2 | n"
+
+
+def test_batch_of_many_towers_keeps_a_bounded_table_cache(tmp_path, capsys, monkeypatch):
+    from superelliptic import rings
+
+    monkeypatch.setattr(rings, "_TABLES", {})
+    sizes = []
+    real = rings._build_table
+    monkeypatch.setattr(rings, "_build_table", lambda ring: sizes.append(len(rings._TABLES)) or real(ring))
+    count = rings._TABLES_MAX + 8
+    reqs = tmp_path / "reqs.jsonl"
+    reqs.write_text("".join(
+        json.dumps({"command": "genus", "args": ["--n", "2", "--ext", f"t:t^2-{k}", "x^3+t"]}) + "\n"
+        for k in range(2, 2 + count)))
+    assert run(["batch", str(reqs)]) == (0, "")
+    lines = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+    assert [ln["exit"] for ln in lines] == [0] * count
+    # each build sees the cache full at most, and then drops one table
+    assert len(sizes) >= count and max(sizes) == rings._TABLES_MAX
+    assert len(rings._TABLES) == rings._TABLES_MAX
 
 
 def test_resultant_method_flag_is_gone():

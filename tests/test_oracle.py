@@ -309,6 +309,69 @@ def test_rational_function_arithmetic_matches_sympy(name, rng):
         assert sp.gcd(num, den) == 1 and den.LC(order="grlex") > 0, dom.fmt(out)
 
 
+def _planted_pairs(dom, rng):
+    """(x, y) pairs that run every branch of ``FunctionField.add`` and
+    ``mul``: coprime denominators, a shared denominator factor, equal
+    denominators, a denominator 1, a sum that cancels to 0, a result whose
+    denominator cancels to 1, and operands that share only integer
+    content."""
+
+    def poly():  # nonconstant, in the parameters
+        while True:
+            p = random_element(dom, rng)
+            if dom.constant(p) is None:
+                return p
+
+    mul, div = dom.mul, dom.div
+    a = dom.param(dom.names[0])
+    pairs = []
+    for _ in range(3):
+        p, q, r, u, v = poly(), poly(), poly(), poly(), poly()
+        x = div(u, p)
+        pairs += [
+            (x, div(v, q)),
+            (div(u, mul(p, q)), div(v, mul(p, r))),
+            (x, div(v, p)),
+            (x, v),
+            (v, x),
+            (x, dom.neg(x)),
+            (x, x),
+            (x, mul(p, v)),
+            (x, div(dom.sub(mul(p, v), u), p)),
+        ]
+    half = div(dom.one(), mul(dom.from_int(2), a))
+    pairs += [(half, dom.from_int(2)), (half, half), (half, div(dom.one(), mul(dom.from_int(4), a))),
+              (half, div(dom.from_int(3), mul(dom.from_int(2), dom.add(a, dom.one()))))]
+    return pairs
+
+
+@pytest.mark.parametrize("name", ["Q(a)", "Q(a, b)", "Q(a, b, c)", "F_7(a)"])
+def test_function_field_branches_match_sympy_cancel(name, rng):
+    """add, sub, mul and div over Q(params) and F_7(a) against sympy's
+    cancel, on pairs planted to run each branch of Henrici's rule; every
+    result is also in canonical form."""
+    char, params = (7, ("a",)) if name == "F_7(a)" else (0, tuple(name[2:-1].split(", ")))
+    dom = build_domain(char, [], params)
+    syms = sp.symbols(dom.names)
+    opts = {"modulus": char} if char else {}
+    ops = {"add": lambda s, t: s + t, "sub": lambda s, t: s - t,
+           "mul": lambda s, t: s * t, "div": lambda s, t: s / t}
+    for x, y in _planted_pairs(dom, rng):
+        sx, sy = to_sympy(dom, x), to_sympy(dom, y)
+        for op, sym_op in ops.items():
+            if op == "div" and dom.is_zero(y):
+                continue
+            out = getattr(dom, op)(x, y)
+            what = f"{op}({dom.fmt(x)}, {dom.fmt(y)})"
+            diff = sp.together(to_sympy(dom, out) - sp.cancel(sym_op(sx, sy), **opts))
+            assert sp.Poly(sp.numer(diff), *syms, **opts).is_zero, what
+            num, den = (sp.Poly(sp.Add(*(c * sp.Mul(*(v**e for v, e in zip(syms, exps)))
+                                         for exps, c in part.items())), *syms, **opts) for part in out)
+            lc = den.LC(order="grlex")
+            assert sp.gcd(num, den).is_one if num else out == dom.zero(), what
+            assert lc == 1 if char else lc > 0, what
+
+
 def _zz_poly(rng, nvars, var, deg, bound):
     """A polynomial over Z in x_var alone, of degree deg, with coefficients
     in [-bound, bound]."""

@@ -317,6 +317,48 @@ def test_square_by_mul_runs_no_gcd(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("base, names", [(QQ, ("a",)), (QQ, ("a", "b")), (PrimeField(7), ("a",))],
+                         ids=["Q(a)", "Q(a,b)", "F_7(a)"])
+def test_function_field_gcds_take_the_factors_not_the_product(base, names, monkeypatch):
+    """Henrici's rule: mul takes gcd(n1, d2) and gcd(n2, d1) and nothing
+    else, add over coprime denominators takes gcd(d1, d2) once, and add
+    with a denominator 1 takes no gcd.  Only the outermost calls to mp_gcd
+    are recorded, not those of its own recursion."""
+    from superelliptic.rings import mp_add, mp_mul
+
+    FF = FunctionField(base, names)
+    ring = FF.ring
+    a, b = FF.param(names[0]), FF.param(names[-1])
+    x = FF.div(FF.add(FF.mul(a, b), FF.from_int(2)), FF.sub(FF.mul(b, b), FF.from_int(3)))
+    y = FF.div(FF.add(a, FF.from_int(4)), FF.add(FF.mul(FF.from_int(3), a), FF.one()))
+    p = FF.add(FF.mul(a, a), b)
+    calls, depth = [], [0]
+    real_gcd = rings.mp_gcd
+
+    def spy(dom, f, g):
+        if not depth[0]:
+            calls.append((f, g))
+        depth[0] += 1
+        try:
+            return real_gcd(dom, f, g)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(rings, "mp_gcd", spy)
+    (n1, d1), (n2, d2) = x, y
+    prod = FF.mul(x, y)
+    assert calls == [(n1, d2), (n2, d1)]
+    assert mp_mul(ring, prod[0], mp_mul(ring, d1, d2)) == mp_mul(ring, prod[1], mp_mul(ring, n1, n2))
+    calls.clear()
+    total = FF.add(x, y)
+    assert calls == [(d1, d2)]
+    cross = mp_add(ring, mp_mul(ring, n1, d2), mp_mul(ring, n2, d1))
+    assert mp_mul(ring, total[0], mp_mul(ring, d1, d2)) == mp_mul(ring, total[1], cross)
+    calls.clear()
+    assert FF.add(x, p) == FF.add(p, x) == (mp_add(ring, n1, mp_mul(ring, p[0], d1)), d1)
+    assert calls == []
+
+
 def _powers_bases():
     F7 = PrimeField(7)
     Qi = adjoin(QQ, "I", (QQ.one(), QQ.zero(), QQ.one()), field=True)
