@@ -503,10 +503,9 @@ class _MulTable(NamedTuple):
     rows: tuple
 
 
-# tower signature -> _MulTable, shared by equal towers, in order of last
-# use; past _TABLES_MAX tables the least recently used is dropped (a table
-# of degree 64 takes about 6 MiB; the workloads of perfbench hold at most
-# 19 at once)
+# tower signature -> _MulTable, shared by equal towers, least recently used
+# first; at most _TABLES_MAX are kept (a table of degree 64 takes about
+# 6 MiB; the perfbench workloads hold at most 19 at once)
 _TABLES: dict = {}
 _TABLES_MAX = 32
 # a table holds up to D^3 integers; towers of larger total degree D (none
@@ -546,8 +545,7 @@ def _build_table(ring: "QuotientRing") -> _MulTable:
 def _table_for(ring: "QuotientRing") -> _MulTable | None:
     """The shared table of a tower over Q or F_p of total degree at most
     ``_TABLE_MAX_DIM``, else None.  The chain test comes first, so that
-    only such towers compute their signature.  A table in use is moved to
-    the end of ``_TABLES``, so the first entry is the least recently used."""
+    only such towers compute their signature."""
     if not isinstance(ring.leaf, (Rationals, PrimeField)) or ring.dim > _TABLE_MAX_DIM:
         return None
     sig = ring._signature()
@@ -1409,10 +1407,8 @@ class FunctionField(Domain):
     # arithmetic
 
     def add(self, a, b):
-        """The sum by Henrici's rule (see the class docstring): with
-        g = gcd(d1, d2), t = n1 (d2/g) + n2 (d1/g) is reduced only by
-        gcd(t, g).  A denominator 1 needs no gcd, equal denominators skip
-        the first."""
+        """The sum by Henrici's rule (see the class docstring).  A
+        denominator 1 needs no gcd, and equal denominators skip the first."""
         ring = self.ring
         n1, d1 = a
         n2, d2 = b
@@ -1443,10 +1439,9 @@ class FunctionField(Domain):
         return (mp_neg(self.ring, a[0]), a[1])
 
     def mul(self, a, b):
-        """The product by Henrici's rule (see the class docstring): n1 and
-        d2 are divided by their gcd, n2 and d1 by theirs.  No gcd is taken
-        when both denominators are one or the operands are equal: the
-        square of a reduced pair is reduced, as in ``pow``."""
+        """The product by Henrici's rule (see the class docstring).  No gcd
+        is taken when both denominators are one or the operands are equal:
+        the square of a reduced pair is reduced, as in ``pow``."""
         ring = self.ring
         n1, d1 = a
         n2, d2 = b
