@@ -40,7 +40,6 @@ from .rings import (
     DomainMismatchError,
     El,
     FunctionField,
-    PrimeField,
     _is_prime,
     common_rational,
     embed,
@@ -49,7 +48,7 @@ from .rings import (
 )
 from .covers import CoverError, _check_cover_order
 from .invariants import invariants_of
-from .unipoly import INF, Mobius, UniPoly, mobius_transport, poly_gcd, proportional, squarefree_test
+from .unipoly import INF, Mobius, UniPoly, _poly_mod_p, mobius_transport, poly_gcd, proportional, squarefree_test
 
 
 class GroupError(ValueError):
@@ -409,12 +408,9 @@ def _q_roots(coeffs: list) -> list:
     n, lead = len(ints) - 1, ints[-1]
     if n == 0:
         return roots
+    cleared = UniPoly(QQ, {e: mpq(c) for e, c in enumerate(ints)})
     p = n + 1
-    while not (
-        _is_prime(p)
-        and lead % p
-        and squarefree_test(UniPoly(PrimeField(p), {e: c % p for e, c in enumerate(ints)}))
-    ):
+    while not (_is_prime(p) and (image := _poly_mod_p(cleared, p)) is not None and squarefree_test(image)):
         p += 1
     deriv = [e * c for e, c in enumerate(ints)][1:]
     bound = 2 * (abs(lead) + max(abs(c) for c in ints))

@@ -50,12 +50,18 @@ vol. 2, 4.5.1), so a product makes no rational number; over F_p
 the residues are multiplied as integers and reduced once mod p.  Its
 inverse solves the multiplication matrix (fraction-free over Q, mod p over
 F_p) when the top step's base is a certified field (Q, F_p, or one
-quadratic step over Q whose discriminant is not a rational square).  The
-image of a tower over Q modulo p takes that inverse exactly when the tower
-itself does.  A singular matrix, or any other base, falls back to extended
-Euclid, which raises :class:`ZeroDivisorError` with its factor.  Towers
-over a ``FunctionField``, and towers of total degree above 64, multiply
-stepwise, by one convolution (``_ul_mul``) and one division (``_ul_divmod``).
+quadratic step over Q whose discriminant is not a rational square).  A
+singular matrix, or any other base, falls back to extended Euclid, which
+raises :class:`ZeroDivisorError` with its factor.  Towers over a
+``FunctionField``, and towers of total degree above 64, multiply stepwise,
+by one convolution (``_ul_mul``) and one division (``_ul_divmod``).
+
+Reduction modulo a prime p has one route, ``_mod_p_image``: the image of Q
+or of a tower over Q with its map on raws, built once per (domain, p) and
+kept on the domain; the image takes the matrix inverse exactly when its
+source does.  One rule says when p is good for a polynomial: p divides no
+denominator of a modulus or a coefficient, and the image keeps the degree.
+Images at a good prime can only have a larger gcd (Brown, JACM 18, 1971).
 """
 
 from __future__ import annotations
@@ -464,12 +470,14 @@ def _ul_mul(base: Domain, a, b) -> list:
 
 
 def _ul_divmod(base: Domain, a, b) -> tuple[list, list]:
-    """Long division of coefficient lists; leading coeff of b must be invertible."""
+    """Long division of coefficient lists, with no product formed for a zero
+    entry of b; leading coeff of b must be invertible."""
     db = _ul_deg(base, b)
     if db < 0:
         raise ZeroDivisionError("division by zero polynomial")
     # a monic divisor needs no product by 1: raws are canonical (Domain)
     lead_inv = None if base.is_one(b[db]) else base.inv(b[db])
+    nb = [(i, y) for i, y in enumerate(b[:db]) if not base.is_zero(y)]
     rem = list(a)
     dr = _ul_deg(base, rem)
     quo = [base.zero()] * max(dr - db + 1, 0)
@@ -478,8 +486,8 @@ def _ul_divmod(base: Domain, a, b) -> tuple[list, list]:
             f = rem[k] if lead_inv is None else base.mul(rem[k], lead_inv)
             quo[k - db] = f
             rem[k] = base.zero()  # rem[k] - f * b[db] is exactly zero
-            for i in range(db):
-                rem[k - db + i] = base.sub(rem[k - db + i], base.mul(f, b[i]))
+            for i, y in nb:
+                rem[k - db + i] = base.sub(rem[k - db + i], base.mul(f, y))
     return quo, rem
 
 
@@ -615,9 +623,7 @@ class QuotientRing(Domain):
     table's multiplication matrix when the base is a certified field, and
     takes extended Euclid when the matrix is singular or the base is not
     certified: a unit can meet a zero-divisor leading coefficient in Euclid
-    over a non-field base, and that error is part of the contract.  An
-    image modulo p (``_mod_p_domain``) solves the matrix exactly when its
-    source tower does.
+    over a non-field base, and that error is part of the contract.
     """
 
     def __init__(self, base: Domain, name: str, minpoly: tuple, *, field: bool | None = None):
@@ -1606,40 +1612,37 @@ def common_rational(domain: Domain, raw: El):
     return q
 
 
-def _mod_p_domain(dom: Domain, p: int) -> Domain:
-    """The image of Q, or of a tower over Q, modulo the prime p."""
-    if isinstance(dom, Rationals):
-        return PrimeField(p)
-    if isinstance(dom, QuotientRing):
-        base_p = _mod_p_domain(dom.base, p)
-        minpoly = tuple(_mod_p_raw(dom.base, c, base_p) for c in dom.minpoly)
-        image = QuotientRing(base_p, dom.name, minpoly, field=True)
-        # The matrix solve inverts every unit of the image, which need not
-        # be a field; that certifies a gcd mod p, since a monic Euclid that
-        # inverts only units is valid in every residue field above p.  A
-        # tower that inverts by Euclid over an uncertified base may instead
-        # raise ZeroDivisorError on a unit, and its image must not turn
-        # that error into a coprimality verdict.
+def _mod_p_image(dom: Domain, p: int) -> tuple[Domain, Any]:
+    """The image of Q, or of a tower over Q, modulo the prime p, with its
+    map on raws, which raises ValueError when p divides the denominator of
+    a raw.  Built once per (domain, p) and kept on the domain."""
+    images = vars(dom).setdefault("_images", {})
+    if p in images:
+        return images[p]
+    over_q = isinstance(dom, Rationals)
+    if over_q:
+        image = PrimeField(p)
+    elif isinstance(dom, QuotientRing) and dom._over_q:
+        base_p, base_reduce = _mod_p_image(dom.base, p)
+        image = QuotientRing(base_p, dom.name, tuple(map(base_reduce, dom.minpoly)), field=True)
+        # The matrix solve inverts exactly the units of the image, which
+        # certifies a gcd mod p even where the image is no field.  A source
+        # that may raise ZeroDivisorError on a unit (Euclid over an uncertified
+        # base) keeps Euclid in its image, so no verdict hides that error.
         image._flat_inv = dom._flat_inv and image._table is not None
-        return image
-    raise ValueError("no modular image for this domain")
+    else:
+        raise ValueError("no modular image for this domain")
 
-
-def _mod_p_raw(dom: Domain, raw, dom_p: Domain):
-    """The image of a raw value of dom in its image domain ``dom_p``."""
-    if isinstance(dom, Rationals):
-        den = int(raw.denominator) % dom_p.p  # type: ignore[attr-defined]
-        if den == 0:
-            raise ValueError("prime divides a denominator")
-        return dom_p.mul(dom_p.from_int(int(raw.numerator)), dom_p.inv(den))
-    if isinstance(dom, QuotientRing):  # a tower over Q: a (nums, den) pair
-        nums, den = raw
-        p = dom_p.char
+    def reduce(raw):
+        nums, den = ((int(raw.numerator),), int(raw.denominator)) if over_q else raw
         if den % p == 0:
             raise ValueError("prime divides a denominator")
         s = pow(den, -1, p)
-        return tuple(n * s % p for n in nums)
-    raise ValueError("no modular image for this value")
+        out = tuple(n * s % p for n in nums)
+        return out[0] if over_q else out
+
+    images[p] = image, reduce
+    return images[p]
 
 
 def tower_chain(domain: Domain) -> list[Domain]:

@@ -28,8 +28,7 @@ from .rings import (
     FunctionField,
     ZeroDivisorError,
     _dense_terms,
-    _mod_p_domain,
-    _mod_p_raw,
+    _mod_p_image,
     _shift_by_one,
     embed,
     mp_exact_div,
@@ -404,15 +403,13 @@ def _adjoin_x(p: UniPoly) -> dict:
 def polys_coprime(f: UniPoly, g: UniPoly) -> bool:
     """Exact coprimality test.
 
-    Over Q and towers over Q a reduction modulo a prime that keeps both
-    degrees can only enlarge the gcd, so a constant gcd of the images
-    certifies coprimality.  The images are coprime for almost every prime
-    and their gcd is finite-field Euclid, several times cheaper than the
-    exact route; so the hot squarefree and disjointness checks reach
-    ``poly_gcd`` over the original domain only when no prime decides (bad
-    denominators, modulus collisions, a common factor mod p).  Over
-    Q(params) the exact gcd is cheaper than building the F_p(params) image,
-    so it is taken directly.
+    Over Q and towers over Q a constant gcd of the images at a good prime
+    (:func:`_poly_mod_p`) certifies coprimality.  The images are coprime for
+    almost every prime, and their gcd is finite-field Euclid, several times
+    cheaper than the exact route; ``poly_gcd`` over the original domain runs
+    only when no prime decides (bad primes, a zero divisor of an image that
+    is no field, a common factor mod p).  Over Q(params) the exact gcd is
+    cheaper than building the F_p(params) image, so it is taken directly.
     """
     if f.is_zero() or g.is_zero():
         return False
@@ -420,24 +417,27 @@ def polys_coprime(f: UniPoly, g: UniPoly) -> bool:
         return True
     if f.domain.char == 0 and not isinstance(f.domain, FunctionField):
         for p in (65537, 2147483647, 39916801):
-            verdict = _coprime_mod_p(f, g, p)
-            if verdict:
-                return True
-            if verdict is False:
+            if (fp := _poly_mod_p(f, p)) is None or (gp := _poly_mod_p(g, p)) is None:
+                continue
+            try:
+                if poly_gcd(fp, gp).degree() == 0:
+                    return True
                 break  # nontrivial common factor mod p: decide exactly
+            except (ZeroDivisorError, ZeroDivisionError):
+                continue
     return poly_gcd(f, g).degree() == 0
 
 
-def _coprime_mod_p(f: UniPoly, g: UniPoly, p: int) -> bool | None:
+def _poly_mod_p(f: UniPoly, p: int) -> UniPoly | None:
+    """The image of f modulo the prime p, or None when f's domain has no
+    image (it is no tower over Q) or p is bad for f by the rule stated in
+    :mod:`superelliptic.rings`."""
     try:
-        dom_p = _mod_p_domain(f.domain, p)
-        fp = UniPoly(dom_p, {e: _mod_p_raw(f.domain, c, dom_p) for e, c in f.coeffs.items()})
-        gp = UniPoly(dom_p, {e: _mod_p_raw(g.domain, c, dom_p) for e, c in g.coeffs.items()})
-        if fp.degree() != f.degree() or gp.degree() != g.degree():
-            return None  # leading coefficient vanished: bad prime
-        return poly_gcd(fp, gp).degree() == 0
-    except (ZeroDivisorError, ZeroDivisionError, ValueError):
+        dom_p, reduce = _mod_p_image(f.domain, p)
+        fp = UniPoly(dom_p, {e: reduce(c) for e, c in f.coeffs.items()})
+    except ValueError:
         return None
+    return fp if fp.degree() == f.degree() else None
 
 
 def squarefree_test(f: UniPoly) -> bool:

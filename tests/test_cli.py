@@ -341,18 +341,23 @@ def test_batch_jobs_selects_nothing(tmp_path, capsys):
 def test_dihedral_b_odd_n_from_a_catalog(tmp_path):
     """The dihedral_b table needs 2 | n.  The standard fixture has delta 2,
     so an odd n fails its divisibility test first; a catalog that declares
-    delta 1 for the same fixture reaches the table's own test."""
+    delta 1 for the same fixture reaches the table's own test.  A catalog
+    may also declare a family that no structure table knows."""
     data = json.loads(run(["catalog"])[1])["result"]["catalog"]
     fx = data["fixtures"]["dihedral_b(3)"]
     fx["name"], fx["delta"] = "dihedral_b1(3)", 1
+    unknown = dict(fx, name="mystery(3)", family="mystery")
     path = tmp_path / "cat.json"
-    path.write_text(json.dumps({"schema": data["schema"], "fixtures": {fx["name"]: fx}}))
+    path.write_text(json.dumps({"schema": data["schema"], "fixtures": {f["name"]: f for f in (fx, unknown)}}))
     argv = ["classify", "--fixture", "dihedral_b1(3)", "--catalog", str(path), "(x^3 + 3*x)*(x^2 - 1)"]
     assert run([*argv[:-1], "--n", "2", argv[-1]])[0] == 0
-    code, text = run([*argv[:-1], "--n", "3", argv[-1]])
-    error = json.loads(text)["error"]
-    assert (code, error["kind"]) == (3, "GroupError")
-    assert error["message"] == "the order-2 extra automorphism needs 2 | n"
+    for name, n, message in (("dihedral_b1(3)", "3", "the order-2 extra automorphism needs 2 | n"),
+                             ("mystery(3)", "2", "no classification table for family 'mystery'")):
+        argv[2] = name
+        code, text = run([*argv[:-1], "--n", n, argv[-1]])
+        error = json.loads(text)["error"]
+        assert (code, error["kind"]) == (3, "GroupError")
+        assert error["message"] == message
 
 
 def test_batch_of_many_towers_keeps_a_bounded_table_cache(tmp_path, capsys, monkeypatch):

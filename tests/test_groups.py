@@ -282,8 +282,10 @@ def test_decomposition_recovers_large_prime_parameters():
 def test_rational_roots_order():
     # by |numerator|, then denominator, then sign with positive first: the
     # order _recover_seeds tries seeds in, so the reported seed depends on it
-    roots = [mpq(-3, 2), mpq(2), mpq(-1, 3), mpq(3, 2), mpq(0), mpq(1), mpq(-2)]
-    expected = ["0", "1", "-1/3", "2", "-2", "3/2", "-3/2"]
+    # the denominator 15015 = 3*5*7*11*13 puts the first primes above the
+    # degree into the lead, so _q_roots passes over them
+    roots = [mpq(-3, 2), mpq(2), mpq(-1, 3), mpq(3, 2), mpq(0), mpq(1), mpq(-2), mpq(1, 15015)]
+    expected = ["0", "1", "-1/3", "1/15015", "2", "-2", "3/2", "-3/2"]
     for f in (qpoly("x^2 + 5*x + 7"), qpoly("x^2 + I*x + 7")):
         dom = f.domain
         for r in roots:
@@ -452,6 +454,19 @@ def test_classification_tables():
     rep = orbit_decomposition(a5.orbit("B0*").poly, a5)
     aut = classify(a5, rep, n=10)
     assert "complicated presentation" in " ".join(aut.caveats)
+
+    # a4_b with no B1 orbit is a direct product
+    a4b = fixture_by_name("a4_b")
+    domab = a4b.domain
+    rep = orbit_decomposition(a4b.generic_template(domab, domab.from_int(3)), a4b)
+    aut = classify(a4b, rep, n=3)
+    assert rep.counts["B1"] == 0 and aut.full_group == "Z/3Z x A_4" and aut.dimension == 1
+
+    a5b = fixture_by_name("a5_b")
+    aut = classify(a5b, orbit_decomposition(a5b.orbit("B0*'").poly, a5b), n=2)
+    assert (aut.reduced, aut.full_group, aut.dimension) == ("A_5", "Z/2Z x A_5", 0)
+    with pytest.raises(GroupError, match="orbit report was computed against a different fixture"):
+        classify(a5b, rep, n=2)  # rep is a4_b's
 
     ea = fixture_by_name("elem_abelian(3,1,2)")
     dome = ea.domain

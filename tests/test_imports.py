@@ -1,6 +1,7 @@
 """The package imports no test-only dependency: sympy is an oracle for the
 tests, and hypothesis and pytest run them.  No module but ``rings`` uses
-the helpers that build tower raws."""
+the helpers that build tower raws, and reduction mod p goes through one
+image routine."""
 
 import ast
 import pathlib
@@ -31,6 +32,10 @@ def _names_used(tree):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.Attribute):
             yield node.attr
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.FunctionDef):
+            yield node.name
 
 
 def test_only_rings_reads_tower_raws():
@@ -39,3 +44,12 @@ def test_only_rings_reads_tower_raws():
     found = {(f.name, name) for f in sorted(SRC.glob("*.py")) if f.name != "rings.py"
              for name in _names_used(ast.parse(f.read_text(), str(f))) if name in {"_canonical", "_ZERO"}}
     assert not found
+
+
+def test_one_mod_p_image_layer():
+    """``rings._mod_p_image`` builds every image mod p; only ``rings`` and the
+    ``unipoly`` helper that reduces a polynomial through it name it, and
+    ``groups`` builds no ``PrimeField`` image of its own."""
+    used = {f.name: set(_names_used(ast.parse(f.read_text(), str(f)))) for f in sorted(SRC.glob("*.py"))}
+    assert {name for name, names in used.items() if "_mod_p_image" in names} == {"rings.py", "unipoly.py"}
+    assert "PrimeField" not in used["groups.py"]

@@ -538,6 +538,18 @@ def test_inverse_over_an_uncertified_base_runs_euclid(monkeypatch):
     assert calls
 
 
+def test_reduction_forms_no_product_for_a_zero_modulus_coefficient(monkeypatch):
+    # t^6 - 2 has one nonzero coefficient below its lead, so reducing
+    # 1 + t + ... + t^11 takes one base product at each of its six steps
+    K = adjoin(QQ, "t", [QQ.from_int(c) for c in (-2, 0, 0, 0, 0, 0, 1)])
+    products = []
+    real = Rationals.mul
+    monkeypatch.setattr(Rationals, "mul", staticmethod(lambda a, b: products.append(1) or real(a, b)))
+    value = K.from_coeffs([QQ.one()] * 12)
+    assert len(products) == 6
+    assert K.coords(value) == (QQ.from_int(3),) * 6
+
+
 def test_equal_towers_share_one_table(monkeypatch):
     monkeypatch.setattr(rings, "_TABLES", {})
     builds = []

@@ -390,8 +390,8 @@ def test_coprimality_builds_images_only_over_number_fields(monkeypatch):
     # over Q(a, b) polys_coprime runs the exact gcd and builds no F_p image;
     # over Q(i) it still tries the mod-p image first
     built = []
-    real = unipoly._mod_p_domain
-    monkeypatch.setattr(unipoly, "_mod_p_domain", lambda dom, p: built.append(p) or real(dom, p))
+    real = unipoly._mod_p_image
+    monkeypatch.setattr(unipoly, "_mod_p_image", lambda dom, p: built.append(p) or real(dom, p))
     dom = build_domain(0, [], ("a", "b"))
     pairs = [("x^3 + a*x + b", "x^2 - a"), ("x^4 - b*x^2 + a^2", "a*x^3 + x - b"),
              ("x^2 + (a + b)*x + a*b", "x^5 + a")]
@@ -412,17 +412,22 @@ def test_coprimality_over_q_i_zeta5_runs_tables_in_the_image(monkeypatch):
     # the images' tables are built once per image tower: build them first
     K = zeta5_field()
     for p in (65537, 2147483647, 39916801):
-        assert rings._mod_p_domain(K, p)._flat_inv
+        assert rings._mod_p_image(K, p)[0]._flat_inv
     inside, verdicts, hits = [], [], []
-    real_coprime, real_mul, real_divmod = unipoly._coprime_mod_p, QuotientRing._schoolbook_mul, rings._ul_divmod
+    real_mul, real_divmod = QuotientRing._schoolbook_mul, rings._ul_divmod
 
-    def coprime(f, g, p):
-        inside.append(p)
-        try:
-            verdicts.append(real_coprime(f, g, p))
-            return verdicts[-1]
-        finally:
-            inside.pop()
+    def image_step(real, verdict):
+        # the reduction of one polynomial, or one gcd, with the verdict it gives
+        def step(*args):
+            inside.append(args)
+            try:
+                out = real(*args)
+                if verdict:
+                    verdicts.append(out.degree() == 0)
+                return out
+            finally:
+                inside.pop()
+        return step
 
     def schoolbook(self, a, b):
         if inside:
@@ -434,7 +439,8 @@ def test_coprimality_over_q_i_zeta5_runs_tables_in_the_image(monkeypatch):
             hits.append("_ul_divmod")
         return real_divmod(*args)
 
-    monkeypatch.setattr(unipoly, "_coprime_mod_p", coprime)
+    monkeypatch.setattr(unipoly, "_poly_mod_p", image_step(unipoly._poly_mod_p, False))
+    monkeypatch.setattr(unipoly, "poly_gcd", image_step(unipoly.poly_gcd, True))
     monkeypatch.setattr(QuotientRing, "_schoolbook_mul", schoolbook)
     monkeypatch.setattr(rings, "_ul_divmod", divmod_)
     f = a5_fixture().orbit("B0").poly
@@ -450,23 +456,53 @@ def test_a_prime_dividing_a_denominator_gives_no_image_verdict():
     p = 65537
     c = parse_constant(f"1/{p}*I + s3", K)
     with pytest.raises(ValueError, match="prime divides a denominator"):
-        rings._mod_p_raw(K, c, rings._mod_p_domain(K, p))
+        rings._mod_p_image(K, p)[1](c)
     f = UniPoly(K, {2: K.one(), 1: K.one(), 0: c})
     g = UniPoly(K, {1: K.one(), 0: K.from_int(-1)})
     h = UniPoly(K, {1: K.one(), 0: c})
-    assert unipoly._coprime_mod_p(f, g, p) is None
+    assert unipoly._poly_mod_p(f, p) is None
     assert unipoly.polys_coprime(f, g) and unipoly.polys_coprime(g, f)
-    assert unipoly._coprime_mod_p(f * h, g * h, p) is None
+    assert unipoly._poly_mod_p(f * h, p) is None
     assert not unipoly.polys_coprime(f * h, g * h)
     assert poly_gcd(f * h, g * h) == h
     # the same over Q
     q = mpq(3, p)
     f, g, h = P([q, 1, 1]), P([-1, 1]), P([q, 1])
     with pytest.raises(ValueError, match="prime divides a denominator"):
-        rings._mod_p_raw(QQ, q, rings._mod_p_domain(QQ, p))
-    assert unipoly._coprime_mod_p(f, g, p) is None
+        rings._mod_p_image(QQ, p)[1](q)
+    assert unipoly._poly_mod_p(f, p) is None
     assert unipoly.polys_coprime(f, g)
     assert not unipoly.polys_coprime(f * h, g * h)
+    # a leading coefficient divisible by p has an image that loses degree:
+    # the degree rule rejects p, over K and over Q, and the next prime decides
+    for dom in (K, QQ):
+        f = UniPoly(dom, {2: dom.from_int(p), 1: dom.one(), 0: dom.one()})
+        g = UniPoly(dom, {1: dom.one(), 0: dom.from_int(-1)})
+        assert unipoly._poly_mod_p(f, p) is None and unipoly._poly_mod_p(f, 2147483647) is not None
+        assert unipoly.polys_coprime(f, g) and not unipoly.polys_coprime(f * g, g * g)
+
+
+def test_each_image_is_built_once_per_domain_and_prime(monkeypatch):
+    # a fresh tower has no images; the first coprimality test builds them
+    # and keeps them on the tower, so a second one builds none
+    built = []
+    real = QuotientRing.__init__
+    monkeypatch.setattr(QuotientRing, "__init__", lambda self, *a, **k: built.append(self) or real(self, *a, **k))
+    K = QuotientRing(QQ, "r", (mpq(-7), mpq(0), mpq(1)), field=True)
+    K = QuotientRing(K, "I", (K.one(), K.zero(), K.one()), field=True)
+    f = UniPoly(K, {3: K.one(), 1: K.gen(), 0: K.from_int(5)})
+    g = UniPoly(K, {2: K.one(), 0: K.from_base(K.base.gen())})
+    built.clear()
+    assert unipoly.polys_coprime(f, g)
+    # one image tower of two steps over GF(65537), which decides
+    assert len(built) == 2 and rings._mod_p_image(K, 65537)[0] is built[-1]
+    assert rings._mod_p_image(K.base, 65537)[0] is built[0] and built[0].base == PrimeField(65537)
+    built.clear()
+    assert unipoly.polys_coprime(f, g) and squarefree_test(f) and not built
+    # a tower over Q(a) has no image, so every prime is bad for it
+    Qa = build_domain(0, [], ("a",))
+    L = QuotientRing(Qa, "r", (Qa.from_int(-7), Qa.zero(), Qa.one()), field=True)
+    assert unipoly._poly_mod_p(UniPoly(L, {1: L.one(), 0: L.gen()}), 65537) is None
 
 
 def test_image_of_an_uncertified_tower_keeps_euclid():
@@ -474,7 +510,7 @@ def test_image_of_an_uncertified_tower_keeps_euclid():
     # does its image mod p, though the image's base F_p is certified
     K = build_domain(0, [("t", "t^3-t")], (), sugar_i=True)
     assert K._table is not None and K.base._flat_inv and not K._flat_inv
-    image = rings._mod_p_domain(K, 65537)
+    image = rings._mod_p_image(K, 65537)[0]
     assert image._table is not None and image.base._flat_inv and not image._flat_inv
 
 
