@@ -550,6 +550,17 @@ def a5_fixture() -> GroupFixture:
 
 @functools.cache
 def a5_b_fixture() -> GroupFixture:
+    """A_5 conjugated over Q(i, zeta5)[e2]/(e2^2 - (10 - 2 sqrt5)).
+
+    That ring is Q(i, zeta5) x Q(i, zeta5), not a field:
+    10 - 2 sqrt5 = (2i(zeta5^2 - zeta5^3))^2 already holds in Q(i, zeta5),
+    so the step certificate of :mod:`superelliptic.rings` refuses it.  Every
+    computation runs in both factors at once, so the closure, the orbits
+    and the classification stay right.  The step keeps ``field=True``:
+    the fixture's golden bytes are the same either way, but the exact gcd
+    of ``poly_gcd`` takes its field branch only over a ring flagged as a
+    field, and its other branch is written for Z, so ``polys_coprime``
+    over this ring would raise TypeError without the flag."""
     base = zeta5_field()
     zeta = base.gen()
     # sqrt5 = 2 zeta + 2 zeta^4 + 1; w^2 = 10 - 2 sqrt5

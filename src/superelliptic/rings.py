@@ -49,19 +49,40 @@ product is divided once by the gcd with its denominator (Knuth, TAOCP
 vol. 2, 4.5.1), so a product makes no rational number; over F_p
 the residues are multiplied as integers and reduced once mod p.  Its
 inverse solves the multiplication matrix (fraction-free over Q, mod p over
-F_p) when the top step's base is a certified field (Q, F_p, or one
-quadratic step over Q whose discriminant is not a rational square).  A
-singular matrix, or any other base, falls back to extended Euclid, which
-raises :class:`ZeroDivisorError` with its factor.  Towers over a
-``FunctionField``, and towers of total degree above 64, multiply stepwise,
-by one convolution (``_ul_mul``) and one division (``_ul_divmod``).
+F_p) when the top step's base is a certified field (Q, F_p, or a
+certified tower over Q, below).  A singular matrix, or any other base,
+falls back to extended Euclid, which raises :class:`ZeroDivisorError` with
+its factor.  Towers over a ``FunctionField``, and towers of total degree
+above 64, multiply stepwise, by one convolution (``_ul_mul``) and one
+division (``_ul_divmod``).
 
-Reduction modulo a prime p has one route, ``_mod_p_image``: the image of Q
-or of a tower over Q with its map on raws, built once per (domain, p) and
-kept on the domain; the image takes the matrix inverse exactly when its
-source does.  One rule says when p is good for a polynomial: p divides no
-denominator of a modulus or a coefficient, and the image keeps the degree.
-Images at a good prime can only have a larger gcd (Brown, JACM 18, 1971).
+A tower over Q is *certified* a field when each step is: one quadratic
+step over Q by its discriminant, which is not a square in Q, and any other
+step at a root chain of its base.  A root chain at an odd prime p sends
+each generator to a root mod p of its modulus at the chain below
+(Cantor-Zassenhaus on int lists); p divides no denominator of a modulus,
+and each modulus on the chain stays squarefree mod p, so the chain is an
+unramified prime of degree one.  *Theorem:* if a monic modulus with
+coefficients integral at such a prime is irreducible mod p (Rabin's
+test), it is irreducible over the base.  A step is certified at the first
+odd prime below ``_CERT_PRIME_BOUND`` where this holds, and stays
+uncertified when none does: every reducible step, and steps with no
+cyclic Frobenius, such as t^4 - 10 t^2 + 1.  The certificate is decided
+once per domain and kept on it (``_certified_field``).
+
+Reduction modulo a prime p has one route, ``_mod_p_image``, with its map
+on raws; every image is built once per (domain, p) and kept on the
+domain.  Q maps to F_p by reduction.  A certified tower maps to F_p by its
+first root chain at p, and its own primes (``_image_primes``) are the
+first three below 2^31 at which it has one.  Any other tower over Q maps
+to its tower image over F_p at 65537, 2^31 - 1 and 39916801, and that
+image takes the matrix inverse exactly when its source does.  One rule
+says when p is good for a polynomial: p divides no denominator of a
+modulus or a coefficient, and the image keeps the degree.  Images at a
+good prime can only have a larger gcd (Brown, JACM 18, 1971); at a root
+chain the prime is a prime ideal of degree one (Langemyr and McCallum,
+J. Symbolic Comput. 8, 1989), and over a certified field a constant gcd
+of the images certifies gcd 1.
 """
 
 from __future__ import annotations
@@ -147,9 +168,9 @@ class Domain:
     """Abstract base for coefficient domains.
 
     The contract of every domain: each raw it returns is canonical, so
-    equal values have equal raws.  ``eq`` is therefore ``==``,
-    ``is_zero`` and ``is_one`` compare with the canonical zero and one, and
-    ``key`` returns the raw wherever it can be hashed.
+    equal values have equal raws.  ``eq`` is therefore ``==``, every
+    domain defines ``is_zero`` and ``is_one`` to compare with its canonical
+    zero and one, and ``key`` returns the raw wherever it can be hashed.
     """
 
     char: int
@@ -221,12 +242,6 @@ class Domain:
 
     def eq(self, a: El, b: El) -> bool:
         return a == b
-
-    def is_zero(self, a: El) -> bool:
-        return a == self.zero()
-
-    def is_one(self, a: El) -> bool:
-        return a == self.one()
 
     # -- misc ------------------------------------------------------------
 
@@ -566,17 +581,6 @@ def _table_for(ring: "QuotientRing") -> _MulTable | None:
     return table
 
 
-def _certified_field(dom: Domain) -> bool:
-    """Whether dom is known to be a field: Q, F_p, or one quadratic step
-    over Q whose discriminant is not a square in Q."""
-    if isinstance(dom, (Rationals, PrimeField)):
-        return True
-    if isinstance(dom, QuotientRing) and dom.degree == 2 and isinstance(dom.base, Rationals):
-        c, b, _ = dom.minpoly
-        return QQ.nth_root(mpq(b * b - 4 * c), 2) is None
-    return False
-
-
 def _solve_mod_p(m: list, p: int) -> tuple | None:
     """The solution mod p of the square system whose augmented integer
     matrix is m (one right-hand column), by Gauss-Jordan elimination; None
@@ -624,6 +628,13 @@ class QuotientRing(Domain):
     takes extended Euclid when the matrix is singular or the base is not
     certified: a unit can meet a zero-divisor leading coefficient in Euclid
     over a non-field base, and that error is part of the contract.
+
+    ``field=True`` is the caller's word, and ``is_field`` reports it.  The
+    certificate (module docstring) is what the arithmetic trusts: a tower
+    over Q is certified when each step's modulus is irreducible mod p at a
+    root chain of its base, a chain that sends each generator to a root
+    mod p of its modulus, at a prime p dividing no denominator, with each
+    modulus on the chain squarefree mod p.
     """
 
     def __init__(self, base: Domain, name: str, minpoly: tuple, *, field: bool | None = None):
@@ -644,6 +655,9 @@ class QuotientRing(Domain):
         self.dim = deg * self._step
         # elements are (nums, den) pairs
         self._over_q = isinstance(self.leaf, Rationals)
+        # every attribute is set here: one added later to an instance makes
+        # each attribute read of it slower, in mul and inv too
+        self._kept: dict = {}
         self._table = _table_for(self)
         self._flat_inv = self._table is not None and _certified_field(base)
         self._zero, self._one = self.zero(), self.one()
@@ -1612,37 +1626,265 @@ def common_rational(domain: Domain, raw: El):
     return q
 
 
-def _mod_p_image(dom: Domain, p: int) -> tuple[Domain, Any]:
-    """The image of Q, or of a tower over Q, modulo the prime p, with its
-    map on raws, which raises ValueError when p divides the denominator of
-    a raw.  Built once per (domain, p) and kept on the domain."""
-    images = vars(dom).setdefault("_images", {})
-    if p in images:
-        return images[p]
+# ---------------------------------------------------------------------------
+# reduction modulo a prime: int lists over F_p, root chains, step
+# certificates and the one image routine
+# ---------------------------------------------------------------------------
+
+# the primes of Q and of every tower over Q without a certificate
+_PRIMES = (65537, 2147483647, 39916801)
+# a step that no odd prime below this bound certifies stays uncertified
+_CERT_PRIME_BOUND = 1000
+
+
+def _fp_trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _fp_mulmod(a: list, b: list, m: list, p: int) -> list:
+    """a * b mod the monic m over F_p, for int lists, constant term first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    d = len(m) - 1
+    for k in range(len(out) - 1, d - 1, -1):
+        c = out.pop() % p
+        if c:
+            for i in range(d):
+                out[k - d + i] -= c * m[i]
+    return _fp_trim([v % p for v in out])
+
+
+def _fp_divmod(a: list, b: list, p: int) -> tuple[list, list]:
+    """Quotient and remainder over F_p of int lists, constant term first;
+    b is trimmed and nonzero, and both results are reduced and trimmed."""
+    rem, db = list(a), len(b) - 1
+    s = pow(b[-1], -1, p)
+    quo = [0] * max(len(a) - db, 0)
+    for k in range(len(a) - 1, db - 1, -1):
+        c = rem.pop() * s % p
+        if c:
+            quo[k - db] = c
+            for i in range(db):
+                rem[k - db + i] -= c * b[i]
+    return _fp_trim(quo), _fp_trim([v % p for v in rem])
+
+
+def _fp_gcd(a: list, b: list, p: int) -> list:
+    """The monic gcd over F_p, by Euclid, of two reduced and trimmed int
+    lists, constant term first; [] when both are zero."""
+    while b:
+        a, b = b, _fp_divmod(a, b, p)[1]
+    if not a:
+        return a
+    s = pow(a[-1], -1, p)
+    return [v * s % p for v in a]
+
+
+def _fp_powmod(c: int, n: int, m: list, p: int) -> list:
+    """(x + c)^n mod the monic m over F_p, for deg m >= 1."""
+    d = len(m) - 1
+    out = [1]
+    for bit in bin(n)[2:]:
+        out = _fp_mulmod(out, out, m, p)
+        if bit == "1":
+            # times x + c: a shift, c times out, one reduction step
+            out = [0] + out
+            for i in range(len(out) - 1):
+                out[i] += c * out[i + 1]
+            if len(out) > d:
+                top = out.pop()
+                for i in range(d):
+                    out[i] -= top * m[i]
+            out = _fp_trim([v % p for v in out])
+    return out
+
+
+def _fp_minus_x(a: list, p: int) -> list:
+    """a - x over F_p."""
+    a = a + [0] * (2 - len(a))
+    a[1] = (a[1] - 1) % p
+    return _fp_trim(a)
+
+
+def _fp_roots(f: list, p: int) -> list[int]:
+    """The roots in F_p of the int list f of degree >= 1, for an odd prime
+    p, sorted, by Cantor and Zassenhaus (Math. Comp. 36, 1981): the gcd g of
+    f and x^p - x is the product of f's distinct linear factors, and a gcd
+    of g and (x + a)^((p - 1)/2) - 1 splits it for about half the a in
+    F_p, so the search for a ends."""
+
+    def split(g):
+        if len(g) <= 2:
+            return [-g[0] % p] if len(g) == 2 else []
+        for a in itertools.count():
+            h = _fp_powmod(a, (p - 1) // 2, g, p)
+            d = _fp_gcd(g, _fp_trim([(h[0] - 1) % p] + h[1:]), p)
+            if 1 < len(d) < len(g):
+                return split(d) + split(_fp_divmod(g, d, p)[0])
+
+    return sorted(split(_fp_gcd(f, _fp_minus_x(_fp_powmod(0, p, f, p), p), p)))
+
+
+def _fp_irreducible(f: list, p: int) -> bool:
+    """Whether the monic int list f of degree n >= 2 is irreducible over
+    F_p, by Rabin's test (SIAM J. Comput. 9, 1980): x^(p^n) = x mod f, and
+    x^(p^(n/q)) - x is prime to f for every prime q dividing n."""
+    n = len(f) - 1
+    if _fp_minus_x(_fp_powmod(0, p**n, f, p), p):
+        return False
+    primes = [q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q))]
+    return all(len(_fp_gcd(f, _fp_minus_x(_fp_powmod(0, p ** (n // q), f, p), p), p)) == 1 for q in primes)
+
+
+def _raw_map(dom: Domain, p: int, vals: list | None) -> Any:
+    """The map mod p on raws of Q or of a tower over Q, which raises
+    ValueError when p divides a raw's denominator.  With vals, the values
+    mod p of the flat basis at a root chain ([1] over Q), a raw goes to one
+    residue; without, a tower's raw goes to the tuple of its leaf residues."""
     over_q = isinstance(dom, Rationals)
-    if over_q:
-        image = PrimeField(p)
-    elif isinstance(dom, QuotientRing) and dom._over_q:
-        base_p, base_reduce = _mod_p_image(dom.base, p)
-        image = QuotientRing(base_p, dom.name, tuple(map(base_reduce, dom.minpoly)), field=True)
-        # The matrix solve inverts exactly the units of the image, which
-        # certifies a gcd mod p even where the image is no field.  A source
-        # that may raise ZeroDivisorError on a unit (Euclid over an uncertified
-        # base) keeps Euclid in its image, so no verdict hides that error.
-        image._flat_inv = dom._flat_inv and image._table is not None
-    else:
-        raise ValueError("no modular image for this domain")
 
     def reduce(raw):
         nums, den = ((int(raw.numerator),), int(raw.denominator)) if over_q else raw
         if den % p == 0:
             raise ValueError("prime divides a denominator")
         s = pow(den, -1, p)
-        out = tuple(n * s % p for n in nums)
-        return out[0] if over_q else out
+        if vals is None:
+            return tuple(n * s % p for n in nums)
+        return sum(map(operator.mul, nums, vals)) * s % p
 
-    images[p] = image, reduce
-    return images[p]
+    return reduce
+
+
+def _modulus_mod_p(dom: QuotientRing, vals: list, p: int) -> list | None:
+    """The image of dom's modulus at the root chain vals of its base, or
+    None when p divides a denominator of it."""
+    try:
+        return list(map(_raw_map(dom.base, p, vals), dom.minpoly))
+    except ValueError:
+        return None
+
+
+def _kept(dom: Domain, key, make) -> Any:
+    """make(), computed once per (domain, key) and kept on the domain, so
+    that nothing outlives it: certificates, root chains and images.  A
+    ``QuotientRing`` makes its dict when it is built; Q makes it here."""
+    kept = vars(dom).setdefault("_kept", {})
+    if key not in kept:
+        kept[key] = make()
+    return kept[key]
+
+
+def _root_chains(dom: Domain, p: int) -> Iterator[list]:
+    """Every root chain of Q or of a tower over Q at the odd prime p, as the
+    values mod p of the flat basis.  A root chain sends each generator to a
+    root mod p of its modulus at the chain below.  p divides no denominator
+    of a modulus, and each modulus on the chain stays squarefree mod p."""
+    if isinstance(dom, Rationals):
+        yield [1]
+        return
+    base = dom.base
+    # a tower base keeps its chains for sibling towers and deeper steps
+    below = [[1]] if isinstance(base, Rationals) else _kept(base, ("chains", p), lambda: list(_root_chains(base, p)))
+    for vals in below:
+        m = _modulus_mod_p(dom, vals, p)
+        if m is None or len(_fp_gcd(m, _fp_trim([e * c % p for e, c in enumerate(m)][1:]), p)) > 1:
+            continue
+        for r in _fp_roots(m, p):
+            powers = [pow(r, e, p) for e in range(dom.degree)]
+            yield [w * v % p for w in powers for v in vals]
+
+
+def _certified_field(dom: Domain) -> bool:
+    """Whether dom is known to be a field: Q, F_p, or a tower over Q whose
+    every step is certified irreducible, kept on the domain once decided.
+    One quadratic step over Q is certified by its discriminant, which is
+    not a square.  Any other step is certified when its modulus is
+    irreducible mod p at a root chain of its base, for an odd prime p below
+    ``_CERT_PRIME_BOUND`` (the theorem in the module docstring)."""
+    if isinstance(dom, (Rationals, PrimeField)):
+        return True
+    if not (isinstance(dom, QuotientRing) and dom._over_q):
+        return False
+
+    def certify():
+        if dom.degree == 2 and isinstance(dom.base, Rationals):
+            c, b, _ = dom.minpoly
+            return QQ.nth_root(b * b - 4 * c, 2) is None
+        return _certified_field(dom.base) and any(
+            (m := _modulus_mod_p(dom, vals, p)) is not None and _fp_irreducible(m, p)
+            for p in range(3, _CERT_PRIME_BOUND, 2) if _is_prime(p)
+            for vals in _root_chains(dom.base, p))
+
+    return _kept(dom, "certificate", certify)
+
+
+def _image_primes(dom: Domain) -> Iterator[int]:
+    """The primes at which coprimality over dom is tried, in order: for a
+    certified tower over Q the first three below 2^31 at which it has a
+    root chain, each found when it is first asked for and kept on the
+    domain; for Q and any other domain ``_PRIMES``."""
+    if not (isinstance(dom, QuotientRing) and _certified_field(dom)):
+        yield from _PRIMES
+        return
+    found = _kept(dom, "primes", list)
+    for k in range(3):
+        if k == len(found):
+            below = found[-1] - 2 if found else 2**31 - 1
+            found.append(next(q for q in range(below, 2, -2) if _is_prime(q) and _chain_image(dom, q)))
+        yield found[k]
+
+
+def _chain_image(dom: QuotientRing, p: int) -> tuple[Domain, Any] | None:
+    """F_p with the map of the first root chain of dom at p, or None where
+    dom has none; kept on the domain."""
+
+    def build():
+        vals = next(_root_chains(dom, p), None)
+        return None if vals is None else (PrimeField(p), _raw_map(dom, p, vals))
+
+    return _kept(dom, ("image", p), build)
+
+
+def _mod_p_image(dom: Domain, p: int) -> tuple[Domain, Any]:
+    """The image of Q, or of a tower over Q, modulo the prime p, with its
+    map on raws, which raises ValueError when p divides the denominator of
+    a raw.  A certified tower maps to F_p, for an odd p, by its first root
+    chain at p, and raises ValueError where it has none; Q and every other
+    tower map to their tower image (:func:`_tower_image`).  Kept on the
+    domain."""
+    if not (isinstance(dom, QuotientRing) and _certified_field(dom)):
+        return _tower_image(dom, p)
+    image = _chain_image(dom, p)
+    if image is None:
+        raise ValueError("no root chain at this prime")
+    return image
+
+
+def _tower_image(dom: Domain, p: int) -> tuple[Domain, Any]:
+    """F_p for Q, or for a tower over Q the tower over F_p with each modulus
+    reduced, with its map on raws; kept on the domain."""
+    if isinstance(dom, Rationals):
+        return _kept(dom, ("tower", p), lambda: (PrimeField(p), _raw_map(dom, p, [1])))
+    if not (isinstance(dom, QuotientRing) and dom._over_q):
+        raise ValueError("no modular image for this domain")
+
+    def build():
+        base_p, base_reduce = _tower_image(dom.base, p)
+        image = QuotientRing(base_p, dom.name, tuple(map(base_reduce, dom.minpoly)), field=True)
+        # The matrix solve inverts exactly the units of the image, which
+        # certifies a gcd mod p even where the image is no field.  A source
+        # that may raise ZeroDivisorError on a unit (Euclid over an
+        # uncertified base) keeps Euclid in its image, so no verdict hides
+        # that error.
+        image._flat_inv = dom._flat_inv and image._table is not None
+        return image, _raw_map(dom, p, None)
+
+    return _kept(dom, ("tower", p), build)
 
 
 def tower_chain(domain: Domain) -> list[Domain]:

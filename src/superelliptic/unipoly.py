@@ -26,8 +26,11 @@ from .rings import (
     DomainMismatchError,
     El,
     FunctionField,
+    PrimeField,
     ZeroDivisorError,
     _dense_terms,
+    _fp_gcd,
+    _image_primes,
     _mod_p_image,
     _shift_by_one,
     embed,
@@ -357,15 +360,17 @@ def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     """Monic gcd over a field coefficient domain; gcd(0, 0) = 0.
 
     Over a finite domain (F_p, F_q towers) coefficients cannot grow, so
-    monic Euclid runs directly.  Over every other field (Q, number-field
-    towers, rational functions over any field) x is adjoined as the last
-    variable of a term dict, over the domain itself or over the ring of
-    its parameters (Z over Q), and ``mp_gcd`` runs its primitive remainder
-    sequence,
-    which keeps the coefficients from exploding (Brown, JACM 18, 1971).
+    monic Euclid runs directly, over F_p on int lists.  Over every other
+    field (Q, number-field towers, rational functions over any field) x is
+    adjoined as the last variable of a term dict, over the domain itself or
+    over the ring of its parameters (Z over Q), and ``mp_gcd`` runs its
+    primitive remainder sequence, which keeps the coefficients from
+    exploding (Brown, JACM 18, 1971).
     """
     f._same(g)
     dom = f.domain
+    if isinstance(dom, PrimeField):
+        return UniPoly.from_list(dom, _fp_gcd(f.to_list(), g.to_list(), dom.p))
     if dom.is_finite:
         a, b = f, g
         while b.coeffs:
@@ -404,33 +409,47 @@ def polys_coprime(f: UniPoly, g: UniPoly) -> bool:
     """Exact coprimality test.
 
     Over Q and towers over Q a constant gcd of the images at a good prime
-    (:func:`_poly_mod_p`) certifies coprimality.  The images are coprime for
-    almost every prime, and their gcd is finite-field Euclid, several times
-    cheaper than the exact route; ``poly_gcd`` over the original domain runs
-    only when no prime decides (bad primes, a zero divisor of an image that
-    is no field, a common factor mod p).  Over Q(params) the exact gcd is
-    cheaper than building the F_p(params) image, so it is taken directly.
+    (:func:`_coprime_mod_p`) certifies coprimality.  The images are coprime
+    for almost every prime, and their gcd is finite-field Euclid, several
+    times cheaper than the exact route; ``poly_gcd`` over the original
+    domain runs only when no prime decides.  Over Q(params) the exact gcd
+    is cheaper than building an F_p(params) image, so it is taken directly.
     """
     if f.is_zero() or g.is_zero():
         return False
     if f.is_constant() or g.is_constant():
         return True
-    if f.domain.char == 0 and not isinstance(f.domain, FunctionField):
-        for p in (65537, 2147483647, 39916801):
-            if (fp := _poly_mod_p(f, p)) is None or (gp := _poly_mod_p(g, p)) is None:
-                continue
-            try:
-                if poly_gcd(fp, gp).degree() == 0:
-                    return True
-                break  # nontrivial common factor mod p: decide exactly
-            except (ZeroDivisorError, ZeroDivisionError):
-                continue
-    return poly_gcd(f, g).degree() == 0
+    return _coprime_mod_p(f, g) or poly_gcd(f, g).degree() == 0
+
+
+def _coprime_mod_p(f: UniPoly, g: UniPoly | None) -> bool:
+    """Whether the images of f and g at one of the domain's primes
+    (``_image_primes``) have gcd 1, which certifies that f and g are
+    coprime by the rule stated in :mod:`superelliptic.rings`; g None stands
+    for f', taken on the images.  False when no prime decides: the domain
+    has no image, every prime is bad, an image gcd meets a zero divisor of
+    an image that is no field, or the images share a factor."""
+    dom = f.domain
+    if dom.char or isinstance(dom, FunctionField):
+        return False
+    for p in _image_primes(dom):
+        if (fp := _poly_mod_p(f, p)) is None:
+            continue
+        gp = fp.derivative() if g is None else _poly_mod_p(g, p)
+        if gp is None or (g is None and gp.degree() != fp.degree() - 1):
+            continue
+        try:
+            common = poly_gcd(fp, gp).degree()
+        except (ZeroDivisorError, ZeroDivisionError):
+            continue
+        return common == 0
+    return False
 
 
 def _poly_mod_p(f: UniPoly, p: int) -> UniPoly | None:
     """The image of f modulo the prime p, or None when f's domain has no
-    image (it is no tower over Q) or p is bad for f by the rule stated in
+    image at p (it is no tower over Q, or a certified tower with no root
+    chain there) or p is bad for f by the rule stated in
     :mod:`superelliptic.rings`."""
     try:
         dom_p, reduce = _mod_p_image(f.domain, p)
@@ -443,15 +462,17 @@ def _poly_mod_p(f: UniPoly, p: int) -> UniPoly | None:
 def squarefree_test(f: UniPoly) -> bool:
     """True iff f has no repeated roots, i.e. gcd(f, f') is constant.
 
-    Over a prime field a vanishing derivative means f is a p-th power up to
-    factors, so the gcd test still answers correctly.
+    Over Q and towers over Q the derivative is taken on the images first,
+    so a decided test forms no derivative over the tower.  Over a prime
+    field a vanishing derivative means f is a p-th power up to factors, so
+    the gcd test still answers correctly.
     """
-    if f.is_constant():
+    if f.is_constant() or _coprime_mod_p(f, None):
         return True
     df = f.derivative()
     if df.is_zero():
         return False
-    return polys_coprime(f, df)
+    return df.is_constant() or poly_gcd(f, df).degree() == 0
 
 
 def proportional(f: UniPoly, g: UniPoly) -> El | None:

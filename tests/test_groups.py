@@ -13,6 +13,7 @@ from superelliptic import (
     QQ,
     SpecialOrbit,
     UniPoly,
+    ZeroDivisorError,
     adjoin,
     classify,
     delta_form,
@@ -39,7 +40,7 @@ from superelliptic.catalog import (
     psl_pgl_case_b_generators,
     zeta5_field,
 )
-from superelliptic import groups
+from superelliptic import groups, rings
 from superelliptic.groups import orbit_image
 from superelliptic.parser import build_domain, parse_expression
 from superelliptic.unipoly import INF
@@ -484,6 +485,26 @@ def test_classification_tables():
     rep = orbit_decomposition(pgl.generic_template(pgl.domain, w), pgl)
     aut = classify(pgl, rep, n=8)
     assert "restriction map" in " ".join(aut.caveats)
+
+
+def test_a5_b_ring_is_two_copies_of_q_i_zeta5():
+    # e2^2 = 10 - 2 sqrt5 = (2i(zeta5^2 - zeta5^3))^2 already in Q(i, zeta5),
+    # so the step splits: the fixture's ring is Q(i, zeta5) x Q(i, zeta5)
+    a5b = fixture_by_name("a5_b")
+    dom = a5b.domain
+    i = dom.from_base(dom.base.from_base(dom.base.base.gen()))
+    z = dom.from_base(dom.base.gen())
+    root = dom.mul(dom.mul(dom.from_int(2), i), dom.sub(dom.pow(z, 2), dom.pow(z, 3)))
+    with pytest.raises(ZeroDivisorError, match="modulus has factor of degree 1"):
+        dom.inv(dom.sub(dom.gen(), root))
+    # the step certificate refuses the ring, though it is declared a field
+    assert dom.is_field and not rings._certified_field(dom)
+    assert rings._certified_field(dom.base)
+    # every computation runs in both factors at once, so a generic orbit
+    # still classifies
+    rep = orbit_decomposition(a5b.generic_template(dom, dom.from_int(2)), a5b)
+    aut = classify(a5b, rep, n=2)
+    assert rep.t_generic == 1 and aut.full_group == "Z/2Z x A_5"
 
 
 def test_elem_abelian_template_invariance():

@@ -1,7 +1,7 @@
 """The package imports no test-only dependency: sympy is an oracle for the
 tests, and hypothesis and pytest run them.  No module but ``rings`` uses
-the helpers that build tower raws, and reduction mod p goes through one
-image routine."""
+the helpers that build tower raws, finds roots mod p or certifies tower
+steps, and reduction mod p goes through one image routine."""
 
 import ast
 import pathlib
@@ -53,3 +53,14 @@ def test_one_mod_p_image_layer():
     used = {f.name: set(_names_used(ast.parse(f.read_text(), str(f)))) for f in sorted(SRC.glob("*.py"))}
     assert {name for name, names in used.items() if "_mod_p_image" in names} == {"rings.py", "unipoly.py"}
     assert "PrimeField" not in used["groups.py"]
+
+
+def test_only_rings_finds_roots_mod_p_and_certifies_steps():
+    """Root chains and step certificates are decided once per domain in
+    ``rings``; ``unipoly`` and ``groups`` only ask for a domain's primes
+    and images."""
+    helpers = {"_fp_roots", "_fp_irreducible", "_fp_powmod", "_root_chains", "_chain_image", "_certified_field",
+               "_kept"}
+    found = {(f.name, name) for f in sorted(SRC.glob("*.py")) if f.name != "rings.py"
+             for name in _names_used(ast.parse(f.read_text(), str(f))) if name in helpers}
+    assert not found

@@ -514,11 +514,14 @@ def test_tower_product_and_inverse_match_sympy(name, rng):
 
 
 def _prime_field_towers():
-    """F_9, F_81 = F_9[v] with v^2 = w + 1, and the image of Q(i, zeta5)
-    modulo 65537, where i^2 + 1 splits, so the image is no field."""
+    """F_9, F_81 = F_9[v] with v^2 = w + 1, and the tower image of
+    Q(i, zeta5) modulo 65537, where i^2 + 1 splits, so the image is no
+    field.  Coprimality over Q(i, zeta5) maps to F_p by a root chain; the
+    tower image, built directly here, is the route of towers with no
+    certificate."""
     F9 = build_domain(3, [("w", "t^2 + 1")], ())
     F81 = QuotientRing(F9, "v", (F9.neg(F9.add(F9.one(), F9.gen())), F9.zero(), F9.one()), field=True)
-    return {"F_9": F9, "F_81": F81, "Q(i, zeta5) mod 65537": rings._mod_p_image(zeta5_field(), 65537)[0]}
+    return {"F_9": F9, "F_81": F81, "Q(i, zeta5) mod 65537": rings._tower_image(zeta5_field(), 65537)[0]}
 
 
 def assert_matches_mod_p(dom, ours, expected, what):

@@ -538,6 +538,51 @@ def test_inverse_over_an_uncertified_base_runs_euclid(monkeypatch):
     assert calls
 
 
+@pytest.mark.parametrize("extensions", [
+    [("e", "t^2-4")],
+    [("e", "t^3-t")],
+    [("e", "t^4-5*t^2+6")],
+    [("I", "t^2+1"), ("e", "t^4-5*t^2+6")],
+    # sqrt2 + sqrt3: irreducible, but it splits mod every prime
+    [("r", "t^4-10*t^2+1")],
+])
+def test_planted_moduli_get_no_certificate(extensions):
+    K = build_domain(0, extensions, ())
+    assert K.is_field and not rings._certified_field(K)
+    assert tuple(rings._image_primes(K)) == (65537, 2147483647, 39916801)
+
+
+def test_every_catalog_tower_over_q_is_certified_but_a5_b(monkeypatch):
+    from superelliptic.catalog import standard_catalog
+
+    towers = {name: fx.domain for name, fx in standard_catalog().items()
+              if isinstance(fx.domain, QuotientRing) and not fx.domain.char}
+    assert {name for name, K in towers.items() if not rings._certified_field(K)} == {"a5_b"}
+    assert len(towers) == 15
+    # a certified base gives a deeper step the table inverse: a5_b's top
+    # step sits over the certified Q(i, zeta5)
+    assert all(K._flat_inv for K in towers.values())
+    # one quadratic step over Q is decided by its discriminant, with no
+    # search; a deeper step by the first odd prime at which a root chain
+    # of its base leaves its modulus irreducible
+    tested = []
+    real = rings._fp_irreducible
+    monkeypatch.setattr(rings, "_fp_irreducible", lambda f, p: tested.append(p) or real(f, p))
+    K = adjoin(QQ, "s7", (QQ.from_int(-7), QQ.zero(), QQ.one()))
+    assert rings._certified_field(K) and not tested
+    G = adjoin(QQ, "I", (QQ.one(), QQ.zero(), QQ.one()))
+    Z = adjoin(G, "z5", tuple(G.one() for _ in range(5)))
+    assert rings._certified_field(Z)
+    # i has no root mod 3, 7 or 11; Phi_5 = (x - 1)^4 mod 5 at both roots
+    # of i, and Phi_5 is irreducible mod 13
+    assert tested == [5, 5, 13]
+    # 3 divides a denominator of t^3 - 2/3, t^3 - 4 has the root 4 mod 5,
+    # and 3 is no cube mod 7
+    tested.clear()
+    C = adjoin(QQ, "c", (mpq(-2, 3), QQ.zero(), QQ.zero(), QQ.one()))
+    assert rings._certified_field(C) and tested == [5, 7]
+
+
 def test_reduction_forms_no_product_for_a_zero_modulus_coefficient(monkeypatch):
     # t^6 - 2 has one nonzero coefficient below its lead, so reducing
     # 1 + t + ... + t^11 takes one base product at each of its six steps

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superelliptic import (
     QQ,
@@ -17,7 +18,7 @@ from superelliptic import (
     squarefree_test,
 )
 from superelliptic import rings, unipoly
-from superelliptic.catalog import a5_fixture, zeta5_field
+from superelliptic.catalog import a5_fixture, sqrt3_field, zeta5_field
 from superelliptic.parser import build_domain, parse_constant, parse_expression
 from superelliptic.rings import QuotientRing
 from superelliptic.unipoly import NEG_INF, _res_with_derivative
@@ -408,9 +409,30 @@ def test_coprimality_builds_images_only_over_number_fields(monkeypatch):
     assert built
 
 
-def test_coprimality_over_q_i_zeta5_runs_tables_in_the_image(monkeypatch):
-    # the images' tables are built once per image tower: build them first
+def _q_zeta20():
+    """Q(zeta20) = Q(i, zeta5) as one step over Q.  Its modulus splits mod
+    every prime, since (Z/20Z)^* has no element of order 8, so the step gets
+    no certificate and takes the tower image mod p; the map sends a value
+    of the catalog's Q(i, zeta5) there by i -> zeta20^5, zeta5 -> zeta20^4."""
+    L = build_domain(0, [("z", "t^8 - t^6 + t^4 - t^2 + 1")], ())
     K = zeta5_field()
+    i, z5 = L.pow(L.gen(), 5), L.pow(L.gen(), 4)
+
+    def to_l(c):
+        out = L.zero()
+        for b, cb in enumerate(K.coords(c)):
+            for a, q in enumerate(K.base.coords(cb)):
+                out = L.add(out, L.mul(L.from_base(q), L.mul(L.pow(i, a), L.pow(z5, b))))
+        return out
+
+    return L, to_l
+
+
+def test_coprimality_over_q_i_zeta5_runs_tables_in_the_image(monkeypatch):
+    # over Q(zeta20), which gets no certificate; the images' tables are
+    # built once per image tower: build them first
+    K, to_k = _q_zeta20()
+    assert not rings._certified_field(K)
     for p in (65537, 2147483647, 39916801):
         assert rings._mod_p_image(K, p)[0]._flat_inv
     inside, verdicts, hits = [], [], []
@@ -439,33 +461,65 @@ def test_coprimality_over_q_i_zeta5_runs_tables_in_the_image(monkeypatch):
             hits.append("_ul_divmod")
         return real_divmod(*args)
 
+    b0 = a5_fixture().orbit("B0").poly
+    f = UniPoly(K, {e: to_k(c) for e, c in b0.coeffs.items()})
     monkeypatch.setattr(unipoly, "_poly_mod_p", image_step(unipoly._poly_mod_p, False))
     monkeypatch.setattr(unipoly, "poly_gcd", image_step(unipoly.poly_gcd, True))
     monkeypatch.setattr(QuotientRing, "_schoolbook_mul", schoolbook)
     monkeypatch.setattr(rings, "_ul_divmod", divmod_)
-    f = a5_fixture().orbit("B0").poly
     assert f.domain == K and f.degree() == 20
     assert squarefree_test(f)
     assert verdicts == [True] and not hits
 
 
+def test_squarefree_test_over_a_certified_tower_makes_no_tower_product(monkeypatch):
+    # the image of a5's B0 at a root chain is one int list, and its
+    # derivative is taken there: no QuotientRing product runs
+    f = a5_fixture().orbit("B0").poly
+    K = f.domain
+    assert rings._certified_field(K) and f.degree() == 20
+    products = []
+    real = QuotientRing.mul
+    monkeypatch.setattr(QuotientRing, "mul", lambda self, a, b: products.append(self) or real(self, a, b))
+    assert squarefree_test(f)
+    assert not products
+    assert isinstance(rings._mod_p_image(K, next(rings._image_primes(K)))[0], PrimeField)
+    # 65537 = 2 mod 5 has no fifth root of unity, so no root chain
+    with pytest.raises(ValueError, match="no root chain"):
+        rings._mod_p_image(K, 65537)
+    assert unipoly._poly_mod_p(f, 65537) is None
+
+
+def _no_certificate_tower():
+    """Q(r)(I) with r^4 - 10 r^2 + 1 = 0: r = sqrt2 + sqrt3 generates a
+    field, but its modulus splits mod every prime (the Galois group is
+    Klein's four-group), so no step above it is certified either."""
+    return build_domain(0, [("r", "t^4 - 10*t^2 + 1")], (), sugar_i=True)
+
+
 def test_a_prime_dividing_a_denominator_gives_no_image_verdict():
-    # 65537 divides a denominator of c, so that prime builds no image of f
-    # and polys_coprime decides at the next prime or exactly
-    K = build_domain(0, [("I", "t^2 + 1"), ("s3", "t^2 - 3")], ())
-    p = 65537
-    c = parse_constant(f"1/{p}*I + s3", K)
-    with pytest.raises(ValueError, match="prime divides a denominator"):
-        rings._mod_p_image(K, p)[1](c)
-    f = UniPoly(K, {2: K.one(), 1: K.one(), 0: c})
-    g = UniPoly(K, {1: K.one(), 0: K.from_int(-1)})
-    h = UniPoly(K, {1: K.one(), 0: c})
-    assert unipoly._poly_mod_p(f, p) is None
-    assert unipoly.polys_coprime(f, g) and unipoly.polys_coprime(g, f)
-    assert unipoly._poly_mod_p(f * h, p) is None
-    assert not unipoly.polys_coprime(f * h, g * h)
-    assert poly_gcd(f * h, g * h) == h
+    # p divides a denominator of c, so that prime builds no image of f and
+    # polys_coprime decides at the next prime or exactly; p is the first
+    # prime of the domain: 65537 over a tower with no certificate, and the
+    # first prime below 2^31 with a root chain over Q(i, sqrt3)
+    cases = [(_no_certificate_tower(), "r"),
+             (build_domain(0, [("I", "t^2 + 1"), ("s3", "t^2 - 3")], ()), "s3")]
+    for K, name in cases:
+        p, q = tuple(rings._image_primes(K))[:2]
+        c = parse_constant(f"1/{p}*I + {name}", K)
+        with pytest.raises(ValueError, match="prime divides a denominator"):
+            rings._mod_p_image(K, p)[1](c)
+        f = UniPoly(K, {2: K.one(), 1: K.one(), 0: c})
+        g = UniPoly(K, {1: K.one(), 0: K.from_int(-1)})
+        h = UniPoly(K, {1: K.one(), 0: c})
+        assert unipoly._poly_mod_p(f, p) is None
+        assert unipoly.polys_coprime(f, g) and unipoly.polys_coprime(g, f)
+        assert unipoly._poly_mod_p(f * h, p) is None
+        assert not unipoly.polys_coprime(f * h, g * h)
+        assert poly_gcd(f * h, g * h) == h
+    assert tuple(rings._image_primes(cases[0][0])) == (65537, 2147483647, 39916801)
     # the same over Q
+    p = 65537
     q = mpq(3, p)
     f, g, h = P([q, 1, 1]), P([-1, 1]), P([q, 1])
     with pytest.raises(ValueError, match="prime divides a denominator"):
@@ -474,21 +528,24 @@ def test_a_prime_dividing_a_denominator_gives_no_image_verdict():
     assert unipoly.polys_coprime(f, g)
     assert not unipoly.polys_coprime(f * h, g * h)
     # a leading coefficient divisible by p has an image that loses degree:
-    # the degree rule rejects p, over K and over Q, and the next prime decides
-    for dom in (K, QQ):
+    # the degree rule rejects p, over the towers and over Q, and the next
+    # prime decides
+    for dom in [K for K, _ in cases] + [QQ]:
+        p, q = tuple(rings._image_primes(dom))[:2]
         f = UniPoly(dom, {2: dom.from_int(p), 1: dom.one(), 0: dom.one()})
         g = UniPoly(dom, {1: dom.one(), 0: dom.from_int(-1)})
-        assert unipoly._poly_mod_p(f, p) is None and unipoly._poly_mod_p(f, 2147483647) is not None
+        assert unipoly._poly_mod_p(f, p) is None and unipoly._poly_mod_p(f, q) is not None
         assert unipoly.polys_coprime(f, g) and not unipoly.polys_coprime(f * g, g * g)
 
 
 def test_each_image_is_built_once_per_domain_and_prime(monkeypatch):
-    # a fresh tower has no images; the first coprimality test builds them
-    # and keeps them on the tower, so a second one builds none
+    # a fresh tower with no certificate has no images; the first
+    # coprimality test builds them and keeps them on the tower, so a second
+    # one builds none
     built = []
     real = QuotientRing.__init__
     monkeypatch.setattr(QuotientRing, "__init__", lambda self, *a, **k: built.append(self) or real(self, *a, **k))
-    K = QuotientRing(QQ, "r", (mpq(-7), mpq(0), mpq(1)), field=True)
+    K = QuotientRing(QQ, "r", tuple(map(mpq, (1, 0, -10, 0, 1))), field=True)
     K = QuotientRing(K, "I", (K.one(), K.zero(), K.one()), field=True)
     f = UniPoly(K, {3: K.one(), 1: K.gen(), 0: K.from_int(5)})
     g = UniPoly(K, {2: K.one(), 0: K.from_base(K.base.gen())})
@@ -503,6 +560,58 @@ def test_each_image_is_built_once_per_domain_and_prime(monkeypatch):
     Qa = build_domain(0, [], ("a",))
     L = QuotientRing(Qa, "r", (Qa.from_int(-7), Qa.zero(), Qa.one()), field=True)
     assert unipoly._poly_mod_p(UniPoly(L, {1: L.one(), 0: L.gen()}), 65537) is None
+
+
+def test_certificate_and_root_chains_are_found_once_per_tower(monkeypatch):
+    # Q(sqrt7)(I): the step I is certified at a root chain of Q(sqrt7), and
+    # the tower's primes are found as coprimality tests ask for them, the
+    # first test needing one; once found, no test over the same tower
+    # searches again
+    searches = []
+    for name in ("_fp_roots", "_fp_irreducible"):
+        real = getattr(rings, name)
+        monkeypatch.setattr(rings, name, lambda *a, real=real, name=name: searches.append(name) or real(*a))
+    K = QuotientRing(QQ, "r", (mpq(-7), mpq(0), mpq(1)), field=True)
+    K = QuotientRing(K, "I", (K.one(), K.zero(), K.one()), field=True)
+    f = UniPoly(K, {3: K.one(), 1: K.gen(), 0: K.from_int(5)})
+    g = UniPoly(K, {2: K.one(), 0: K.from_base(K.base.gen())})
+    assert unipoly.polys_coprime(f, g)
+    assert {"_fp_roots", "_fp_irreducible"} <= set(searches)
+    assert len(K._kept["primes"]) == 1
+    primes = tuple(rings._image_primes(K))
+    assert len(primes) == 3 and all(isinstance(rings._mod_p_image(K, p)[0], PrimeField) for p in primes)
+    searches.clear()
+    assert unipoly.polys_coprime(f, g) and squarefree_test(f) and not squarefree_test(f * f)
+    assert not searches
+
+
+@st.composite
+def _tower_pairs(draw, dom):
+    """f = a h and g = b h over dom, with small sparse leaves; h is 1 or
+    a monic polynomial of degree 1 or 2."""
+    def element():
+        leaves = [mpq(0)] * dom.dim
+        for k, v in draw(st.lists(st.tuples(st.integers(0, dom.dim - 1), st.integers(-3, 3)), max_size=3)):
+            leaves[k] = mpq(v)
+        return tower_from_leaves(dom, leaves)
+
+    def poly(deg, monic=False):
+        coeffs = {e: element() for e in range(deg)}
+        lead = dom.one() if monic else element()
+        coeffs[deg] = dom.one() if dom.is_zero(lead) else lead
+        return UniPoly(dom, coeffs)
+
+    h = poly(draw(st.integers(0, 2)), monic=True)
+    return poly(draw(st.integers(1, 3))) * h, poly(draw(st.integers(1, 2))) * h
+
+
+@pytest.mark.parametrize("field", [sqrt3_field, zeta5_field], ids=["Q(i, sqrt3)", "Q(i, zeta5)"])
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_coprimality_at_a_root_chain_agrees_with_the_exact_gcd(field, data):
+    dom = field()
+    f, g = data.draw(_tower_pairs(dom))
+    assert unipoly.polys_coprime(f, g) == (poly_gcd(f, g).degree() == 0)
 
 
 def test_image_of_an_uncertified_tower_keeps_euclid():
