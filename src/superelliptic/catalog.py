@@ -31,15 +31,14 @@ sizes must match the classical counts.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import operator
 import re
 
-from .rings import QQ, Domain, El, PrimeField, QuotientRing, adjoin, embed, tower_chain
+from .rings import QQ, Domain, El, PrimeField, QuotientRing, _least_irreducible, adjoin, embed, tower_chain
 from .unipoly import INF, Mobius, UniPoly, mobius_transport
 from .groups import (
-    GroupFixture, GroupError, SpecialOrbit, _eval_mod, group_elements, orbit_image,
+    GroupFixture, GroupError, SpecialOrbit, group_elements, orbit_image,
     orbit_points, orbit_polynomial,
 )
 from .parser import build_domain, parse_expression
@@ -108,17 +107,11 @@ def zeta5_field() -> QuotientRing:
 @functools.cache
 def finite_field(p: int, t: int) -> Domain:
     """F_{p^t} as F_p or F_p[w]/(irreducible of degree t), t <= 3."""
-    base = PrimeField(p)
     if t == 1:
-        return base
+        return PrimeField(p)
     if t > 3:
         raise ValueError("finite fields only shipped up to cubic extensions")
-    # smallest monic irreducible of degree t: no roots suffices for t in (2,3)
-    for tail in itertools.product(range(p), repeat=t):
-        coeffs = tail[::-1] + (1,)
-        if all(_eval_mod(coeffs, x, p) for x in range(p)):
-            return adjoin(base, "w", coeffs, field=True)
-    raise AssertionError("no irreducible polynomial found")
+    return adjoin(PrimeField(p), "w", _least_irreducible(p, t), field=True)
 
 
 def multiplicative_generator(dom: Domain) -> El:

@@ -31,24 +31,21 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import lcm
 from typing import Any
 
 from .rings import (
-    QQ,
     Domain,
     DomainMismatchError,
     El,
     FunctionField,
-    _is_prime,
+    _q_roots,
     common_rational,
     embed,
-    mpq,
     rational_projection,
 )
 from .covers import CoverError, _check_cover_order
 from .invariants import invariants_of
-from .unipoly import INF, Mobius, UniPoly, _poly_mod_p, mobius_transport, poly_gcd, proportional, squarefree_test
+from .unipoly import INF, Mobius, UniPoly, mobius_transport, proportional, squarefree_test
 
 
 class GroupError(ValueError):
@@ -382,58 +379,6 @@ def _rational_roots(dom: Domain, coeffs: list[El]) -> list[El]:
             for q in _q_roots(projected)
         )
     return [z for z in candidates if dom.is_zero(f.evaluate(z))]
-
-
-def _q_roots(coeffs: list) -> list:
-    """Every rational root of sum coeffs[i] z^i (rational coefficients, not
-    all zero), ordered by |numerator|, denominator, then sign, positive
-    first.
-
-    p-adic lifting (Loos, SIAM J. Comput. 12, 1983): the squarefree part,
-    cleared to integers, has only simple roots modulo a prime p that
-    divides neither its lead nor its discriminant, so each root mod p lifts
-    by Newton's iteration to one p-adic root.  A rational root y/q in lowest
-    terms has q | lead, so lead * root is an integer of absolute value at
-    most |lead| + max |c_i| (Cauchy's bound); once the modulus exceeds twice
-    that, the symmetric residue of lead * root is exact.
-    """
-    f = UniPoly(QQ, dict(enumerate(coeffs)))
-    f = f // poly_gcd(f, f.derivative())
-    den = lcm(*(int(c.denominator) for c in f.coeffs.values()))
-    ints = [int(c * den) for c in f.to_list()]
-    roots = []
-    if ints[0] == 0:  # squarefree: z divides at most once
-        roots.append(mpq(0))
-        ints = ints[1:]
-    n, lead = len(ints) - 1, ints[-1]
-    if n == 0:
-        return roots
-    cleared = UniPoly(QQ, {e: mpq(c) for e, c in enumerate(ints)})
-    p = n + 1
-    while not (_is_prime(p) and (image := _poly_mod_p(cleared, p)) is not None and squarefree_test(image)):
-        p += 1
-    deriv = [e * c for e, c in enumerate(ints)][1:]
-    bound = 2 * (abs(lead) + max(abs(c) for c in ints))
-    for r in range(p):
-        if _eval_mod(ints, r, p):
-            continue
-        m = p
-        while m <= bound:
-            m *= m
-            r = (r - _eval_mod(ints, r, m) * pow(_eval_mod(deriv, r, m), -1, m)) % m
-        y = lead * r % m
-        cand = mpq(y - m if 2 * y > m else y, lead)
-        if not f.evaluate(cand):
-            roots.append(cand)
-    return sorted(roots, key=lambda q: (abs(q.numerator), q.denominator, q < 0))
-
-
-def _eval_mod(coeffs, x, p) -> int:
-    """sum coeffs[i] x^i mod p for integer coefficients, by Horner's rule."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
 
 
 def orbit_decomposition(f: UniPoly, fixture: GroupFixture) -> OrbitReport:

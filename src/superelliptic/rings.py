@@ -70,19 +70,22 @@ uncertified when none does: every reducible step, and steps with no
 cyclic Frobenius, such as t^4 - 10 t^2 + 1.  The certificate is decided
 once per domain and kept on it (``_certified_field``).
 
-Reduction modulo a prime p has one route, ``_mod_p_image``, with its map
-on raws; every image is built once per (domain, p) and kept on the
-domain.  Q maps to F_p by reduction.  A certified tower maps to F_p by its
-first root chain at p, and its own primes (``_image_primes``) are the
-first three below 2^31 at which it has one.  Any other tower over Q maps
-to its tower image over F_p at 65537, 2^31 - 1 and 39916801, and that
-image takes the matrix inverse exactly when its source does.  One rule
-says when p is good for a polynomial: p divides no denominator of a
-modulus or a coefficient, and the image keeps the degree.  Images at a
-good prime can only have a larger gcd (Brown, JACM 18, 1971); at a root
-chain the prime is a prime ideal of degree one (Langemyr and McCallum,
-J. Symbolic Comput. 8, 1989), and over a certified field a constant gcd
-of the images certifies gcd 1.
+Every decision made mod p lives in this module.  One int-list kernel over
+F_p (``_fp_*``) serves the certificates, the rational roots over Q by
+p-adic lifting (``_q_roots``) and the modulus of a finite field
+(``_least_irreducible``).  Reduction modulo a prime p has one route,
+``_mod_p_image``, with its map on raws, built once per (domain, p) and
+kept on the domain: Q maps to F_p by reduction, a certified tower to F_p
+by its first root chain at p, and any other tower over Q to its tower
+image over F_p, which takes the matrix inverse exactly when its source
+does.  One rule picks the primes of Q and of every tower over Q
+(``_image_primes``): the first three below 2^31 at which the domain has
+an image.  One rule says when p is good for a polynomial: p divides no
+denominator of a modulus or a coefficient, and the image keeps the
+degree.  Images at a good prime can only have a larger gcd (Brown, JACM
+18, 1971); at a root chain the prime is a prime ideal of degree one
+(Langemyr and McCallum, J. Symbolic Comput. 8, 1989), and over a
+certified field a constant gcd of the images certifies gcd 1.
 """
 
 from __future__ import annotations
@@ -1034,7 +1037,8 @@ def mp_exact_div(base: Domain, f: dict, g: dict) -> dict | None:
         return {}
     ge = mp_lead(g)
     gc = g[ge]
-    if base.is_field:
+    over_z = isinstance(base, Integers)
+    if not over_z:
         gc_inv = base.inv(gc)
         if len(g) == 1 and not any(ge):
             return mp_scale(base, f, gc_inv)
@@ -1049,7 +1053,7 @@ def mp_exact_div(base: Domain, f: dict, g: dict) -> dict | None:
         diff = tuple(map(int.__sub__, re, ge))
         if any(d < 0 for d in diff):
             return None
-        if base.is_field:
+        if not over_z:
             q = base.mul(rem[re], gc_inv)
         else:
             q, r = divmod(rem[re], gc)
@@ -1201,12 +1205,14 @@ def _zz_divides(p: list, h: list) -> bool:
 def _mp_normal(base: Domain, f: dict, *cofactors: dict) -> tuple:
     """f in normal form, then each cofactor divided by the same unit.
 
-    The normal form is monic over a field and, over Z, primitive with a
-    positive leading coefficient; over Z the content is taken over f and
-    the cofactors together, so ``_mp_normal(ZZ, den, num)`` also cancels
-    the integer content that a fraction num/den shares."""
+    The normal form is primitive with a positive leading coefficient over
+    Z, and monic over any other base, which inverts the leading
+    coefficient: a zero divisor of a quotient ring raises
+    :class:`ZeroDivisorError`.  Over Z the content is taken over f and the
+    cofactors together, so ``_mp_normal(ZZ, den, num)`` also cancels the
+    integer content that a fraction num/den shares."""
     lc = f[mp_lead(f)]
-    if base.is_field:
+    if not isinstance(base, Integers):
         if base.is_one(lc):
             return (f,) + cofactors
         inv = base.inv(lc)
@@ -1631,8 +1637,6 @@ def common_rational(domain: Domain, raw: El):
 # certificates and the one image routine
 # ---------------------------------------------------------------------------
 
-# the primes of Q and of every tower over Q without a certificate
-_PRIMES = (65537, 2147483647, 39916801)
 # a step that no odd prime below this bound certifies stays uncertified
 _CERT_PRIME_BOUND = 1000
 
@@ -1711,6 +1715,12 @@ def _fp_minus_x(a: list, p: int) -> list:
     return _fp_trim(a)
 
 
+def _fp_squarefree(f: list, p: int) -> bool:
+    """Whether the reduced and trimmed int list f is squarefree over F_p:
+    prime to its derivative."""
+    return len(_fp_gcd(f, _fp_trim([e * c % p for e, c in enumerate(f)][1:]), p)) == 1
+
+
 def _fp_roots(f: list, p: int) -> list[int]:
     """The roots in F_p of the int list f of degree >= 1, for an odd prime
     p, sorted, by Cantor and Zassenhaus (Math. Comp. 36, 1981): the gcd g of
@@ -1739,6 +1749,57 @@ def _fp_irreducible(f: list, p: int) -> bool:
         return False
     primes = [q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q))]
     return all(len(_fp_gcd(f, _fp_minus_x(_fp_powmod(0, p ** (n // q), f, p), p), p)) == 1 for q in primes)
+
+
+def _least_irreducible(p: int, t: int) -> tuple:
+    """The first monic irreducible of degree t >= 2 over F_p (Rabin's test),
+    constant term first, its lower coefficients taken in the order of
+    ``itertools.product`` from the x^(t-1) coefficient down."""
+    monics = (tail[::-1] + (1,) for tail in itertools.product(range(p), repeat=t))
+    return next(m for m in monics if _fp_irreducible(list(m), p))
+
+
+def _q_roots(coeffs: list) -> list:
+    """Every rational root of sum coeffs[i] z^i (rational coefficients, not
+    all zero), ordered by |numerator|, denominator, then sign, positive
+    first.
+
+    p-adic lifting (Loos, SIAM J. Comput. 12, 1983), on ints throughout:
+    the squarefree part of the cleared polynomial (``mp_gcd`` over Z) has
+    only simple roots modulo an odd prime p above its degree that divides
+    neither its lead nor its discriminant, so each root mod p
+    (``_fp_roots``) lifts by Newton's iteration to one p-adic root.  A
+    rational root y/q in lowest terms has q | lead, so lead * root is an
+    integer of absolute value at most |lead| + max |c_i| (Cauchy's bound);
+    once the modulus exceeds twice that, the symmetric residue of lead *
+    root is exact.
+    """
+    den = math.lcm(*(int(c.denominator) for c in coeffs))
+    f = {(e,): int(c * den) for e, c in enumerate(coeffs) if c}
+    ints = _zz_dense_pp(mp_exact_div(ZZ, f, mp_gcd(ZZ, f, {(e - 1,): e * c for (e,), c in f.items() if e})), 0)
+    roots = []
+    if ints[0] == 0:  # squarefree: z divides at most once
+        roots.append(mpq(0))
+        ints = ints[1:]
+    n, lead = len(ints) - 1, ints[-1]
+    if n == 0:
+        return roots
+    p = (n + 1) | 1
+    while not (_is_prime(p) and lead % p and _fp_squarefree([c % p for c in ints], p)):
+        p += 2
+    deriv = [e * c for e, c in enumerate(ints)][1:]
+    bound = 2 * (abs(lead) + max(map(abs, ints)))
+    inv = pow(lead, -1, p)
+    for r in _fp_roots([c * inv % p for c in ints], p):
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - _zz_eval(ints, r) * pow(_zz_eval(deriv, r), -1, m)) % m
+        y = lead * r % m
+        cand = mpq(y - m if 2 * y > m else y, lead)
+        if _zz_divides(ints, [-int(cand.numerator), int(cand.denominator)]):
+            roots.append(cand)
+    return sorted(roots, key=lambda q: (abs(q.numerator), q.denominator, q < 0))
 
 
 def _raw_map(dom: Domain, p: int, vals: list | None) -> Any:
@@ -1792,7 +1853,7 @@ def _root_chains(dom: Domain, p: int) -> Iterator[list]:
     below = [[1]] if isinstance(base, Rationals) else _kept(base, ("chains", p), lambda: list(_root_chains(base, p)))
     for vals in below:
         m = _modulus_mod_p(dom, vals, p)
-        if m is None or len(_fp_gcd(m, _fp_trim([e * c % p for e, c in enumerate(m)][1:]), p)) > 1:
+        if m is None or not _fp_squarefree(m, p):
             continue
         for r in _fp_roots(m, p):
             powers = [pow(r, e, p) for e in range(dom.degree)]
@@ -1824,30 +1885,25 @@ def _certified_field(dom: Domain) -> bool:
 
 
 def _image_primes(dom: Domain) -> Iterator[int]:
-    """The primes at which coprimality over dom is tried, in order: for a
-    certified tower over Q the first three below 2^31 at which it has a
-    root chain, each found when it is first asked for and kept on the
-    domain; for Q and any other domain ``_PRIMES``."""
-    if not (isinstance(dom, QuotientRing) and _certified_field(dom)):
-        yield from _PRIMES
+    """The primes at which coprimality over dom is tried, in order: the
+    first three below 2^31 at which dom has an image (``_mod_p_image``),
+    each found when it is first asked for and kept on the domain.  Only Q
+    and towers over Q have images."""
+    if not (isinstance(dom, Rationals) or isinstance(dom, QuotientRing) and dom._over_q):
         return
+
+    def has_image(q):
+        try:
+            return _is_prime(q) and bool(_mod_p_image(dom, q))
+        except ValueError:
+            return False
+
     found = _kept(dom, "primes", list)
     for k in range(3):
         if k == len(found):
             below = found[-1] - 2 if found else 2**31 - 1
-            found.append(next(q for q in range(below, 2, -2) if _is_prime(q) and _chain_image(dom, q)))
+            found.append(next(q for q in range(below, 2, -2) if has_image(q)))
         yield found[k]
-
-
-def _chain_image(dom: QuotientRing, p: int) -> tuple[Domain, Any] | None:
-    """F_p with the map of the first root chain of dom at p, or None where
-    dom has none; kept on the domain."""
-
-    def build():
-        vals = next(_root_chains(dom, p), None)
-        return None if vals is None else (PrimeField(p), _raw_map(dom, p, vals))
-
-    return _kept(dom, ("image", p), build)
 
 
 def _mod_p_image(dom: Domain, p: int) -> tuple[Domain, Any]:
@@ -1859,7 +1915,12 @@ def _mod_p_image(dom: Domain, p: int) -> tuple[Domain, Any]:
     domain."""
     if not (isinstance(dom, QuotientRing) and _certified_field(dom)):
         return _tower_image(dom, p)
-    image = _chain_image(dom, p)
+
+    def build():
+        vals = next(_root_chains(dom, p), None)
+        return None if vals is None else (PrimeField(p), _raw_map(dom, p, vals))
+
+    image = _kept(dom, ("image", p), build)
     if image is None:
         raise ValueError("no root chain at this prime")
     return image

@@ -288,9 +288,6 @@ class UniPoly:
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return self.divrem(other)[1]
 
-    def __floordiv__(self, other: "UniPoly") -> "UniPoly":
-        return self.divrem(other)[0]
-
     def divides_exactly(self, other: "UniPoly") -> "UniPoly | None":
         """Return other/self when self divides other exactly, else None."""
         quo, rem = other.divrem(self)
@@ -429,10 +426,7 @@ def _coprime_mod_p(f: UniPoly, g: UniPoly | None) -> bool:
     for f', taken on the images.  False when no prime decides: the domain
     has no image, every prime is bad, an image gcd meets a zero divisor of
     an image that is no field, or the images share a factor."""
-    dom = f.domain
-    if dom.char or isinstance(dom, FunctionField):
-        return False
-    for p in _image_primes(dom):
+    for p in _image_primes(f.domain):
         if (fp := _poly_mod_p(f, p)) is None:
             continue
         gp = fp.derivative() if g is None else _poly_mod_p(g, p)

@@ -9,6 +9,8 @@ of the exception one raises.  Pairs are planted coprime, with a common
 factor, with a square factor, with a coefficient denominator divisible by
 the domain's first reduction prime, and with a leading coefficient
 divisible by it, so that a change of reduction route shows in the bytes.
+A second seeded pass plants the same kinds at 2^31 - 1, the first prime
+of Q and of the four rings that get no certificate.
 
 Regenerate (only when a verdict is meant to change) with
 ``PYTHONPATH=src python tests/test_corpus.py > tests/golden/coprime_corpus.json``.
@@ -32,11 +34,12 @@ SEED = 2026
 
 
 def _domains():
-    """(name, domain, prime, zero divisor): the prime is the first at which
-    coprimality over the domain is reduced, 65537 for Q and for the towers
-    that are no certified field, and the first prime below 2^31 with a root
-    chain for the others; the zero divisor is planted in the reducible
-    rings."""
+    """(name, domain, prime, zero divisor): the prime is where the first
+    pass plants denominators and leads: 65537 for Q and for the towers that
+    are no certified field (their first prime under an earlier rule, now no
+    prime of theirs, so those records show that it changes nothing), and
+    the first prime below 2^31 with a root chain for the others; the zero
+    divisor is planted in the reducible rings."""
     split = build_domain(0, [("I", "t^2+1"), ("e", "t^4-5*t^2+6")], ())
     a5_b = a5_b_fixture().domain
     i = a5_b.from_base(a5_b.base.from_base(a5_b.base.base.gen()))
@@ -115,21 +118,24 @@ def _outcome(call, *args) -> str:
 
 
 def coprime_corpus() -> list[dict]:
-    rng = random.Random(SEED)
+    first = _domains()
+    planted = [(name, dom, 2147483647, zd) for name, dom, prime, zd in first if prime == 65537]
     records = []
-    for name, dom, prime, zero_divisor in _domains():
-        # the exact gcds over a5_b's ring, of dimension 16, cost the most
-        for kind, f, g in _pairs(dom, prime, zero_divisor, rng, 1 if name == "a5_b" else 2):
-            records.append({
-                "domain": name,
-                "kind": kind,
-                "f": str(f),
-                "g": str(g),
-                "coprime(f, g)": _outcome(polys_coprime, f, g),
-                "coprime(g, f)": _outcome(polys_coprime, g, f),
-                "squarefree(f)": _outcome(squarefree_test, f),
-                "squarefree(g)": _outcome(squarefree_test, g),
-            })
+    for seed, domains in ((SEED, first), (SEED + 1, planted)):
+        rng = random.Random(seed)
+        for name, dom, prime, zero_divisor in domains:
+            # the exact gcds over a5_b's ring, of dimension 16, cost the most
+            for kind, f, g in _pairs(dom, prime, zero_divisor, rng, 1 if name == "a5_b" else 2):
+                records.append({
+                    "domain": name,
+                    "kind": kind,
+                    "f": str(f),
+                    "g": str(g),
+                    "coprime(f, g)": _outcome(polys_coprime, f, g),
+                    "coprime(g, f)": _outcome(polys_coprime, g, f),
+                    "squarefree(f)": _outcome(squarefree_test, f),
+                    "squarefree(g)": _outcome(squarefree_test, g),
+                })
     return records
 
 

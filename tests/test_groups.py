@@ -1,4 +1,5 @@
 import functools
+import itertools
 import pathlib
 
 import pytest
@@ -661,6 +662,16 @@ def test_finite_field_takes_the_first_irreducible_modulus(p):
     # the first monic irreducible in the order that counts the coefficient
     # tuple (constant term first) up in base p
     assert tuple(finite_field(p, t).fmt_minpoly("t") for t in (2, 3)) == FINITE_FIELD_MODULI[p]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_finite_field_modulus_is_the_first_monic_with_no_root(p):
+    # a monic of degree 2 or 3 is irreducible exactly when it has no root
+    # in F_p; the monics are counted up as in the test above
+    for t in (2, 3):
+        monics = (tail[::-1] + (1,) for tail in itertools.product(range(p), repeat=t))
+        first = next(m for m in monics if all(sum(c * x**e for e, c in enumerate(m)) % p for x in range(p)))
+        assert finite_field(p, t).minpoly == first
 
 
 def test_orbit_transport_keeps_the_point_count():

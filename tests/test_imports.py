@@ -64,3 +64,13 @@ def test_only_rings_finds_roots_mod_p_and_certifies_steps():
     found = {(f.name, name) for f in sorted(SRC.glob("*.py")) if f.name != "rings.py"
              for name in _names_used(ast.parse(f.read_text(), str(f))) if name in helpers}
     assert not found
+
+
+def test_groups_and_catalog_keep_no_arithmetic_mod_p():
+    """Primes, roots mod p and irreducibility mod p are decided in
+    ``rings``: ``groups`` and ``catalog`` name none of its prime tests or
+    int-list kernels, and keep no evaluation mod p of their own."""
+    found = {(name, used) for name in ("groups.py", "catalog.py")
+             for used in _names_used(ast.parse((SRC / name).read_text(), name))
+             if used in {"_is_prime", "_poly_mod_p", "_eval_mod"} or used.startswith("_fp_")}
+    assert not found

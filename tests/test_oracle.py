@@ -21,7 +21,6 @@ sp = pytest.importorskip("sympy", exc_type=ImportError)
 
 from superelliptic import UniPoly, discriminant, invariants_of, mpq, poly_gcd, resultant, rings
 from superelliptic.catalog import zeta5_field
-from superelliptic.groups import _q_roots
 from superelliptic.parser import build_domain, parse_expression
 from superelliptic.rings import (
     ZZ,
@@ -29,6 +28,7 @@ from superelliptic.rings import (
     PrimeField,
     QuotientRing,
     ZeroDivisorError,
+    _q_roots,
     tower_chain,
 )
 

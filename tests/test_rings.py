@@ -2,11 +2,13 @@ import inspect
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from superelliptic import (
     QQ,
     Rationals,
     DomainMismatchError,
+    UniPoly,
     FunctionField,
     PrimeField,
     QuotientRing,
@@ -15,6 +17,7 @@ from superelliptic import (
     common_rational,
     embed,
     mpq,
+    poly_gcd,
     rings,
 )
 from superelliptic.catalog import (
@@ -26,6 +29,7 @@ from superelliptic.catalog import (
 )
 from superelliptic.groups import _rational_roots
 from superelliptic.parser import build_domain
+from superelliptic.rings import _q_roots
 
 from conftest import rand_mpq, tower_from_leaves
 
@@ -549,7 +553,9 @@ def test_inverse_over_an_uncertified_base_runs_euclid(monkeypatch):
 def test_planted_moduli_get_no_certificate(extensions):
     K = build_domain(0, extensions, ())
     assert K.is_field and not rings._certified_field(K)
-    assert tuple(rings._image_primes(K)) == (65537, 2147483647, 39916801)
+    # the one prime rule: the first three primes below 2^31 with an image,
+    # as over Q
+    assert tuple(rings._image_primes(K)) == (2147483647, 2147483629, 2147483587)
 
 
 def test_every_catalog_tower_over_q_is_certified_but_a5_b(monkeypatch):
@@ -746,3 +752,49 @@ def test_common_rational_over_towers():
     assert common_rational(eps, embed(QQ, eps, q)) == q
     assert common_rational(eps, eps.from_base(FF.param("a"))) is None
     assert common_rational(eps, eps.gen()) is None
+
+
+def test_gcd_over_a_ring_not_flagged_a_field_inverts_its_leads():
+    # only Z takes the integer branch of mp_gcd's normal form and of exact
+    # division; a tower built without field=True inverts its leads
+    K = adjoin(QQ, "s7", (mpq(-7), mpq(0), mpq(1)))
+    assert not K.is_field
+    x, s, one = UniPoly.gen(K), UniPoly.constant(K, K.gen()), UniPoly.one(K)
+    assert poly_gcd((x - s) * (x + one), (x - s) * (x - one)) == x - s
+    # over Q[e]/(e^2 - 4) the lead e - 2 is a zero divisor: inverting it
+    # raises with the factor e - 2 of the modulus
+    E = adjoin(QQ, "e", (mpq(-4), mpq(0), mpq(1)))
+    x, e, one = UniPoly.gen(E), UniPoly.constant(E, E.gen()), UniPoly.one(E)
+    with pytest.raises(ZeroDivisorError, match="modulus has factor of degree 1") as info:
+        poly_gcd((e - one - one) * x + one, x * x + one)
+    assert info.value.factor == (mpq(-2), mpq(1)) and info.value.domain == QQ
+
+
+def _times(a, b):
+    out = [mpq(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(roots=st.lists(st.tuples(st.integers(-40, 40), st.one_of(st.integers(1, 12), st.sampled_from([15, 21, 35, 105])),
+                                st.integers(1, 3)), max_size=4),
+       k=st.sampled_from([1, 3, 5, 7, 105]),
+       cofactor=st.sampled_from([(), (1, 0), (1, 1), (-2, 0, 0)]),
+       scale=st.tuples(st.integers(-9, 9).filter(bool), st.integers(1, 9)))
+@example(roots=[(2, 105, 1)], k=1, cofactor=(), scale=(1, 1))
+@example(roots=[(-4, 7, 1)], k=15, cofactor=(), scale=(-3, 2))
+@example(roots=[(0, 1, 2), (3, 5, 3), (-3, 5, 1)], k=21, cofactor=(1, 0), scale=(1, 1))
+def test_q_roots_finds_every_planted_root(roots, k, cofactor, scale):
+    # planted roots a/b, some repeated, times a cofactor with lead k and no
+    # rational root (k x^2 + 1, k x^2 + x + 1, k x^3 - 2, or k): leads and
+    # denominators divisible by 3, 5 and 7 push the prime past them, and a
+    # single simple root gives a linear input
+    f = [mpq(*scale) * c for c in list(map(mpq, cofactor)) + [mpq(k)]]
+    for a, b, mult in roots:
+        for _ in range(mult):
+            f = _times(f, [mpq(-a, b), mpq(1)])
+    expected = sorted({mpq(a, b) for a, b, _ in roots}, key=lambda q: (abs(q.numerator), q.denominator, q < 0))
+    assert _q_roots(f) == expected

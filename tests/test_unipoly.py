@@ -387,6 +387,19 @@ def test_gcd_of_random_products(rng):
         assert poly_gcd(zero, zero) == zero
 
 
+@pytest.mark.parametrize("ext", [[], [("I", "t^2 + 1")]], ids=["Q", "Q(i)"])
+def test_coprimality_of_a_zero_or_constant_takes_no_gcd(ext, monkeypatch):
+    # a zero operand is coprime to nothing of positive degree, and a
+    # nonzero constant to everything; neither reaches an image or a gcd
+    dom = build_domain(0, ext, ())
+    for name in ("_coprime_mod_p", "poly_gcd"):
+        monkeypatch.setattr(unipoly, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
+    f, zero = parse_expression("x^2 + 3", dom), UniPoly.zero(dom)
+    c = UniPoly.constant(dom, dom.from_int(5))
+    assert not unipoly.polys_coprime(zero, f) and not unipoly.polys_coprime(f, zero)
+    assert unipoly.polys_coprime(c, f) and unipoly.polys_coprime(f, c)
+
+
 def test_coprimality_builds_images_only_over_number_fields(monkeypatch):
     # over Q(a, b) polys_coprime runs the exact gcd and builds no F_p image;
     # over Q(i) it still tries the mod-p image first
@@ -433,7 +446,7 @@ def test_coprimality_over_q_i_zeta5_runs_tables_in_the_image(monkeypatch):
     # built once per image tower: build them first
     K, to_k = _q_zeta20()
     assert not rings._certified_field(K)
-    for p in (65537, 2147483647, 39916801):
+    for p in rings._image_primes(K):
         assert rings._mod_p_image(K, p)[0]._flat_inv
     inside, verdicts, hits = [], [], []
     real_mul, real_divmod = QuotientRing._schoolbook_mul, rings._ul_divmod
@@ -500,8 +513,8 @@ def _no_certificate_tower():
 def test_a_prime_dividing_a_denominator_gives_no_image_verdict():
     # p divides a denominator of c, so that prime builds no image of f and
     # polys_coprime decides at the next prime or exactly; p is the first
-    # prime of the domain: 65537 over a tower with no certificate, and the
-    # first prime below 2^31 with a root chain over Q(i, sqrt3)
+    # prime of the domain: 2^31 - 1 over a tower with no certificate, and
+    # the first prime below 2^31 with a root chain over Q(i, sqrt3)
     cases = [(_no_certificate_tower(), "r"),
              (build_domain(0, [("I", "t^2 + 1"), ("s3", "t^2 - 3")], ()), "s3")]
     for K, name in cases:
@@ -517,9 +530,10 @@ def test_a_prime_dividing_a_denominator_gives_no_image_verdict():
         assert unipoly._poly_mod_p(f * h, p) is None
         assert not unipoly.polys_coprime(f * h, g * h)
         assert poly_gcd(f * h, g * h) == h
-    assert tuple(rings._image_primes(cases[0][0])) == (65537, 2147483647, 39916801)
-    # the same over Q
-    p = 65537
+    assert tuple(rings._image_primes(cases[0][0])) == (2147483647, 2147483629, 2147483587)
+    # the same over Q, whose first prime is 2^31 - 1 too
+    p = 2147483647
+    assert next(rings._image_primes(QQ)) == p
     q = mpq(3, p)
     f, g, h = P([q, 1, 1]), P([-1, 1]), P([q, 1])
     with pytest.raises(ValueError, match="prime divides a denominator"):
@@ -551,15 +565,19 @@ def test_each_image_is_built_once_per_domain_and_prime(monkeypatch):
     g = UniPoly(K, {2: K.one(), 0: K.from_base(K.base.gen())})
     built.clear()
     assert unipoly.polys_coprime(f, g)
-    # one image tower of two steps over GF(65537), which decides
-    assert len(built) == 2 and rings._mod_p_image(K, 65537)[0] is built[-1]
-    assert rings._mod_p_image(K.base, 65537)[0] is built[0] and built[0].base == PrimeField(65537)
+    # one image tower of two steps over GF(2^31 - 1), which decides
+    p = next(rings._image_primes(K))
+    assert p == 2147483647
+    assert len(built) == 2 and rings._mod_p_image(K, p)[0] is built[-1]
+    assert rings._mod_p_image(K.base, p)[0] is built[0] and built[0].base == PrimeField(p)
     built.clear()
     assert unipoly.polys_coprime(f, g) and squarefree_test(f) and not built
-    # a tower over Q(a) has no image, so every prime is bad for it
+    # a tower over Q(a) has no image, so every prime is bad for it, and it
+    # has no primes to try
     Qa = build_domain(0, [], ("a",))
     L = QuotientRing(Qa, "r", (Qa.from_int(-7), Qa.zero(), Qa.one()), field=True)
-    assert unipoly._poly_mod_p(UniPoly(L, {1: L.one(), 0: L.gen()}), 65537) is None
+    assert unipoly._poly_mod_p(UniPoly(L, {1: L.one(), 0: L.gen()}), p) is None
+    assert not tuple(rings._image_primes(L))
 
 
 def test_certificate_and_root_chains_are_found_once_per_tower(monkeypatch):
@@ -619,7 +637,7 @@ def test_image_of_an_uncertified_tower_keeps_euclid():
     # does its image mod p, though the image's base F_p is certified
     K = build_domain(0, [("t", "t^3-t")], (), sugar_i=True)
     assert K._table is not None and K.base._flat_inv and not K._flat_inv
-    image = rings._mod_p_image(K, 65537)[0]
+    image = rings._mod_p_image(K, next(rings._image_primes(K)))[0]
     assert image._table is not None and image.base._flat_inv and not image._flat_inv
 
 
