@@ -35,7 +35,8 @@ import json
 import operator
 import re
 
-from .rings import QQ, Domain, El, PrimeField, QuotientRing, _least_irreducible, adjoin, embed, tower_chain
+from .rings import (QQ, Domain, El, PrimeField, QuotientRing, _least_irreducible, adjoin, embed,
+                    multiplicative_generator, tower_chain)
 from .unipoly import INF, Mobius, UniPoly, mobius_transport
 from .groups import (
     GroupFixture, GroupError, SpecialOrbit, group_elements, orbit_image,
@@ -112,23 +113,6 @@ def finite_field(p: int, t: int) -> Domain:
     if t > 3:
         raise ValueError("finite fields only shipped up to cubic extensions")
     return adjoin(PrimeField(p), "w", _least_irreducible(p, t), field=True)
-
-
-def multiplicative_generator(dom: Domain) -> El:
-    """A generator of the multiplicative group of a small finite field."""
-    q = dom.order  # type: ignore[attr-defined]
-    target = q - 1
-    for cand in dom.iter_elements():
-        if dom.is_zero(cand):
-            continue
-        order = 1
-        acc = cand
-        while not dom.is_one(acc):
-            acc = dom.mul(acc, cand)
-            order += 1
-        if order == target:
-            return cand
-    raise AssertionError("no multiplicative generator found")
 
 
 def find_generator(dom: Domain, name: str) -> El:

@@ -38,6 +38,7 @@ from .rings import (
     DomainMismatchError,
     El,
     FunctionField,
+    _SMALL_FIELD_ORDER,
     _q_roots,
     common_rational,
     embed,
@@ -368,7 +369,7 @@ def _rational_roots(dom: Domain, coeffs: list[El]) -> list[El]:
     f = UniPoly(dom, dict(enumerate(coeffs)))
     if f.degree() < 1:
         return []
-    if dom.is_finite and getattr(dom, "order", 1 << 30) <= 4096:
+    if dom.is_finite and getattr(dom, "order", 1 << 30) <= _SMALL_FIELD_ORDER:
         candidates = dom.iter_elements()
     else:
         projected = [rational_projection(dom, c) for c in coeffs]

@@ -56,6 +56,17 @@ its factor.  Towers over a ``FunctionField``, and towers of total degree
 above 64, multiply stepwise, by one convolution (``_ul_mul``) and one
 division (``_ul_divmod``).
 
+A field F_q = F_p[w]/(m) with q at most ``_SMALL_FIELD_ORDER`` (4096),
+one step over a prime field whose modulus passes Rabin's test, also keeps
+log and exp tables on its shared table, at the powers of its first
+primitive element in ``iter_elements`` order (``multiplicative_generator``;
+the multiplicative half of the Zech-logarithm representation: Huber, IEEE
+Trans. Inf. Theory 36, 1990; Lidl and Niederreiter, *Finite Fields*,
+ch. 9): a product is ``exp[log a + log b]`` and an inverse
+``exp[q - 1 - log a]``, with the same raws.  A reducible modulus
+over F_p, and every tower of two or more steps over F_p, keeps the
+integer table, and its zero divisors raise as before.
+
 A tower over Q is *certified* a field when each step is: one quadratic
 step over Q by its discriminant, which is not a square in Q, and any other
 step at a root chain of its base.  A root chain at an odd prime p sends
@@ -523,10 +534,21 @@ class _MulTable(NamedTuple):
     e_j, ``rows[i][j]`` holds the pairs (k, c) with e_i * e_j = sum of
     c * e_k / ``den``; the c are nonzero integers.  Over F_p, ``den`` is 1
     and the c are residues in [1, p).
+
+    A small field F_q (``_has_logs``) also holds log and exp tables at the
+    powers of its primitive element g (``multiplicative_generator``), with
+    n = q - 1:
+    ``exp[i]`` is g^(i mod n) for 0 <= i <= 2n - 2, so that a product of
+    nonzero elements is ``exp[log a + log b]`` with no reduction of the
+    exponent, and an inverse is ``exp[n - log a]``.  ``log`` maps the raw
+    g^i to i, and zero to 2n - 1, where the zero padding of ``exp``
+    starts: any sum with the log of zero lands in it.
     """
 
     den: int
     rows: tuple
+    log: dict | None = None
+    exp: tuple | None = None
 
 
 # tower signature -> _MulTable, shared by equal towers, least recently used
@@ -537,6 +559,9 @@ _TABLES_MAX = 32
 # a table holds up to D^3 integers; towers of larger total degree D (none
 # in the catalog, whose largest is 16) multiply by the schoolbook product
 _TABLE_MAX_DIM = 64
+# finite domains up to this order are searched element by element (roots,
+# n-th roots), and fields F_p[w]/(m) up to it multiply by log tables
+_SMALL_FIELD_ORDER = 4096
 _ZERO = mpq(0)
 
 
@@ -568,6 +593,26 @@ def _build_table(ring: "QuotientRing") -> _MulTable:
     return _MulTable(den, tuple(map(tuple, rows)))
 
 
+def _has_logs(ring: "QuotientRing") -> bool:
+    """Whether ring is a field F_p[w]/(m) of order at most
+    ``_SMALL_FIELD_ORDER``: one step over a prime field whose modulus
+    passes Rabin's test."""
+    p = ring.char
+    return (isinstance(ring.base, PrimeField) and p**ring.degree <= _SMALL_FIELD_ORDER
+            and _fp_irreducible(list(ring.minpoly), p))
+
+
+def _log_tables(ring: "QuotientRing") -> tuple[dict, tuple]:
+    """The log and exp tables of a small field (see ``_MulTable``), from
+    q - 3 products through its integer table."""
+    n = ring.order - 1
+    powers = ring.powers(multiplicative_generator(ring), n - 1)
+    exp = tuple(powers + powers[:-1] + [ring.zero()] * (2 * n))
+    log = {v: i for i, v in enumerate(powers)}
+    log[ring.zero()] = 2 * n - 1
+    return log, exp
+
+
 def _table_for(ring: "QuotientRing") -> _MulTable | None:
     """The shared table of a tower over Q or F_p of total degree at most
     ``_TABLE_MAX_DIM``, else None.  The chain test comes first, so that
@@ -578,6 +623,11 @@ def _table_for(ring: "QuotientRing") -> _MulTable | None:
     table = _TABLES.pop(sig, None)
     if table is None:
         table = _build_table(ring)
+        if _has_logs(ring):
+            # the generator search and its powers multiply through the rows
+            ring._table = table
+            log, exp = _log_tables(ring)
+            table = table._replace(log=log, exp=exp)
         if len(_TABLES) >= _TABLES_MAX:
             del _TABLES[next(iter(_TABLES))]
     _TABLES[sig] = table
@@ -632,6 +682,12 @@ class QuotientRing(Domain):
     certified: a unit can meet a zero-divisor leading coefficient in Euclid
     over a non-field base, and that error is part of the contract.
 
+    One step F_p[w]/(m) of order at most ``_SMALL_FIELD_ORDER`` whose
+    modulus passes Rabin's test is a field, and ``mul`` and ``inv`` there
+    are lookups in its log and exp tables (module docstring).  A reducible
+    modulus over F_p, and towers of two or more steps over F_p, keep the
+    integer table.
+
     ``field=True`` is the caller's word, and ``is_field`` reports it.  The
     certificate (module docstring) is what the arithmetic trusts: a tower
     over Q is certified when each step's modulus is irreducible mod p at a
@@ -661,9 +717,10 @@ class QuotientRing(Domain):
         # every attribute is set here: one added later to an instance makes
         # each attribute read of it slower, in mul and inv too
         self._kept: dict = {}
+        # set before the table: building a field's log tables runs pow
+        self._zero, self._one = self.zero(), self.one()
         self._table = _table_for(self)
         self._flat_inv = self._table is not None and _certified_field(base)
-        self._zero, self._one = self.zero(), self.one()
 
     def coords(self, a) -> tuple:
         """The ``deg m`` base coordinates of a, constant term first."""
@@ -743,6 +800,9 @@ class QuotientRing(Domain):
         table = self._table
         if table is None:
             return self._schoolbook_mul(a, b)
+        log = table.log
+        if log is not None:
+            return table.exp[log[a] + log[b]]
         over_q = self._over_q
         if over_q:
             (a, da), (b, db) = a, b
@@ -774,6 +834,10 @@ class QuotientRing(Domain):
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
         if self._flat_inv:
+            log = self._table.log
+            if log is not None:
+                # log holds the q elements, so q - 1 = len(log) - 1
+                return self._table.exp[len(log) - 1 - log[a]]
             out = self._table_inv(a)
             if out is not None:
                 return out
@@ -878,7 +942,7 @@ class QuotientRing(Domain):
 
     def nth_root(self, a, n):
         # brute force is exact and cheap for the small finite towers in use
-        if self.is_finite and self.order <= 4096:
+        if self.is_finite and self.order <= _SMALL_FIELD_ORDER:
             for c in self.iter_elements():
                 if self.eq(self.pow(c, n), a):
                     return c
@@ -1757,6 +1821,16 @@ def _least_irreducible(p: int, t: int) -> tuple:
     ``itertools.product`` from the x^(t-1) coefficient down."""
     monics = (tail[::-1] + (1,) for tail in itertools.product(range(p), repeat=t))
     return next(m for m in monics if _fp_irreducible(list(m), p))
+
+
+def multiplicative_generator(dom: Domain) -> El:
+    """The first element of a finite field, in ``iter_elements`` order,
+    that generates its multiplicative group: g^((q - 1)/r) != 1 for every
+    prime r dividing q - 1."""
+    n = dom.order - 1  # type: ignore[attr-defined]
+    cofactors = [n // r for r in range(2, n + 1) if n % r == 0 and _is_prime(r)]
+    return next(g for g in dom.iter_elements()
+                if not dom.is_zero(g) and not any(dom.is_one(dom.pow(g, e)) for e in cofactors))
 
 
 def _q_roots(coeffs: list) -> list:

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import pathlib
 
@@ -76,6 +77,18 @@ def test_group_closures():
     for name in CHEAP:
         fx = fixture_by_name(name)
         assert len(fx.elements()) == fx.order, name
+    # perfbench's tower deck samples transports from fx.elements(), so the
+    # entries and the closure order of the fixtures over F_q are pinned
+    for name, digest in {
+        "psl(3,2)": "49a97fd6ec2b678f8ffe2f958b3cf404",
+        "pgl(3,2)": "83d315216bbddb7bcbb0557faca33169",
+        "elem_abelian(3,2,4)": "c9283795f948c9e52e77ade76f861181",
+        "pgl(2,3)": "3c742b06d4b1009f5ac082cda963c0fd",
+        "pgl(2,2)": "d6524364e875548a7ff2dd80b89f5021",
+    }.items():
+        fx = fixture_by_name(name)
+        listing = repr([tuple(fx.domain.key(e) for e in g.entries()) for g in fx.elements()])
+        assert hashlib.md5(listing.encode()).hexdigest() == digest, name
 
 
 def test_closure_examples():
@@ -672,6 +685,21 @@ def test_finite_field_modulus_is_the_first_monic_with_no_root(p):
         monics = (tail[::-1] + (1,) for tail in itertools.product(range(p), repeat=t))
         first = next(m for m in monics if all(sum(c * x**e for e, c in enumerate(m)) % p for x in range(p)))
         assert finite_field(p, t).minpoly == first
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_multiplicative_generator_is_the_first_element_of_full_order(p):
+    for t in (1, 2, 3):
+        dom = finite_field(p, t)
+
+        def order(g):
+            k, acc = 1, g
+            while not dom.is_one(acc):
+                acc, k = dom.mul(acc, g), k + 1
+            return k
+
+        first = next(g for g in dom.iter_elements() if not dom.is_zero(g) and order(g) == dom.order - 1)
+        assert multiplicative_generator(dom) == first
 
 
 def test_orbit_transport_keeps_the_point_count():

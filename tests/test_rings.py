@@ -133,8 +133,9 @@ def _domains_for_axioms():
     FF = FunctionField(QQ, ("a", "b"))
     F7 = PrimeField(7)
     eps = QuotientRing(FF, "e", (FF.neg(FF.one()), FF.zero(), FF.zero(), FF.one()))
-    # one domain of each family: F_9, F_7(a) and Q(i)(a) as well
-    return [QQ, F7, K, FF, eps, finite_field(3, 2),
+    # one domain of each family: F_9 (log tables), F_3[e]/(e^2 - 1) (no log
+    # tables), F_7(a) and Q(i)(a) as well
+    return [QQ, F7, K, FF, eps, finite_field(3, 2), adjoin(PrimeField(3), "e", (2, 0, 1)),
             FunctionField(F7, ("a",)), FunctionField(gaussian_field(), ("a",))]
 
 
@@ -611,6 +612,14 @@ def test_equal_towers_share_one_table(monkeypatch):
     assert len(builds) == 1 and K1._table is K2._table
     s = K2.gen()
     assert K2.mul(s, s) == K2.from_int(7)
+    # a field F_q shares its log tables too: a CLI request's tower over F_3
+    # finds those of the catalog's F_9
+    logs = []
+    real_logs = rings._log_tables
+    monkeypatch.setattr(rings, "_log_tables", lambda ring: logs.append(ring) or real_logs(ring))
+    F9 = adjoin(PrimeField(3), "w", (1, 0, 1), field=True)
+    request = build_domain(3, [("w", "t^2+1")], ())
+    assert len(logs) == 1 and request._table is F9._table and F9._table.log is not None
 
 
 def test_nested_route_over_parameters_prime_fields_and_large_degree():
@@ -626,6 +635,57 @@ def test_nested_route_over_parameters_prime_fields_and_large_degree():
     assert big._table is None and not big._flat_inv
     w = big.gen()
     assert big.mul(big.pow(w, 64), w) == big.from_int(2)
+
+
+# -- log tables of the small fields F_p[w]/(m) ------------------------------
+
+
+def _small_field(p, t):
+    return adjoin(PrimeField(p), "w", rings._least_irreducible(p, t), field=True)
+
+
+@pytest.mark.parametrize("p, t", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2)])
+def test_log_route_matches_the_table_route_on_every_pair(p, t):
+    F = _small_field(p, t)
+    assert F._table.log is not None
+    elements = list(F.iter_elements())
+    for a in elements:
+        assert all(F.mul(a, b) == F._schoolbook_mul(a, b) for b in elements)
+        if not F.is_zero(a):
+            assert F.inv(a) == F._table_inv(a)
+
+
+@pytest.mark.parametrize("p, t", [(3, 7), (2, 12)])
+def test_log_route_matches_the_table_route_on_seeded_pairs(p, t, rng):
+    F = _small_field(p, t)
+    assert F._table.log is not None and F.order <= rings._SMALL_FIELD_ORDER
+    for _ in range(200):
+        a, b = (tuple(rng.randrange(p) for _ in range(t)) for _ in range(2))
+        assert F.mul(a, b) == F._schoolbook_mul(a, b)
+        if not F.is_zero(a):
+            assert F.inv(a) == F._table_inv(a)
+
+
+def test_reducible_two_step_and_large_towers_over_fp_get_no_log_tables():
+    R = adjoin(PrimeField(3), "e", (2, 0, 1))  # e^2 - 1
+    S = adjoin(PrimeField(5), "e", (0, 4, 0, 1))  # e^3 - e
+    F9 = _small_field(3, 2)
+    F81 = adjoin(F9, "v", (F9.gen(), F9.zero(), F9.one()), field=True)
+    for dom in (R, S, F81, _small_field(2, 13)):
+        assert dom._table is not None and dom._table.log is None
+    # a zero divisor still raises with the factor extended Euclid finds
+    for dom, a, factor in (
+        (R, (2, 1), (2, 1)),
+        (R, (1, 1), (1, 1)),
+        (R, (1, 2), (2, 1)),
+        (S, (0, 1, 0), (0, 1)),
+        (S, (1, 1, 0), (1, 1)),
+        (S, (4, 0, 1), (4, 0, 1)),
+    ):
+        with pytest.raises(ZeroDivisorError) as info:
+            dom.inv(a)
+        assert info.value.factor == factor
+    assert S.inv((1, 0, 1)) == (1, 0, 2)
 
 
 # -- the canonical (nums, den) raw of towers over Q --------------------------
