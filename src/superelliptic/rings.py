@@ -533,7 +533,9 @@ class _MulTable(NamedTuple):
     which an element lists its leaf coordinates.  For basis elements e_i,
     e_j, ``rows[i][j]`` holds the pairs (k, c) with e_i * e_j = sum of
     c * e_k / ``den``; the c are nonzero integers.  Over F_p, ``den`` is 1
-    and the c are residues in [1, p).
+    and the c are residues in [1, p).  ``kept`` is the dict of every tower
+    with this table (``_kept``): equal towers share their certificate, root
+    chains, primes and images as they share the table.
 
     A small field F_q (``_has_logs``) also holds log and exp tables at the
     powers of its primitive element g (``multiplicative_generator``), with
@@ -547,6 +549,7 @@ class _MulTable(NamedTuple):
 
     den: int
     rows: tuple
+    kept: dict
     log: dict | None = None
     exp: tuple | None = None
 
@@ -590,7 +593,7 @@ def _build_table(ring: "QuotientRing") -> _MulTable:
     rows = [[()] * dim for _ in range(dim)]
     for (i, j), (nums, d) in prods.items():
         rows[i][j] = rows[j][i] = tuple((k, c * (den // d)) for k, c in enumerate(nums) if c)
-    return _MulTable(den, tuple(map(tuple, rows)))
+    return _MulTable(den, tuple(map(tuple, rows)), {})
 
 
 def _has_logs(ring: "QuotientRing") -> bool:
@@ -720,6 +723,8 @@ class QuotientRing(Domain):
         # set before the table: building a field's log tables runs pow
         self._zero, self._one = self.zero(), self.one()
         self._table = _table_for(self)
+        if self._table is not None:
+            self._kept = self._table.kept
         self._flat_inv = self._table is not None and _certified_field(base)
 
     def coords(self, a) -> tuple:
@@ -1056,24 +1061,51 @@ def mp_sub(base: Domain, f: dict, g: dict) -> dict:
 
 
 def mp_mul(base: Domain, f: dict, g: dict) -> dict:
+    """The product of two term dicts over any base, by one loop: each term
+    product is summed into its exponent, the first one stored as it is,
+    and zero sums are dropped once, at the end.
+
+    The exponent sum is written out for one and two variables because
+    ``tuple(map(int.__add__, e1, e2))`` builds a map object and a tuple
+    from it on every term, which costs more than the coefficient product
+    at the sizes of Z[params] met in ``param_loci`` (at most 76 x 16 terms,
+    with coefficients of 15 to 72 bits); with three or more variables the
+    map is kept.
+    """
     if not f or not g:
         return {}
     if len(f) > len(g):
         f, g = g, f
-    mul, add, is_zero = base.mul, base.add, base.is_zero
+    mul, add = base.mul, base.add
     out: dict = {}
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            e = tuple(map(int.__add__, e1, e2))
-            p = mul(c1, c2)
-            if e in out:
-                s = add(out[e], p)
-                if is_zero(s):
-                    del out[e]
-                else:
-                    out[e] = s
-            elif not is_zero(p):
-                out[e] = p
+    get = out.get
+    nvars = len(next(iter(f)))
+    terms = g.items()
+    if nvars == 1:
+        for (x1,), c1 in f.items():
+            for (x2,), c2 in terms:
+                e = (x1 + x2,)
+                p = mul(c1, c2)
+                s = get(e)
+                out[e] = p if s is None else add(s, p)
+    elif nvars == 2:
+        for (x1, y1), c1 in f.items():
+            for (x2, y2), c2 in terms:
+                e = (x1 + x2, y1 + y2)
+                p = mul(c1, c2)
+                s = get(e)
+                out[e] = p if s is None else add(s, p)
+    else:
+        for e1, c1 in f.items():
+            for e2, c2 in terms:
+                e = tuple(map(int.__add__, e1, e2))
+                p = mul(c1, c2)
+                s = get(e)
+                out[e] = p if s is None else add(s, p)
+    # raws are canonical, so a zero sum equals the base's zero
+    zero = base.zero()
+    if zero in out.values():
+        return {e: c for e, c in out.items() if c != zero}
     return out
 
 
@@ -1429,6 +1461,9 @@ class FunctionField(Domain):
         self.names = tuple(names)
         self.nvars = len(names)
         self.char = base.char
+        # the denominator 1, compared against on every sum and product; set
+        # here, as an attribute added later slows every attribute read
+        self._unit = {(0,) * self.nvars: self.ring.one()}
 
     # construction
 
@@ -1439,7 +1474,7 @@ class FunctionField(Domain):
         return (self._one_dict(), self._one_dict())
 
     def _one_dict(self):
-        return {(0,) * self.nvars: self.ring.one()}
+        return dict(self._unit)
 
     def from_int(self, n):
         return (mp_const(self.ring, self.ring.from_int(n), self.nvars), self._one_dict())
@@ -1471,12 +1506,6 @@ class FunctionField(Domain):
         den, num = _mp_normal(self.ring, den, num)
         return (num, den)
 
-    def _den_is_one(self, den):
-        if len(den) != 1:
-            return False
-        (e, c), = den.items()
-        return not any(e) and self.ring.is_one(c)
-
     def _base_pair(self, a):
         """(num, den) over the base with den monic: ``a`` itself unless the
         ring is Z, where both are divided by the leading coefficient of den."""
@@ -1499,14 +1528,14 @@ class FunctionField(Domain):
     def add(self, a, b):
         """The sum by Henrici's rule (see the class docstring).  A
         denominator 1 needs no gcd, and equal denominators skip the first."""
-        ring = self.ring
+        ring, unit = self.ring, self._unit
         n1, d1 = a
         n2, d2 = b
-        if self._den_is_one(d1):
-            if self._den_is_one(d2):
+        if d1 == unit:
+            if d2 == unit:
                 return (mp_add(ring, n1, n2), d1)
             n1, d1, n2, d2 = n2, d2, n1, d1
-        if self._den_is_one(d2):
+        if d2 == unit:
             # n1 + n2 d1 shares no factor with d1, integer content included
             return (mp_add(ring, n1, mp_mul(ring, n2, d1)), d1)
         if d1 == d2:
@@ -1532,10 +1561,10 @@ class FunctionField(Domain):
         """The product by Henrici's rule (see the class docstring).  No gcd
         is taken when both denominators are one or the operands are equal:
         the square of a reduced pair is reduced, as in ``pow``."""
-        ring = self.ring
+        ring, unit = self.ring, self._unit
         n1, d1 = a
         n2, d2 = b
-        if self._den_is_one(d1) and self._den_is_one(d2):
+        if d1 == unit and d2 == unit:
             return (mp_mul(ring, n1, n2), d1)
         if a == b:
             return (mp_mul(ring, n1, n1), mp_mul(ring, d1, d1))
@@ -1561,38 +1590,45 @@ class FunctionField(Domain):
     def pow(self, a, n):
         """a**n as (num^n, den^n) by binary powering, with no gcd: powers
         of coprime polynomials stay coprime, integer contents included, and
-        the leading coefficient of den^n stays 1 or positive."""
+        the leading coefficient of den^n stays 1 or positive.  A
+        denominator 1 is its own power."""
         if n < 0:
             a, n = self.inv(a), -n
         if n == 0:
             return self.one()
         ring = self.ring
+
+        def power(f):
+            out = f
+            for bit in bin(n)[3:]:
+                out = mp_mul(ring, out, out)
+                if bit == "1":
+                    out = mp_mul(ring, out, f)
+            return out
+
         num, den = a
-        out_n, out_d = num, den
-        for bit in bin(n)[3:]:
-            out_n, out_d = mp_mul(ring, out_n, out_n), mp_mul(ring, out_d, out_d)
-            if bit == "1":
-                out_n, out_d = mp_mul(ring, out_n, num), mp_mul(ring, out_d, den)
-        return (out_n, out_d)
+        return (power(num), den if den == self._unit else power(den))
 
     def powers(self, a, n):
         """[a^0, ..., a^n] by ``pow``'s rule: each (num^k, den^k) is the one
-        before it times (num, den), with no gcd."""
+        before it times (num, den), with no gcd, and a denominator 1 stays
+        as it is."""
         ring = self.ring
         num, den = a
+        one_den = den == self._unit
         out = [self.one()]
         if n:
             out.append(a)
         for _ in range(n - 1):
             pn, pd = out[-1]
-            out.append((mp_mul(ring, pn, num), mp_mul(ring, pd, den)))
+            out.append((mp_mul(ring, pn, num), pd if one_den else mp_mul(ring, pd, den)))
         return out
 
     def exact_div(self, a, b):
-        ring = self.ring
+        ring, unit = self.ring, self._unit
         n1, d1 = a
         n2, d2 = b
-        if self._den_is_one(d1) and self._den_is_one(d2):
+        if d1 == unit and d2 == unit:
             if not n2:
                 raise ZeroDivisionError("division by zero")
             q = mp_exact_div(ring, n1, n2)
@@ -1604,7 +1640,7 @@ class FunctionField(Domain):
         return not a[0]
 
     def is_one(self, a):
-        return self._den_is_one(a[1]) and self._den_is_one(a[0])
+        return a[1] == self._unit and a[0] == self._unit
 
     def key(self, a):
         kb = self.ring.key
@@ -1905,9 +1941,13 @@ def _modulus_mod_p(dom: QuotientRing, vals: list, p: int) -> list | None:
 
 
 def _kept(dom: Domain, key, make) -> Any:
-    """make(), computed once per (domain, key) and kept on the domain, so
-    that nothing outlives it: certificates, root chains and images.  A
-    ``QuotientRing`` makes its dict when it is built; Q makes it here."""
+    """make(), computed once per (domain, key) and kept on the domain:
+    certificates, root chains, primes and images.  A ``QuotientRing`` with
+    a shared table (``_table_for``) keeps them in the table's ``kept``
+    dict, so equal towers, such as the tower a CLI request rebuilds for
+    each ``--ext``, search once per process, and the dict lives as long as
+    the table stays in ``_TABLES``; any other ``QuotientRing`` makes its
+    own dict when it is built, and Q makes it here."""
     kept = vars(dom).setdefault("_kept", {})
     if key not in kept:
         kept[key] = make()

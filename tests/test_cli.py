@@ -380,6 +380,32 @@ def test_batch_of_many_towers_keeps_a_bounded_table_cache(tmp_path, capsys, monk
     assert len(rings._TABLES) == rings._TABLES_MAX
 
 
+@pytest.mark.parametrize("argv, exit_code", [
+    (["--ext", "t:t^3-t", "x^5+t*x+I"], 3),
+    (["--ext", "i:t^2+1", "--ext", "e:t^4-5*t^2+6", "x^5+e*x+i"], 0),
+])
+def test_a_rebuilt_reducible_tower_searches_mod_p_once(argv, exit_code, monkeypatch):
+    # each request builds its tower anew; equal towers share their table,
+    # and with it the refused certificate and the roots mod p found for it
+    from superelliptic import rings
+
+    monkeypatch.setattr(rings, "_TABLES", {})
+    searches = []
+    for name in ("_fp_roots", "_fp_irreducible"):
+        real = getattr(rings, name)
+        monkeypatch.setattr(rings, name, lambda *a, real=real, name=name: searches.append(name) or real(*a))
+    first = run(["genus", "--n", "2", *argv])
+    assert first[0] == exit_code and "_fp_irreducible" in searches
+    searches.clear()
+    assert run(["genus", "--n", "2", *argv]) == first
+    assert not searches
+
+
+def test_sqrt_of_a_non_literal_exits_4():
+    code, text = run(["genus", "--n", "2", "x^3+sqrt(x)"])
+    assert code == 4 and "sqrt() takes a single integer literal" in json.loads(text)["error"]["message"]
+
+
 def test_resultant_method_flag_is_gone():
     code, text = run(["resultant", "--method", "sylvester", "x^2 - 1", "x^2 - 4"])
     assert code == 2 and json.loads(text)["error"]["message"] == "bad arguments"

@@ -8,12 +8,14 @@ from superelliptic import (
     QuotientRing,
     UniPoly,
     delta_form,
+    discriminant,
     invariants,
     invariants_general,
     invariants_of,
     locus_test,
     mpq,
     normalize,
+    resultant,
     shifted_invariants,
     tau1_apply,
     tau2_apply,
@@ -435,3 +437,25 @@ def test_symmetry_lemma_on_dihedral_products(rng):
         a0 = df.coeffs[0]
         for i in range(1, df.r):
             assert dom.eq(df.coeffs[i], dom.mul(a0, df.coeffs[df.r - i]))
+
+
+@pytest.mark.parametrize("char, names, text, delta, other", [
+    (0, ("a",), "a*x^6 + x^3 + 2", 3, "x^2 - a*x + 2"),
+    (0, ("a", "b"), "x^9 + a*x^6 + b*x^3 + a", 3, "x^3 + b*x + a"),
+    (3, ("a",), "x^8 + a*x^4 + (a+1)*x^2 + a", 2, "x^2 + a*x + 2"),
+])
+def test_function_field_raws_are_term_dicts_keyed_by_exponent_tuples(char, names, text, delta, other):
+    """Callers read rational-function raws as (num, den) pairs of dicts keyed
+    by ``nvars``-tuples of ints, with no zero coefficient (the raws printed
+    and checked by ``perfbench``): invariants, resultants and
+    discriminants all return that layout."""
+    dom = build_domain(char, [], names)
+    f, g = parse_expression(text, dom), parse_expression(other, dom)
+    raws = [*invariants_of(f, delta).values, resultant(f, g), discriminant(f)]
+    assert any(den != {(0,) * len(names): 1} for _, den in raws)
+    for raw in raws:
+        assert type(raw) is tuple and len(raw) == 2
+        for part in raw:
+            assert type(part) is dict and 0 not in part.values()
+            for e in part:
+                assert type(e) is tuple and len(e) == dom.nvars and all(type(k) is int for k in e)

@@ -45,6 +45,15 @@ def test_syntax_errors_carry_offsets():
     assert e.value.pos == 2
 
 
+def test_sqrt_takes_an_integer_literal_with_a_root_in_the_domain():
+    # the parser's own checks, which the CLI's sugar scan runs before it
+    assert parse_expression("sqrt(4)*x", QQ) == UniPoly(QQ, {1: mpq(2)})
+    with pytest.raises(ParseError, match=r"sqrt\(5\) was not declared in this domain"):
+        parse_expression("sqrt(5)", QQ)
+    with pytest.raises(ParseError, match=r"sqrt\(\) takes a single integer literal"):
+        parse_expression("x^3 + sqrt(x)", QQ)
+
+
 def test_undeclared_identifier():
     with pytest.raises(ParseError) as e:
         qpoly("x + b", "a")

@@ -237,6 +237,72 @@ def _dict_mul(base, f, g):
     return mp_mul(base, f, g)
 
 
+def _reference_mp_mul(base, f, g):
+    """The term-by-term product ``mp_mul`` replaced, kept as the reference:
+    each sum is tested for zero as it is made."""
+    if not f or not g:
+        return {}
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(map(int.__add__, e1, e2))
+            p = base.mul(c1, c2)
+            if e in out:
+                s = base.add(out[e], p)
+                if base.is_zero(s):
+                    del out[e]
+                else:
+                    out[e] = s
+            elif not base.is_zero(p):
+                out[e] = p
+    return out
+
+
+@pytest.mark.parametrize("name", ["Z", "F_7", "Q(i)"])
+def test_mp_mul_matches_the_term_by_term_product(name, rng):
+    Qi = gaussian_field()
+    base, coeff = {
+        "Z": (rings.ZZ, lambda: rng.choice((-2, -1, 1, 2))),
+        "F_7": (PrimeField(7), lambda: rng.randint(1, 6)),
+        "Q(i)": (Qi, lambda: Qi.from_coeffs([mpq(rng.randint(-1, 1)), mpq(rng.choice((-1, 1)))])),
+    }[name]
+    cancelled = 0
+    for nvars in range(1, 5):
+        x = [rings.mp_gen(base, i, nvars) for i in range(nvars)]
+        c = rings.mp_const(base, coeff(), nvars)
+        one = rings.mp_const(base, base.one(), nvars)
+        pairs = [(rings.mp_add(base, x[0], one), rings.mp_sub(base, x[0], one)),
+                 (rings.mp_add(base, x[0], c), rings.mp_sub(base, x[0], c)),
+                 (rings.mp_add(base, x[0], x[-1]), rings.mp_sub(base, x[0], x[-1])),
+                 (c, rings.mp_add(base, x[0], one)), (c, c), ({}, c), (x[-1], {}), ({}, {})]
+        for _ in range(60):
+            f, g = ({tuple(rng.randint(0, 2) for _ in range(nvars)): coeff()
+                     for _ in range(rng.randint(1, 8))} for _ in range(2))
+            pairs.append((f, g))
+        for f, g in pairs:
+            got = rings.mp_mul(base, f, g)
+            assert got == _reference_mp_mul(base, f, g), (name, f, g)
+            assert not any(base.is_zero(v) for v in got.values())
+            sums = {tuple(map(int.__add__, e1, e2)) for e1 in f for e2 in g}
+            cancelled += len(got) < len(sums)
+    # the pairs exercise the zero filter
+    assert cancelled >= 10
+
+
+def test_mp_exact_div_reports_an_inexact_quotient_as_none():
+    ZZ, F7 = rings.ZZ, PrimeField(7)
+    x = {(1,): 1}
+    # a term of the remainder that no term of the divisor divides
+    assert rings.mp_exact_div(ZZ, x, {(2,): 1}) is None
+    assert rings.mp_exact_div(F7, {(1,): 1, (0,): 1}, x) is None
+    # a coefficient outside Z: (3x + 1) / 2x
+    assert rings.mp_exact_div(ZZ, {(1,): 3, (0,): 1}, {(1,): 2}) is None
+    assert rings.mp_exact_div(ZZ, {(2,): 1, (0,): -1}, {(1,): 1, (0,): -1}) == {(1,): 1, (0,): 1}
+    assert rings.mp_exact_div(ZZ, {}, x) == {}
+    with pytest.raises(ZeroDivisionError):
+        rings.mp_exact_div(ZZ, x, {})
+
+
 def test_function_field_requires_field_base():
     R = adjoin(QQ, "t", (QQ.from_int(-8), QQ.zero(), QQ.zero(), QQ.one()))
     with pytest.raises(ValueError):

@@ -555,7 +555,9 @@ def test_a_prime_dividing_a_denominator_gives_no_image_verdict():
 def test_each_image_is_built_once_per_domain_and_prime(monkeypatch):
     # a fresh tower with no certificate has no images; the first
     # coprimality test builds them and keeps them on the tower, so a second
-    # one builds none
+    # one builds none; equal towers share what they keep through their
+    # table, so the tower starts from an empty table cache
+    monkeypatch.setattr(rings, "_TABLES", {})
     built = []
     real = QuotientRing.__init__
     monkeypatch.setattr(QuotientRing, "__init__", lambda self, *a, **k: built.append(self) or real(self, *a, **k))
@@ -584,7 +586,8 @@ def test_certificate_and_root_chains_are_found_once_per_tower(monkeypatch):
     # Q(sqrt7)(I): the step I is certified at a root chain of Q(sqrt7), and
     # the tower's primes are found as coprimality tests ask for them, the
     # first test needing one; once found, no test over the same tower
-    # searches again
+    # searches again; an empty table cache makes the tower fresh
+    monkeypatch.setattr(rings, "_TABLES", {})
     searches = []
     for name in ("_fp_roots", "_fp_irreducible"):
         real = getattr(rings, name)
