@@ -270,8 +270,7 @@ def orbit_set_invariant(orb: SpecialOrbit, fixture_or_generators) -> bool:
     )
     ref = orb.poly.monic()
     for g in generators:
-        gg = g if g.domain == ref.domain else g.map_domain(ref.domain)
-        img, inf_flag = orbit_image(ref, orb.includes_infinity, gg)
+        img, inf_flag = orbit_image(ref, orb.includes_infinity, g.map_domain(ref.domain))
         if inf_flag != orb.includes_infinity or img != ref:
             return False
     return True
@@ -305,8 +304,7 @@ def is_invariant(f: UniPoly, fixture_or_generators) -> bool:
     else:
         generators = list(fixture_or_generators)
     for g in generators:
-        gg = g if g.domain == f.domain else g.map_domain(f.domain)
-        t = mobius_transport(f, gg)
+        t = mobius_transport(f, g.map_domain(f.domain))
         if t.degree() != f.degree():
             return False
         if proportional(t, f) is None:

@@ -43,11 +43,16 @@ before they are multiplied, and no gcd of a product is ever taken.
 
 A tower whose chain ends at ``Rationals`` or at a ``PrimeField``
 multiplies through an integer multiplication table (Cohen, GTM 138, 4.2),
-built once per tower and shared by equal towers.  Over Q the integer
-numerators of both operands are multiplied through the table and the
-product is divided once by the gcd with its denominator (Knuth, TAOCP
-vol. 2, 4.5.1), so a product makes no rational number; over F_p
-the residues are multiplied as integers and reduced once mod p.  Its
+built once per tower and shared by equal towers.  The table fixes the
+product as a bilinear map, so a tower of total degree at most 8 has it
+written out once as straight-line Python, one sum of pair products per
+coordinate (Buergisser, Clausen and Shokrollahi, *Algebraic Complexity
+Theory*, ch. 14), and a larger one loops over the table's rows, skipping
+zero coordinates.  Over Q the integer numerators of both operands are
+multiplied through the table and the product is divided once by the gcd
+with its denominator (Knuth, TAOCP vol. 2, 4.5.1), so a product makes no
+rational number; over F_p the residues are multiplied as integers and
+reduced once mod p.  Its
 inverse solves the multiplication matrix (fraction-free over Q, mod p over
 F_p) when the top step's base is a certified field (Q, F_p, or a
 certified tower over Q, below).  A singular matrix, or any other base,
@@ -104,7 +109,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import Any, Iterator, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 try:
     from gmpy2 import mpq, mpz, iroot as _iroot, is_prime as _is_prime_fast
@@ -537,9 +542,18 @@ class _MulTable(NamedTuple):
     with this table (``_kept``): equal towers share their certificate, root
     chains, primes and images as they share the table.
 
+    ``prod`` is the product of two raws.  The rows fix it as a bilinear
+    map, so up to total degree ``_STRAIGHT_LINE_MAX_DIM`` it is written out
+    once per tower signature as straight-line Python (``_compile_product``):
+    each pair product a_i b_j + a_j b_i is formed once and each output
+    coordinate is one sum with the table's integer constants, where a loop
+    over the rows pays an index, a tuple unpacking and a branch for every
+    constant on every product.  Above that degree ``prod`` is the row loop
+    (``_row_product``), which skips zero coordinates.
+
     A small field F_q (``_has_logs``) also holds log and exp tables at the
     powers of its primitive element g (``multiplicative_generator``), with
-    n = q - 1:
+    n = q - 1, and ``prod`` is a lookup in them:
     ``exp[i]`` is g^(i mod n) for 0 <= i <= 2n - 2, so that a product of
     nonzero elements is ``exp[log a + log b]`` with no reduction of the
     exponent, and an inverse is ``exp[n - log a]``.  ``log`` maps the raw
@@ -550,6 +564,7 @@ class _MulTable(NamedTuple):
     den: int
     rows: tuple
     kept: dict
+    prod: Callable
     log: dict | None = None
     exp: tuple | None = None
 
@@ -562,6 +577,12 @@ _TABLES_MAX = 32
 # a table holds up to D^3 integers; towers of larger total degree D (none
 # in the catalog, whose largest is 16) multiply by the schoolbook product
 _TABLE_MAX_DIM = 64
+# towers of total degree up to this multiply by straight-line code
+# (_compile_product), whose cost is the same for every operand; larger ones
+# by the row loop (_row_product), whose cost falls with the operands' zero
+# coordinates: the dim-16 products of the a5_b fixture meet 23 of the 256
+# coordinate pairs on average, and the loop is faster there
+_STRAIGHT_LINE_MAX_DIM = 8
 # finite domains up to this order are searched element by element (roots,
 # n-th roots), and fields F_p[w]/(m) up to it multiply by log tables
 _SMALL_FIELD_ORDER = 4096
@@ -593,7 +614,64 @@ def _build_table(ring: "QuotientRing") -> _MulTable:
     rows = [[()] * dim for _ in range(dim)]
     for (i, j), (nums, d) in prods.items():
         rows[i][j] = rows[j][i] = tuple((k, c * (den // d)) for k, c in enumerate(nums) if c)
-    return _MulTable(den, tuple(map(tuple, rows)), {})
+    rows = tuple(map(tuple, rows))
+    product = _compile_product if dim <= _STRAIGHT_LINE_MAX_DIM else _row_product
+    return _MulTable(den, rows, {}, product(den, rows, ring.char))
+
+
+def _compile_product(den: int, rows: tuple, p: int) -> Callable:
+    """The product of the table (den, rows) as one straight-line function
+    of two raws: over Q (p = 0) of pairs (nums, den), ending in one
+    ``_canonical``, over F_p of residue tuples, ending in one ``% p`` per
+    leaf.  The source holds only generated identifiers and int literals
+    taken from the table."""
+    dim = len(rows)
+    a = ", ".join(f"a{i}" for i in range(dim))
+    b = ", ".join(f"b{i}" for i in range(dim))
+    lines = [f"    ({a}), da = a", f"    ({b}), db = b"] if p == 0 else [f"    {a} = a", f"    {b} = b"]
+    sums = [[] for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            if not rows[i][j]:
+                continue
+            m = f"m{i}_{j}"
+            lines.append(f"    {m} = a{i}*b{j} + a{j}*b{i}" if i < j else f"    {m} = a{i}*b{i}")
+            for k, c in rows[i][j]:
+                sign = "-" if c < 0 else "+"
+                sums[k].append(f" {sign} {m}" if abs(c) == 1 else f" {sign} {abs(c)}*{m}")
+    outs = ["".join(terms).removeprefix(" + ").lstrip() or "0" for terms in sums]
+    if p == 0:
+        scale = "da * db" if den == 1 else f"da * db * {den}"
+        lines.append(f"    return _canonical(({', '.join(outs)},), {scale})")
+    else:
+        lines.append(f"    return ({', '.join(f'({e}) % {p}' for e in outs)},)")
+    namespace = {"_canonical": _canonical}
+    exec("def prod(a, b):\n" + "\n".join(lines), namespace)
+    return namespace["prod"]
+
+
+def _row_product(den: int, rows: tuple, p: int) -> Callable:
+    """The product of the table (den, rows) by a loop over its rows, which
+    forms no product for a zero coordinate of either operand."""
+    dim = len(rows)
+
+    def prod(a, b):
+        if not p:
+            (a, da), (b, db) = a, b
+        xb = [(j, y) for j, y in enumerate(b) if y]
+        acc = [0] * dim
+        for i, x in enumerate(a):
+            if x:
+                row = rows[i]
+                for j, y in xb:
+                    xy = x * y
+                    for k, c in row[j]:
+                        acc[k] += xy * c
+        if p:
+            return tuple(v % p for v in acc)
+        return _canonical(acc, da * db * den)
+
+    return prod
 
 
 def _has_logs(ring: "QuotientRing") -> bool:
@@ -628,9 +706,13 @@ def _table_for(ring: "QuotientRing") -> _MulTable | None:
         table = _build_table(ring)
         if _has_logs(ring):
             # the generator search and its powers multiply through the rows
-            ring._table = table
+            ring._prod = table.prod
             log, exp = _log_tables(ring)
-            table = table._replace(log=log, exp=exp)
+
+            def prod(a, b):
+                return exp[log[a] + log[b]]
+
+            table = table._replace(log=log, exp=exp, prod=prod)
         if len(_TABLES) >= _TABLES_MAX:
             del _TABLES[next(iter(_TABLES))]
     _TABLES[sig] = table
@@ -676,10 +758,15 @@ class QuotientRing(Domain):
     field base always does.  Inverting a nonzero noninvertible element
     raises :class:`ZeroDivisorError` with a discovered proper factor of ``m``.
 
-    Over Q or F_p (every step of the chain a ``QuotientRing``, the bottom
-    Q or a prime field), ``mul`` goes through the tower's integer table,
-    reducible moduli included, and reduces once: one gcd with the
-    denominator over Q, one ``% p`` per leaf over F_p.  ``inv`` solves the
+    ``mul`` calls the one product the ring picks when it is built.  Over
+    Q or F_p (every step of the chain a ``QuotientRing``, the bottom Q or a
+    prime field) that is the product of the tower's integer table,
+    reducible moduli included: generated straight-line code up to total
+    degree ``_STRAIGHT_LINE_MAX_DIM``, built once per tower signature and
+    shared by equal towers, because it spends no loop step, index or branch
+    per table constant; the row loop above it.  Either reduces once: one
+    gcd with the denominator over Q, one ``% p`` per leaf over F_p.  Any
+    other tower takes ``_schoolbook_mul``.  ``inv`` solves the
     table's multiplication matrix when the base is a certified field, and
     takes extended Euclid when the matrix is singular or the base is not
     certified: a unit can meet a zero-divisor leading coefficient in Euclid
@@ -722,8 +809,11 @@ class QuotientRing(Domain):
         self._kept: dict = {}
         # set before the table: building a field's log tables runs pow
         self._zero, self._one = self.zero(), self.one()
+        # the one product of this ring (``mul``), picked here once
+        self._prod = self._schoolbook_mul
         self._table = _table_for(self)
         if self._table is not None:
+            self._prod = self._table.prod
             self._kept = self._table.kept
         self._flat_inv = self._table is not None and _certified_field(base)
 
@@ -802,29 +892,7 @@ class QuotientRing(Domain):
         return tuple(map(operator.neg, nums)), den
 
     def mul(self, a, b):
-        table = self._table
-        if table is None:
-            return self._schoolbook_mul(a, b)
-        log = table.log
-        if log is not None:
-            return table.exp[log[a] + log[b]]
-        over_q = self._over_q
-        if over_q:
-            (a, da), (b, db) = a, b
-        xb = [(j, y) for j, y in enumerate(b) if y]
-        rows = table.rows
-        acc = [0] * self.dim
-        for i, x in enumerate(a):
-            if x:
-                row = rows[i]
-                for j, y in xb:
-                    xy = x * y
-                    for k, c in row[j]:
-                        acc[k] += xy * c
-        if over_q:
-            return _canonical(acc, da * db * table.den)
-        p = self.char
-        return tuple(v % p for v in acc)
+        return self._prod(a, b)
 
     def _schoolbook_mul(self, a, b):
         """Schoolbook product of the base coordinates, then reduction mod m."""

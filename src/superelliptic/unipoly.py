@@ -557,7 +557,11 @@ class Mobius:
         raise AssertionError("zero matrix")
 
     def map_domain(self, dst: Domain) -> "Mobius":
+        """This map over dst; the map itself when dst is its domain (maps
+        are immutable)."""
         src = self.domain
+        if dst == src:
+            return self
         return Mobius(dst, *(embed(src, dst, e) for e in self.entries()))
 
     def __repr__(self):

@@ -406,6 +406,22 @@ def test_sqrt_of_a_non_literal_exits_4():
     assert code == 4 and "sqrt() takes a single integer literal" in json.loads(text)["error"]["message"]
 
 
+GENUS_2_OF_A_QUINTIC = (
+    '{"command": "genus", "error": null, "exit": 0, "ok": true, "result": {"d": 5, "genus": 2, '
+    '"n": 2, "normality_guaranteed": true, "s": 5}, "schema": 1, "warnings": []}'
+)
+
+
+@pytest.mark.parametrize("argv", [
+    # sqrt(3) names a declared generator, so the sugar adjoins nothing
+    ["genus", "--n", "2", "--ext", "sqrt3:t^2-3", "x^5+sqrt(3)*x+1"],
+    # 4 is a square in Q, so sqrt(4) is the constant 2 and adjoins nothing
+    ["genus", "--n", "2", "x^5+sqrt(4)*x+1"],
+])
+def test_sqrt_sugar_that_adjoins_nothing(argv):
+    assert run(argv) == (0, GENUS_2_OF_A_QUINTIC)
+
+
 def test_resultant_method_flag_is_gone():
     code, text = run(["resultant", "--method", "sylvester", "x^2 - 1", "x^2 - 4"])
     assert code == 2 and json.loads(text)["error"]["message"] == "bad arguments"

@@ -804,3 +804,18 @@ def test_a5_case_c_from_user_matrix():
     assert aut.full_group == "Z/3Z x A_5"
     aut6 = classify(fx, rep, n=6)
     assert "m, l, o" in " ".join(aut6.caveats)
+
+
+def test_a_seed_template_over_the_fixture_domain_constructs_no_mobius(monkeypatch):
+    # an element over its own domain is its own image: a seed template and
+    # the seed recovery over the fixture's domain remap none of them
+    a4b = fixture_by_name("a4_b")
+    dom = a4b.domain
+    a4b.elements()
+    built = []
+    real = Mobius.__init__
+    monkeypatch.setattr(Mobius, "__init__", lambda self, *args: built.append(args) or real(self, *args))
+    seed = dom.from_int(3)
+    tpl = a4b.generic_template(dom, seed)
+    assert groups._recover_seeds(a4b, dom, tpl, 1) == ((seed,), UniPoly.one(dom))
+    assert not built

@@ -676,9 +676,14 @@ def test_equal_towers_share_one_table(monkeypatch):
     builds = []
     real = rings._build_table
     monkeypatch.setattr(rings, "_build_table", lambda *args: builds.append(args) or real(*args))
+    compiled = []
+    real_compile = rings._compile_product
+    monkeypatch.setattr(rings, "_compile_product", lambda *args: compiled.append(args) or real_compile(*args))
     minpoly = (QQ.from_int(-7), QQ.zero(), QQ.one())
     K1, K2 = adjoin(QQ, "s7", minpoly), adjoin(QQ, "s7", minpoly)
     assert len(builds) == 1 and K1._table is K2._table
+    # and one straight-line product, which both rings picked
+    assert len(compiled) == 1 and K1._prod is K2._prod is K1._table.prod
     s = K2.gen()
     assert K2.mul(s, s) == K2.from_int(7)
     # a field F_q shares its log tables too: a CLI request's tower over F_3
@@ -689,6 +694,63 @@ def test_equal_towers_share_one_table(monkeypatch):
     F9 = adjoin(PrimeField(3), "w", (1, 0, 1), field=True)
     request = build_domain(3, [("w", "t^2+1")], ())
     assert len(logs) == 1 and request._table is F9._table and F9._table.log is not None
+    assert request._prod is F9._prod is F9._table.prod
+
+
+def _table_towers():
+    """Every catalog tower over Q (a5_b's of degree 16 included), a table
+    with den != 1, three reducible moduli (e^2 = 0 gives an empty table
+    entry) and two integer tables over F_p."""
+    from superelliptic.catalog import standard_catalog
+
+    towers = {fx.domain._signature(): fx.domain for fx in standard_catalog().values()
+              if isinstance(fx.domain, QuotientRing) and not fx.domain.char}
+    assert max(K.dim for K in towers.values()) == 16
+    F9 = adjoin(PrimeField(3), "w", (1, 0, 1), field=True)
+    F81 = adjoin(F9, "v", (F9.neg(F9.add(F9.one(), F9.gen())), F9.zero(), F9.one()), field=True)
+    cbrt = adjoin(QQ, "c", (mpq(-2, 3), QQ.zero(), QQ.zero(), QQ.one()))
+    assert cbrt._table.den != 1
+    extra = [
+        cbrt,
+        adjoin(QQ, "e", (QQ.from_int(-4), QQ.zero(), QQ.one())),
+        adjoin(QQ, "e", (QQ.zero(), QQ.from_int(-1), QQ.zero(), QQ.one())),
+        adjoin(QQ, "e", (QQ.zero(), QQ.zero(), QQ.one())),
+        F81,
+        rings._tower_image(zeta5_field(), 65537)[0],
+    ]
+    return list(towers.values()) + extra
+
+
+def _product_operands(dom, rng):
+    """Zero, embedded integers, single generators, one-coordinate, dense and
+    negated dense operands."""
+    p = dom.char
+
+    def leaf():
+        return rng.randrange(1, p) if p else rand_mpq(rng, -99, 99, 12) or QQ.one()
+
+    ops = [dom.zero(), dom.one(), dom.from_int(-1), dom.from_int(rng.randint(2, 10**6)), dom.gen()]
+    if isinstance(dom.base, QuotientRing):
+        ops.append(dom.from_base(dom.base.gen()))
+    for k in rng.sample(range(dom.dim), min(3, dom.dim)):
+        ops.append(tower_from_leaves(dom, [leaf() if i == k else dom.leaf.zero() for i in range(dom.dim)]))
+    dense = [tower_from_leaves(dom, [leaf() for _ in range(dom.dim)]) for _ in range(3)]
+    return ops + dense + [dom.neg(x) for x in dense]
+
+
+def test_compiled_product_matches_the_schoolbook_product(rng):
+    """The straight-line product and the row loop of each table, and the
+    product each ring picked, agree with the schoolbook product on seeded
+    operands."""
+    for dom in _table_towers():
+        table = dom._table
+        products = [dom.mul, rings._compile_product(table.den, table.rows, dom.char),
+                    rings._row_product(table.den, table.rows, dom.char)]
+        ops = _product_operands(dom, rng)
+        for a in ops:
+            for b in ops:
+                expected = dom._schoolbook_mul(a, b)
+                assert all(prod(a, b) == expected for prod in products), (dom, a, b)
 
 
 def test_nested_route_over_parameters_prime_fields_and_large_degree():
