@@ -44,16 +44,14 @@ before they are multiplied, and no gcd of a product is ever taken.
 A tower whose chain ends at ``Rationals`` or at a ``PrimeField``
 multiplies through an integer multiplication table (Cohen, GTM 138, 4.2),
 built once per tower and shared by equal towers.  The table fixes the
-product as a bilinear map, so a tower of total degree at most 8 has it
-written out once as straight-line Python, one sum of pair products per
-coordinate (Buergisser, Clausen and Shokrollahi, *Algebraic Complexity
-Theory*, ch. 14), and a larger one loops over the table's rows, skipping
-zero coordinates.  Over Q the integer numerators of both operands are
-multiplied through the table and the product is divided once by the gcd
-with its denominator (Knuth, TAOCP vol. 2, 4.5.1), so a product makes no
-rational number; over F_p the residues are multiplied as integers and
-reduced once mod p.  Its
-inverse solves the multiplication matrix (fraction-free over Q, mod p over
+product as a bilinear map, so it is written out once as straight-line
+Python, one sum of pair products per coordinate (Buergisser, Clausen and
+Shokrollahi, *Algebraic Complexity Theory*, ch. 14).  Over Q the integer
+numerators of both operands are multiplied through the table and the
+product is divided once by the gcd with its denominator (Knuth, TAOCP
+vol. 2, 4.5.1), so a product makes no rational number; over F_p the
+residues are multiplied as integers and reduced once mod p.  Its inverse
+solves the multiplication matrix (fraction-free over Q, mod p over
 F_p) when the top step's base is a certified field (Q, F_p, or a
 certified tower over Q, below).  A singular matrix, or any other base,
 falls back to extended Euclid, which raises :class:`ZeroDivisorError` with
@@ -543,13 +541,11 @@ class _MulTable(NamedTuple):
     chains, primes and images as they share the table.
 
     ``prod`` is the product of two raws.  The rows fix it as a bilinear
-    map, so up to total degree ``_STRAIGHT_LINE_MAX_DIM`` it is written out
-    once per tower signature as straight-line Python (``_compile_product``):
-    each pair product a_i b_j + a_j b_i is formed once and each output
-    coordinate is one sum with the table's integer constants, where a loop
-    over the rows pays an index, a tuple unpacking and a branch for every
-    constant on every product.  Above that degree ``prod`` is the row loop
-    (``_row_product``), which skips zero coordinates.
+    map, so it is written out once per tower signature as straight-line
+    Python (``_compile_product``): each pair product a_i b_j + a_j b_i is
+    formed once and each output coordinate is one sum with the table's
+    integer constants, where a loop over the rows pays an index, a tuple
+    unpacking and a branch for every constant on every product.
 
     A small field F_q (``_has_logs``) also holds log and exp tables at the
     powers of its primitive element g (``multiplicative_generator``), with
@@ -577,12 +573,10 @@ _TABLES_MAX = 32
 # a table holds up to D^3 integers; towers of larger total degree D (none
 # in the catalog, whose largest is 16) multiply by the schoolbook product
 _TABLE_MAX_DIM = 64
-# towers of total degree up to this multiply by straight-line code
-# (_compile_product), whose cost is the same for every operand; larger ones
-# by the row loop (_row_product), whose cost falls with the operands' zero
-# coordinates: the dim-16 products of the a5_b fixture meet 23 of the 256
-# coordinate pairs on average, and the loop is faster there
-_STRAIGHT_LINE_MAX_DIM = 8
+# a generated sum of more terms than this is split over several statements:
+# CPython compiles a long sum as nested nodes and raises RecursionError
+# somewhere between 1,000 and 3,000 terms
+_SUM_CHUNK = 100
 # finite domains up to this order are searched element by element (roots,
 # n-th roots), and fields F_p[w]/(m) up to it multiply by log tables
 _SMALL_FIELD_ORDER = 4096
@@ -615,8 +609,7 @@ def _build_table(ring: "QuotientRing") -> _MulTable:
     for (i, j), (nums, d) in prods.items():
         rows[i][j] = rows[j][i] = tuple((k, c * (den // d)) for k, c in enumerate(nums) if c)
     rows = tuple(map(tuple, rows))
-    product = _compile_product if dim <= _STRAIGHT_LINE_MAX_DIM else _row_product
-    return _MulTable(den, rows, {}, product(den, rows, ring.char))
+    return _MulTable(den, rows, {}, _compile_product(den, rows, ring.char))
 
 
 def _compile_product(den: int, rows: tuple, p: int) -> Callable:
@@ -639,39 +632,20 @@ def _compile_product(den: int, rows: tuple, p: int) -> Callable:
             for k, c in rows[i][j]:
                 sign = "-" if c < 0 else "+"
                 sums[k].append(f" {sign} {m}" if abs(c) == 1 else f" {sign} {abs(c)}*{m}")
-    outs = ["".join(terms).removeprefix(" + ").lstrip() or "0" for terms in sums]
+    for k, terms in enumerate(sums):
+        if not terms:
+            lines.append(f"    c{k} = 0")
+        for n in range(0, len(terms), _SUM_CHUNK):
+            chunk = "".join(terms[n:n + _SUM_CHUNK])
+            lines.append(f"    c{k} = {chunk.removeprefix(' + ').lstrip()}" if n == 0 else f"    c{k} +={chunk}")
     if p == 0:
         scale = "da * db" if den == 1 else f"da * db * {den}"
-        lines.append(f"    return _canonical(({', '.join(outs)},), {scale})")
+        lines.append(f"    return _canonical(({', '.join(f'c{k}' for k in range(dim))},), {scale})")
     else:
-        lines.append(f"    return ({', '.join(f'({e}) % {p}' for e in outs)},)")
+        lines.append(f"    return ({', '.join(f'c{k} % {p}' for k in range(dim))},)")
     namespace = {"_canonical": _canonical}
     exec("def prod(a, b):\n" + "\n".join(lines), namespace)
     return namespace["prod"]
-
-
-def _row_product(den: int, rows: tuple, p: int) -> Callable:
-    """The product of the table (den, rows) by a loop over its rows, which
-    forms no product for a zero coordinate of either operand."""
-    dim = len(rows)
-
-    def prod(a, b):
-        if not p:
-            (a, da), (b, db) = a, b
-        xb = [(j, y) for j, y in enumerate(b) if y]
-        acc = [0] * dim
-        for i, x in enumerate(a):
-            if x:
-                row = rows[i]
-                for j, y in xb:
-                    xy = x * y
-                    for k, c in row[j]:
-                        acc[k] += xy * c
-        if p:
-            return tuple(v % p for v in acc)
-        return _canonical(acc, da * db * den)
-
-    return prod
 
 
 def _has_logs(ring: "QuotientRing") -> bool:
@@ -685,7 +659,7 @@ def _has_logs(ring: "QuotientRing") -> bool:
 
 def _log_tables(ring: "QuotientRing") -> tuple[dict, tuple]:
     """The log and exp tables of a small field (see ``_MulTable``), from
-    q - 3 products through its integer table."""
+    q - 3 products by its table's generated product."""
     n = ring.order - 1
     powers = ring.powers(multiplicative_generator(ring), n - 1)
     exp = tuple(powers + powers[:-1] + [ring.zero()] * (2 * n))
@@ -705,7 +679,8 @@ def _table_for(ring: "QuotientRing") -> _MulTable | None:
     if table is None:
         table = _build_table(ring)
         if _has_logs(ring):
-            # the generator search and its powers multiply through the rows
+            # the generator search and its powers multiply by the table's
+            # product (table.prod)
             ring._prod = table.prod
             log, exp = _log_tables(ring)
 
@@ -761,16 +736,16 @@ class QuotientRing(Domain):
     ``mul`` calls the one product the ring picks when it is built.  Over
     Q or F_p (every step of the chain a ``QuotientRing``, the bottom Q or a
     prime field) that is the product of the tower's integer table,
-    reducible moduli included: generated straight-line code up to total
-    degree ``_STRAIGHT_LINE_MAX_DIM``, built once per tower signature and
-    shared by equal towers, because it spends no loop step, index or branch
-    per table constant; the row loop above it.  Either reduces once: one
+    reducible moduli included: generated straight-line code, built once
+    per tower signature and shared by equal towers, because it spends no
+    loop step, index or branch per table constant.  It reduces once: one
     gcd with the denominator over Q, one ``% p`` per leaf over F_p.  Any
-    other tower takes ``_schoolbook_mul``.  ``inv`` solves the
-    table's multiplication matrix when the base is a certified field, and
-    takes extended Euclid when the matrix is singular or the base is not
-    certified: a unit can meet a zero-divisor leading coefficient in Euclid
-    over a non-field base, and that error is part of the contract.
+    other tower takes ``_schoolbook_mul``, looked up on each product.
+    ``inv`` solves the table's multiplication matrix when the base is a
+    certified field, and takes extended Euclid when the matrix is singular
+    or the base is not certified: a unit can meet a zero-divisor leading
+    coefficient in Euclid over a non-field base, and that error is part of
+    the contract.
 
     One step F_p[w]/(m) of order at most ``_SMALL_FIELD_ORDER`` whose
     modulus passes Rabin's test is a field, and ``mul`` and ``inv`` there
@@ -809,8 +784,9 @@ class QuotientRing(Domain):
         self._kept: dict = {}
         # set before the table: building a field's log tables runs pow
         self._zero, self._one = self.zero(), self.one()
-        # the one product of this ring (``mul``), picked here once
-        self._prod = self._schoolbook_mul
+        # the table's product (``mul``), picked here once; None for a ring
+        # with no table, whose ``mul`` looks up ``_schoolbook_mul``
+        self._prod = None
         self._table = _table_for(self)
         if self._table is not None:
             self._prod = self._table.prod
@@ -892,7 +868,8 @@ class QuotientRing(Domain):
         return tuple(map(operator.neg, nums)), den
 
     def mul(self, a, b):
-        return self._prod(a, b)
+        prod = self._prod
+        return self._schoolbook_mul(a, b) if prod is None else prod(a, b)
 
     def _schoolbook_mul(self, a, b):
         """Schoolbook product of the base coordinates, then reduction mod m."""

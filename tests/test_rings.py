@@ -738,19 +738,33 @@ def _product_operands(dom, rng):
     return ops + dense + [dom.neg(x) for x in dense]
 
 
-def test_compiled_product_matches_the_schoolbook_product(rng):
-    """The straight-line product and the row loop of each table, and the
-    product each ring picked, agree with the schoolbook product on seeded
-    operands."""
-    for dom in _table_towers():
+def test_compiled_product_matches_the_schoolbook_product(rng, monkeypatch):
+    """Each ring's product, and the same table compiled with its sums split
+    every two terms, agree with the schoolbook product on seeded operands."""
+    towers = _table_towers()
+    monkeypatch.setattr(rings, "_SUM_CHUNK", 2)
+    for dom in towers:
         table = dom._table
-        products = [dom.mul, rings._compile_product(table.den, table.rows, dom.char),
-                    rings._row_product(table.den, table.rows, dom.char)]
+        products = [dom.mul, rings._compile_product(table.den, table.rows, dom.char)]
         ops = _product_operands(dom, rng)
         for a in ops:
             for b in ops:
                 expected = dom._schoolbook_mul(a, b)
                 assert all(prod(a, b) == expected for prod in products), (dom, a, b)
+
+
+@pytest.mark.parametrize("p", [0, 65537])
+def test_a_product_with_thousands_of_terms_per_coordinate_compiles(p):
+    # e_i * e_j = e_0 for every pair of 80 basis elements: 3,240 pair
+    # products in one sum, which CPython cannot compile as one expression
+    dim = 80
+    rows = (((0, 1),),) * dim
+    prod = rings._compile_product(1, (rows,) * dim, p)
+    a, b = tuple(range(1, dim + 1)), (1,) * dim
+    if p:
+        assert prod(a, b) == (sum(a) * dim % p,) + (0,) * (dim - 1)
+    else:
+        assert prod((a, 1), (b, 7)) == ((sum(a) * dim,) + (0,) * (dim - 1), 7)
 
 
 def test_nested_route_over_parameters_prime_fields_and_large_degree():
