@@ -35,8 +35,8 @@ import json
 import operator
 import re
 
-from .rings import (QQ, Domain, El, PrimeField, QuotientRing, _least_irreducible, adjoin, embed,
-                    multiplicative_generator, tower_chain)
+from .rings import (QQ, Domain, El, PrimeField, QuotientRing, _cyclotomic, _least_irreducible, adjoin,
+                    embed, multiplicative_generator, tower_chain)
 from .unipoly import INF, Mobius, UniPoly, mobius_transport
 from .groups import (
     GroupFixture, GroupError, SpecialOrbit, group_elements, orbit_image,
@@ -53,14 +53,7 @@ from .parser import build_domain, parse_expression
 @functools.cache
 def cyclotomic_coeffs(n: int) -> tuple:
     """Coefficients (constant first) of the n-th cyclotomic polynomial."""
-    x = UniPoly.gen(QQ)
-    num = x**n - UniPoly.one(QQ)
-    for d in range(1, n):
-        if n % d == 0:
-            num, rem = num.divrem(UniPoly.from_list(QQ, cyclotomic_coeffs(d)))
-            if not rem.is_zero():
-                raise AssertionError("cyclotomic division must be exact")
-    return tuple(num.to_list())
+    return tuple(map(QQ.from_int, _cyclotomic(n)))
 
 
 @functools.cache

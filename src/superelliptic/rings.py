@@ -50,14 +50,22 @@ Shokrollahi, *Algebraic Complexity Theory*, ch. 14).  Over Q the integer
 numerators of both operands are multiplied through the table and the
 product is divided once by the gcd with its denominator (Knuth, TAOCP
 vol. 2, 4.5.1), so a product makes no rational number; over F_p the
-residues are multiplied as integers and reduced once mod p.  Its inverse
-solves the multiplication matrix (fraction-free over Q, mod p over
-F_p) when the top step's base is a certified field (Q, F_p, or a
-certified tower over Q, below).  A singular matrix, or any other base,
-falls back to extended Euclid, which raises :class:`ZeroDivisorError` with
-its factor.  Towers over a ``FunctionField``, and towers of total degree
-above 64, multiply stepwise, by one convolution (``_ul_mul``) and one
-division (``_ul_divmod``).
+residues are multiplied as integers and reduced once mod p.  When the top
+step's base is a certified field (Q, F_p, or a certified tower over Q,
+below), the inverse takes one of two routes.  A top step K[t]/(m) whose
+automorphisms over K m alone makes known (a quadratic m, or a cyclotomic
+polynomial) inverts by conjugates: a^-1 = c / N(a), where c is the
+product of a's images under the automorphisms other than the identity and
+N(a) = a c lies in K (Cohen, GTM 138, 4.2-4.3).  The automorphisms are
+written out once per tower signature, like the product, and N(a) is
+inverted by the base's own inverse, which takes the same route a step
+down.  Any other step solves the multiplication matrix (fraction-free
+over Q, mod p over F_p).  A zero norm or a singular matrix (a is no
+unit), or any other base, falls back to extended Euclid, which raises
+:class:`ZeroDivisorError` with the factor of this step's modulus.  Towers
+over a ``FunctionField``, and towers of total degree above 64, multiply
+stepwise, by one convolution (``_ul_mul``) and one division
+(``_ul_divmod``).
 
 A field F_q = F_p[w]/(m) with q at most ``_SMALL_FIELD_ORDER`` (4096),
 one step over a prime field whose modulus passes Rabin's test, also keeps
@@ -555,6 +563,14 @@ class _MulTable(NamedTuple):
     exponent, and an inverse is ``exp[n - log a]``.  ``log`` maps the raw
     g^i to i, and zero to 2n - 1, where the zero padding of ``exp``
     starts: any sum with the log of zero lands in it.
+
+    ``cofactor`` is set when the top step K[t]/(m) has automorphisms over
+    K known from m alone (``_conjugate_generators``): it maps a raw a to
+    the product c of its images under every such automorphism other than
+    the identity, so that a * c is the norm of a, which lies in K
+    (``QuotientRing.inv``).  Each automorphism is K-linear, so on the flat
+    coordinates it is an integer matrix over one denominator, written out
+    like the product (``_compile_cofactor``).
     """
 
     den: int
@@ -563,6 +579,7 @@ class _MulTable(NamedTuple):
     prod: Callable
     log: dict | None = None
     exp: tuple | None = None
+    cofactor: Callable | None = None
 
 
 # tower signature -> _MulTable, shared by equal towers, least recently used
@@ -593,12 +610,17 @@ def _canonical(nums, den: int) -> tuple:
     return tuple(nums), den
 
 
+def _flat_basis(ring: "QuotientRing") -> list:
+    """The raws of the flat basis of a tower over Q or F_p."""
+    units = [tuple(int(k == i) for k in range(ring.dim)) for i in range(ring.dim)]
+    return [(u, 1) for u in units] if ring._over_q else units
+
+
 def _build_table(ring: "QuotientRing") -> _MulTable:
     """The table of a tower over Q or F_p, from schoolbook products of its
     basis."""
     dim, over_q = ring.dim, ring._over_q
-    units = [tuple(int(k == i) for k in range(dim)) for i in range(dim)]
-    basis = [(u, 1) for u in units] if over_q else units
+    basis = _flat_basis(ring)
     prods = {}
     for i in range(dim):
         for j in range(i, dim):
@@ -630,8 +652,7 @@ def _compile_product(den: int, rows: tuple, p: int) -> Callable:
             m = f"m{i}_{j}"
             lines.append(f"    {m} = a{i}*b{j} + a{j}*b{i}" if i < j else f"    {m} = a{i}*b{i}")
             for k, c in rows[i][j]:
-                sign = "-" if c < 0 else "+"
-                sums[k].append(f" {sign} {m}" if abs(c) == 1 else f" {sign} {abs(c)}*{m}")
+                sums[k].append(_term(c, m))
     for k, terms in enumerate(sums):
         if not terms:
             lines.append(f"    c{k} = 0")
@@ -646,6 +667,99 @@ def _compile_product(den: int, rows: tuple, p: int) -> Callable:
     namespace = {"_canonical": _canonical}
     exec("def prod(a, b):\n" + "\n".join(lines), namespace)
     return namespace["prod"]
+
+
+def _term(c: int, name: str) -> str:
+    """The term c * name of a generated sum, with its sign: " + m",
+    " - 3*m"."""
+    sign = "-" if c < 0 else "+"
+    return f" {sign} {name}" if abs(c) == 1 else f" {sign} {abs(c)}*{name}"
+
+
+def _cyclotomic(n: int) -> list[int]:
+    """The n-th cyclotomic polynomial, constant term first, as the product
+    of (x^d - 1)^mu(n/d) over the divisors d of n: the factors with
+    mu = 1 are multiplied in first, so that each division by one with
+    mu = -1 is exact."""
+    primes = [q for q in range(2, n + 1) if n % q == 0 and _is_prime(q)]
+    f, divisors = [1], []
+    for picked in itertools.product((False, True), repeat=len(primes)):
+        d = n // math.prod(q for q, x in zip(primes, picked) if x)
+        if sum(picked) % 2:
+            divisors.append(d)
+            continue
+        # (x^d - 1) f
+        f = [-c for c in f] + [0] * d
+        for i, c in enumerate(f[: len(f) - d]):
+            f[i + d] -= c
+    for d in divisors:
+        # f = q (x^d - 1), so q[k - d] = f[k] + q[k], from the top
+        q = [0] * (len(f) - d)
+        for k in range(len(f) - 1, d - 1, -1):
+            q[k - d] = f[k] + (q[k] if k < len(q) else 0)
+        f = q
+    return f
+
+
+def _conjugate_generators(ring: "QuotientRing") -> list:
+    """The images of the top generator t of K[t]/(m) under the automorphisms
+    over K other than the identity that m alone makes known, or [] when m
+    makes none known.  A quadratic m = t^2 + c1 t + c0 has t -> -c1 - t,
+    over any base.  The n-th cyclotomic polynomial, read as integers
+    embedded in K, has t -> t^k for 1 < k < n prime to n: these hold in
+    Z[t]/(m), so in every ring it maps to (Cohen, GTM 138, 4.2-4.3)."""
+    m, d, base = ring.minpoly, ring.degree, ring.base
+    t = ring.gen()
+    if d == 2:
+        return [ring.sub(ring.from_base(base.neg(m[1])), t)]
+    # Phi_n is palindromic with constant term 1 for n > 1, and
+    # phi(n) >= sqrt(n / 2) bounds n by 2 d^2
+    if m[0] != base.one() or m != m[::-1]:
+        return []
+    bound = 2 * d * d
+    phi = list(range(bound + 1))
+    for q in range(2, bound + 1):
+        if phi[q] == q:
+            for k in range(q, bound + 1, q):
+                phi[k] -= phi[k] // q
+    for n in range(3, bound + 1):
+        if phi[n] == d and tuple(map(base.from_int, _cyclotomic(n))) == m:
+            return [ring.pow(t, k) for k in range(2, n) if math.gcd(k, n) == 1]
+    return []
+
+
+def _compile_cofactor(ring: "QuotientRing", prod: Callable) -> Callable | None:
+    """The product of the conjugates of a raw (``_MulTable``) as one
+    straight-line function, or None when the top step has no known
+    automorphism.  The images of the flat basis under each automorphism
+    are computed here once, by the ring's own arithmetic: x t^b goes to
+    x s^b for x in the base and s the image of t.  Over Q each conjugate
+    is (the integer matrix times a's numerators, its denominator times
+    a's); over F_p its residues, taken between -p/2 and p/2, are not
+    reduced, since ``prod`` reduces.  The conjugates are multiplied by
+    prod."""
+    gens = _conjugate_generators(ring)
+    if not gens:
+        return None
+    dim, w, p, basis = ring.dim, ring._step, ring.char, _flat_basis(ring)
+    a = ", ".join(f"a{j}" for j in range(dim))
+    lines = [f"    ({a}), da = a"] if p == 0 else [f"    {a} = a"]
+    for n, s in enumerate(gens):
+        powers = ring.powers(s, ring.degree - 1)
+        images = [ring.scale(powers[j // w], ring.coords(e)[j // w]) for j, e in enumerate(basis)]
+        if p == 0:
+            den = math.lcm(*(d for _, d in images))
+            cols = [[c * (den // d) for c in nums] for nums, d in images]
+        else:
+            den, cols = 1, [[c - p if 2 * c > p else c for c in v] for v in images]
+        coords = ", ".join(
+            "".join(_term(col[k], f"a{j}") for j, col in enumerate(cols) if col[k]).removeprefix(" + ").lstrip()
+            for k in range(dim))
+        conj = f"({coords},)" if p else f"(({coords},), da)" if den == 1 else f"(({coords},), da * {den})"
+        lines.append(f"    c = {conj}" if n == 0 else f"    c = prod(c, {conj})")
+    namespace = {"prod": prod}
+    exec("def cofactor(a):\n" + "\n".join(lines) + "\n    return c", namespace)
+    return namespace["cofactor"]
 
 
 def _has_logs(ring: "QuotientRing") -> bool:
@@ -678,16 +792,18 @@ def _table_for(ring: "QuotientRing") -> _MulTable | None:
     table = _TABLES.pop(sig, None)
     if table is None:
         table = _build_table(ring)
+        # the generator search, the powers and the conjugations below
+        # multiply by the table's product (table.prod)
+        ring._prod = table.prod
         if _has_logs(ring):
-            # the generator search and its powers multiply by the table's
-            # product (table.prod)
-            ring._prod = table.prod
             log, exp = _log_tables(ring)
 
             def prod(a, b):
                 return exp[log[a] + log[b]]
 
             table = table._replace(log=log, exp=exp, prod=prod)
+        else:
+            table = table._replace(cofactor=_compile_cofactor(ring, table.prod))
         if len(_TABLES) >= _TABLES_MAX:
             del _TABLES[next(iter(_TABLES))]
     _TABLES[sig] = table
@@ -741,11 +857,17 @@ class QuotientRing(Domain):
     loop step, index or branch per table constant.  It reduces once: one
     gcd with the denominator over Q, one ``% p`` per leaf over F_p.  Any
     other tower takes ``_schoolbook_mul``, looked up on each product.
-    ``inv`` solves the table's multiplication matrix when the base is a
-    certified field, and takes extended Euclid when the matrix is singular
-    or the base is not certified: a unit can meet a zero-divisor leading
-    coefficient in Euclid over a non-field base, and that error is part of
-    the contract.
+    When the base is a certified field, ``inv`` divides the product c of
+    a's conjugates by the norm N(a) = a c, which lies in the base and is
+    inverted there, where the top step has automorphisms known from its
+    modulus (``_conjugate_inv``: a quadratic or cyclotomic step), and
+    solves the table's multiplication matrix where it has none
+    (``_table_inv``, for example Q(cbrt(2/3)) or a cubic modulus over F_p).
+    It takes extended Euclid when the norm is no unit of the base or the
+    matrix is singular, so that the error carries the factor of this
+    step's modulus, and when the base is not certified: a unit can meet a
+    zero-divisor leading coefficient in Euclid over a non-field base, and
+    that error is part of the contract.
 
     One step F_p[w]/(m) of order at most ``_SMALL_FIELD_ORDER`` whose
     modulus passes Rabin's test is a field, and ``mul`` and ``inv`` there
@@ -880,18 +1002,56 @@ class QuotientRing(Domain):
         return self._join(mul(x, c) for x in self.coords(a))
 
     def inv(self, a):
-        base = self.base
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
         if self._flat_inv:
-            log = self._table.log
-            if log is not None:
+            table = self._table
+            if table.log is not None:
                 # log holds the q elements, so q - 1 = len(log) - 1
-                return self._table.exp[len(log) - 1 - log[a]]
-            out = self._table_inv(a)
+                return table.exp[len(table.log) - 1 - table.log[a]]
+            out = self._table_inv(a) if table.cofactor is None else self._conjugate_inv(a)
             if out is not None:
                 return out
-        # extended Euclid on (a, m) over the base
+        return self._euclid_inv(a)
+
+    def _conjugate_inv(self, a):
+        """a^-1 = c / N(a), where c is the product of a's conjugates
+        (``_MulTable.cofactor``) and N(a) = a * c is its norm, the first
+        base coordinate of a * c; None when N(a) is no unit of the base,
+        which holds exactly when a is no unit.  N(a) is inverted by the
+        base's own ``inv``, and over Q by c / N(a) = c * d / n for
+        N(a) = n / d, so that no rational is made."""
+        prod, base, w = self._prod, self.base, self._step
+        c = self._table.cofactor(a)
+        norm = prod(a, c)
+        if not self._over_q:
+            norm = norm[0] if w == 1 else norm[:w]
+        elif w == 1:
+            (n, *_), d = norm
+            if not n:
+                return None
+            (nums, den), s = c, d if n > 0 else -d
+            return _canonical([x * s for x in nums], den * abs(n))
+        else:
+            norm = _canonical(norm[0][:w], norm[1])
+        if base.is_zero(norm):
+            return None
+        try:
+            norm_inv = base.inv(norm)
+        except ZeroDivisorError:
+            return None
+        # a base element embeds as its leaves padded with zeros
+        pad = (0,) * (self.dim - w)
+        if self._over_q:
+            return prod(c, (norm_inv[0] + pad, norm_inv[1]))
+        return prod(c, ((norm_inv,) if w == 1 else norm_inv) + pad)
+
+    def _euclid_inv(self, a):
+        """a^-1 by extended Euclid on (a, m) over the base; raises
+        :class:`ZeroDivisorError` with the factor gcd(a, m) of m when it is
+        no constant, or the base's own where a leading coefficient on the
+        way is a zero divisor of a base that is no field."""
+        base = self.base
         r0, r1 = list(self.minpoly), list(self.coords(a))
         s0, s1 = [base.zero()], [base.one()]
         while True:
@@ -916,7 +1076,10 @@ class QuotientRing(Domain):
     def _table_inv(self, a):
         """a^-1 by a Gauss-Jordan solve of N y = e_0, where column j of the
         integer matrix N holds the table coordinates of a * e_j; None when N
-        is singular (a is a zero divisor).  Over F_p the solve runs mod p and
+        is singular (a is a zero divisor).  The route of a top step with no
+        known automorphism (``_MulTable.cofactor`` is None); it builds N from
+        the rows on each call, and a step with conjugates inverts faster by
+        them (``_conjugate_inv``).  Over F_p the solve runs mod p and
         a^-1 = y.  Over Q, with a = (nums, da), column j is da * den times
         the flat coordinates of a * e_j, the solve is fraction-free
         (Bareiss's exact divisions) and ends with prev * y = r for the last
@@ -1967,9 +2130,12 @@ def _raw_map(dom: Domain, p: int, vals: list | None) -> Any:
 
     def reduce(raw):
         nums, den = ((int(raw.numerator),), int(raw.denominator)) if over_q else raw
-        if den % p == 0:
+        if den == 1:
+            s = 1
+        elif den % p:
+            s = pow(den, -1, p)
+        else:
             raise ValueError("prime divides a denominator")
-        s = pow(den, -1, p)
         if vals is None:
             return tuple(n * s % p for n in nums)
         return sum(map(operator.mul, nums, vals)) * s % p

@@ -29,6 +29,7 @@ from .rings import (
     PrimeField,
     ZeroDivisorError,
     _dense_terms,
+    _fp_divmod,
     _fp_gcd,
     _image_primes,
     _mod_p_image,
@@ -289,7 +290,23 @@ class UniPoly:
         return self.divrem(other)[1]
 
     def divides_exactly(self, other: "UniPoly") -> "UniPoly | None":
-        """Return other/self when self divides other exactly, else None."""
+        """Return other/self when self divides other exactly, else None.
+
+        Over Q and towers over Q, a nonzero remainder of the images at the
+        domain's first image prime p (``_image_primes``) answers None with
+        no division over the domain (:func:`_remainder_mod_p`).  *Theorem:*
+        let p divide no denominator of either polynomial or of a modulus,
+        and let the image of self keep its degree, with a leading
+        coefficient that is a unit of the image.  Long division by self
+        divides only by that leading coefficient, a unit at the prime of
+        the image, so if other = self * q, then q is integral there too and
+        the identity maps to the images: the image of self divides the
+        image of other.  So a nonzero remainder mod p proves that self does
+        not divide other.  In every other case the division over the domain
+        decides."""
+        self._same(other)
+        if self.coeffs and _remainder_mod_p(other, self):
+            return None
         quo, rem = other.divrem(self)
         return quo if rem.is_zero() else None
 
@@ -438,6 +455,24 @@ def _coprime_mod_p(f: UniPoly, g: UniPoly | None) -> bool:
             continue
         return common == 0
     return False
+
+
+def _remainder_mod_p(f: UniPoly, g: UniPoly) -> bool:
+    """Whether the image of f at the first image prime p of its domain
+    leaves a nonzero remainder by the image of g, which proves that g does
+    not divide f (``UniPoly.divides_exactly``).  False when the domain has
+    no image, p is bad for f or g, or the leading coefficient of g's image
+    is no unit of an image that is no field.  Over F_p the images divide
+    as int lists."""
+    p = next(_image_primes(f.domain), None)
+    if p is None or (gp := _poly_mod_p(g, p)) is None or (fp := _poly_mod_p(f, p)) is None:
+        return False
+    if isinstance(gp.domain, PrimeField):
+        return bool(_fp_divmod(fp.to_list(), gp.to_list(), p)[1])
+    try:
+        return not fp.divrem(gp)[1].is_zero()
+    except ZeroDivisorError:
+        return False
 
 
 def _poly_mod_p(f: UniPoly, p: int) -> UniPoly | None:

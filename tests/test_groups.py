@@ -42,7 +42,7 @@ from superelliptic.catalog import (
     psl_pgl_case_b_generators,
     zeta5_field,
 )
-from superelliptic import groups, rings
+from superelliptic import groups, rings, unipoly
 from superelliptic.groups import orbit_image
 from superelliptic.parser import build_domain, parse_expression
 from superelliptic.unipoly import INF
@@ -819,3 +819,29 @@ def test_a_seed_template_over_the_fixture_domain_constructs_no_mobius(monkeypatc
     tpl = a4b.generic_template(dom, seed)
     assert groups._recover_seeds(a4b, dom, tpl, 1) == ((seed,), UniPoly.one(dom))
     assert not built
+
+
+def test_seed_recovery_answers_none_where_no_seed_orbit_divides(monkeypatch):
+    """The fall-through answers of the seed recovery: over dihedral_b(4)'s
+    Q(i), x (x - 3)(x^6 + x + 1) is divisible by no special orbit and has
+    degree 8, the generic orbit size.  Its root 0 lies in the special orbit
+    B0 (an orbit polynomial of degree 3), and the orbit of 3 does not
+    divide it, which the image at the first prime shows.  Two generic
+    orbits recovered as one leave a nonconstant remainder."""
+    fx = fixture_by_name("dihedral_b(4)")
+    dom = fx.domain
+    x, one = UniPoly.gen(dom), UniPoly.one(dom)
+    f = x * (x - UniPoly.constant(dom, dom.from_int(3))) * (x**6 + x + one)
+    sizes, verdicts = [], []
+    real_orbit, real_rem = groups.orbit_polynomial, unipoly._remainder_mod_p
+    monkeypatch.setattr(groups, "orbit_polynomial",
+                        lambda *args: sizes.append(int((orb := real_orbit(*args)).degree())) or orb)
+    monkeypatch.setattr(unipoly, "_remainder_mod_p", lambda *args: verdicts.append(real_rem(*args)) or verdicts[-1])
+    report = orbit_decomposition(f, fx)
+    assert report.t_generic == 1 and report.generic_params is None and report.cofactor == f
+    assert report.warnings == ("generic parameters not recovered (not rational in the base)",)
+    assert sizes == [3, fx.generic_size] and verdicts[-1] is True
+    assert groups._recover_seeds(fx, dom, f, 1) == (None, f)
+    templates = [fx.generic_template(dom, dom.from_int(a)) for a in (3, 5)]
+    params, rest = groups._recover_seeds(fx, dom, templates[0] * templates[1], 1)
+    assert params is None and rest in templates

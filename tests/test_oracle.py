@@ -13,8 +13,6 @@ nonzero; for the discriminant over F_p, p does not divide deg f, so that
 deg f' does not drop either.
 """
 
-import copy
-
 import pytest
 
 sp = pytest.importorskip("sympy", exc_type=ImportError)
@@ -533,13 +531,6 @@ def assert_matches_mod_p(dom, ours, expected, what):
     assert sp.reduced(diff, mins[::-1], *gens[::-1], modulus=dom.char)[1] == 0, what
 
 
-def _euclid_inv(dom, a):
-    """a^-1 in dom by the extended Euclid route alone."""
-    euclid = copy.copy(dom)
-    euclid._flat_inv = False
-    return euclid.inv(a)
-
-
 @pytest.mark.parametrize("name", ["F_9", "F_81", "Q(i, zeta5) mod 65537"])
 def test_tower_tables_mod_p_match_sympy(name, rng):
     dom = _prime_field_towers()[name]
@@ -555,7 +546,7 @@ def test_tower_tables_mod_p_match_sympy(name, rng):
             continue
         flat = dom._table_inv(a)
         assert flat is not None, f"{a} is a unit"
-        assert flat == _euclid_inv(dom, a) == dom.inv(a), f"1 / {a}"
+        assert flat == dom._euclid_inv(a) == dom.inv(a), f"1 / {a}"
         assert_matches_mod_p(dom, dom.one(), sa * to_sympy(dom, flat), f"1 / {a}")
         inverted += 1
     assert inverted >= 10
@@ -572,7 +563,7 @@ def test_zero_divisor_of_a_prime_field_image_keeps_the_euclid_factor(rng):
         with pytest.raises(ZeroDivisorError) as flat:
             dom.inv(zd)
         with pytest.raises(ZeroDivisorError) as euclid:
-            _euclid_inv(dom, zd)
+            dom._euclid_inv(zd)
         assert flat.value.factor == euclid.value.factor
         assert flat.value.domain == euclid.value.domain
         assert str(flat.value) == str(euclid.value)

@@ -564,7 +564,7 @@ def _dense(dom, rng):
 
 
 def test_product_over_q_i_zeta5_makes_no_rational_calls(monkeypatch, rng):
-    """A product, sum, difference and table inverse over Q(i, zeta5) run on
+    """A product, sum, difference and inverse over Q(i, zeta5) run on
     integer leaves: no rational operation and no ``mpq`` is made."""
     K = zeta5_field()
     a, b = _dense(K, rng), _dense(K, rng)
@@ -767,6 +767,99 @@ def test_a_product_with_thousands_of_terms_per_coordinate_compiles(p):
         assert prod((a, 1), (b, 7)) == ((sum(a) * dim,) + (0,) * (dim - 1), 7)
 
 
+def _zero_divisors(dom):
+    """Zero divisors of the reducible table towers: t - r for each rational
+    root r of a modulus over Q, e2 -+ w in a5_b's ring, where
+    w = 2i(zeta5^2 - zeta5^3) squares to e2^2, and I - 256 in the image of
+    Q(i, zeta5) mod 65537, where 256^2 = -1."""
+    t = dom.gen()
+    if dom.dim == 16:
+        K = dom.base
+        i, z = K.from_base(K.base.gen()), K.gen()
+        w = dom.from_base(K.mul(K.mul(K.from_int(2), i), K.sub(K.pow(z, 2), K.pow(z, 3))))
+        assert dom.is_zero(dom.sub(dom.mul(t, t), dom.mul(w, w)))
+        return [dom.sub(t, w), dom.add(t, w)]
+    if dom.char == 65537:
+        return [dom.sub(dom.from_base(dom.base.gen()), dom.from_int(256))]
+    if isinstance(dom.base, Rationals):
+        return [dom.sub(t, dom.from_base(r)) for r in _q_roots(list(dom.minpoly))]
+    return []
+
+
+def test_inverse_routes_agree_on_units_and_zero_divisors(rng):
+    """On every table tower, ``inv`` equals the Bareiss solve and extended
+    Euclid on seeded units and returns canonical raws, and each zero divisor
+    raises Euclid's error: its message, factor and domain.  Where the top
+    step has conjugates, a times their product lies in the base."""
+    reducible = 0
+    for dom in _table_towers():
+        p, table = dom.char, dom._table
+        ops = [a for a in _product_operands(dom, rng) if not dom.is_zero(a)]
+        planted = [dom.mul(zd, u) for zd in _zero_divisors(dom) for u in (dom.one(), dom.gen(), ops[-1])]
+        planted = [a for a in planted if not dom.is_zero(a)]
+        reducible += bool(planted)
+        for a in ops + planted:
+            if table.cofactor is not None:
+                norm = dom.coords(dom.mul(a, table.cofactor(a)))
+                assert all(map(dom.base.is_zero, norm[1:])), (dom, a)
+            try:
+                expected = dom._euclid_inv(a)
+            except ZeroDivisorError as euclid:
+                with pytest.raises(ZeroDivisorError) as err:
+                    dom.inv(a)
+                assert (str(err.value), err.value.factor, err.value.domain) == (
+                    str(euclid), euclid.factor, euclid.domain), (dom, a)
+                assert dom._table_inv(a) is None
+                continue
+            assert a not in planted, (dom, a)
+            out = dom.inv(a)
+            assert out == expected == dom._table_inv(a), (dom, a)
+            if p:
+                assert all(type(x) is int and 0 <= x < p for x in out)
+            else:
+                _assert_canonical(dom, out)
+    assert reducible == 5
+
+
+def test_inverse_over_q_i_zeta5_runs_no_bareiss_solve(monkeypatch, rng):
+    """Q(i, zeta5) inverts by the conjugates of its cyclotomic step and of
+    Q(i); a step with no known automorphism, here Q(cbrt(2/3)), solves its
+    matrix."""
+    K = zeta5_field()
+    cbrt = adjoin(QQ, "c", (mpq(-2, 3), QQ.zero(), QQ.zero(), QQ.one()))
+    assert K._table.cofactor and K.base._table.cofactor and cbrt._table.cofactor is None
+    solved = []
+    real = QuotientRing._table_inv
+    monkeypatch.setattr(QuotientRing, "_table_inv", lambda self, a: solved.append(self) or real(self, a))
+    a = _dense(K, rng)
+    assert K.is_one(K.mul(a, K.inv(a)))
+    assert not solved
+    assert cbrt.is_one(cbrt.mul(cbrt.gen(), cbrt.inv(cbrt.gen())))
+    assert solved == [cbrt]
+
+
+def test_cyclotomic_steps_are_recognised():
+    """x^n - 1 is the product of Phi_d over the divisors d of n; a step
+    whose modulus is Phi_n gets phi(n) - 1 conjugates, over Q and over F_p,
+    and a palindromic modulus that is no Phi_n gets none."""
+    for n in range(1, 41):
+        product = UniPoly.one(QQ)
+        for d in range(1, n + 1):
+            if n % d == 0:
+                product = product * UniPoly.from_int_list(QQ, rings._cyclotomic(d))
+        assert product.to_list() == [QQ.from_int(-1)] + [QQ.zero()] * (n - 1) + [QQ.one()]
+    for base in (QQ, PrimeField(65537)):
+        for n in (5, 7, 8, 9, 12, 15):
+            K = adjoin(base, "z", tuple(map(base.from_int, rings._cyclotomic(n))))
+            # the other primitive n-th roots of unity
+            roots = {K.gen(), *rings._conjugate_generators(K)}
+            assert len(roots) == len(rings._cyclotomic(n)) - 1
+            assert all(K.is_one(K.pow(s, n)) and not any(K.is_one(K.pow(s, k)) for k in range(1, n))
+                       for s in roots)
+    K = adjoin(QQ, "u", tuple(map(QQ.from_int, (1, 0, -10, 0, 1))))
+    assert rings._conjugate_generators(K) == [] and K._table.cofactor is None
+
+
 def test_nested_route_over_parameters_prime_fields_and_large_degree():
     FF = FunctionField(QQ, ("a",))
     eps = QuotientRing(FF, "e", (FF.neg(FF.one()), FF.zero(), FF.one()))
@@ -916,13 +1009,14 @@ def test_tower_raws_over_q_are_canonical(name, rng):
 
 
 def test_table_inverse_makes_the_denominator_positive():
-    """Bareiss's last pivot is the determinant, here negative: the inverse
-    moves its sign to the numerators."""
+    """The norm, and Bareiss's last pivot, the determinant, are here
+    negative: the conjugate inverse and the Bareiss solve both move the
+    sign to the numerators."""
     K = sqrt3()
     a = K.from_coeffs([mpq(1), mpq(1)])  # 1 + s3, norm 1 - 3 = -2
     inverse = K.inv(a)
     assert K.coords(inverse) == (mpq(-1, 2), mpq(1, 2))
-    assert inverse == ((-1, 1), 2)
+    assert inverse == K._table_inv(a) == ((-1, 1), 2)
 
 
 # -- tower paths the other tests leave unrun -----------------------------------

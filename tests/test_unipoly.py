@@ -510,6 +510,89 @@ def _no_certificate_tower():
     return build_domain(0, [("r", "t^4 - 10*t^2 + 1")], (), sugar_i=True)
 
 
+# domains of the trial-division differential: Q, the catalog towers, a
+# tower with no certificate over a non-field base, and F_9, with no image
+DIVISION_DOMAINS = {
+    "Q": (0, []),
+    "Q(i)": (0, [("I", "t^2 + 1")]),
+    "Q(i, sqrt3)": (0, [("I", "t^2 + 1"), ("sqrt3", "t^2 - 3")]),
+    "Q(i, sqrt2)": (0, [("I", "t^2 + 1"), ("sqrt2", "t^2 - 2")]),
+    "Q(i, zeta5)": (0, [("I", "t^2 + 1"), ("z5", "t^4 + t^3 + t^2 + t + 1")]),
+    "Q[t]/(t^2 - 1)[I]": (0, [("t", "t^2 - 1"), ("I", "t^2 + 1")]),
+    "F_9": (3, [("w", "t^2 + 1")]),
+}
+
+
+def _division_outcome(divide):
+    """The quotient or None that divide() returns, or the message and factor
+    of the ZeroDivisorError it raises."""
+    try:
+        return divide()
+    except rings.ZeroDivisorError as err:
+        return str(err), err.factor
+
+
+@pytest.mark.parametrize("name", list(DIVISION_DOMAINS))
+def test_divides_exactly_matches_the_exact_division(name, rng, monkeypatch):
+    """Seeded divisible and non-divisible pairs give the answer, or the
+    error, of the division over the domain.  At the domain's first image
+    prime p, a coefficient whose denominator p divides, and a divisor
+    whose leading coefficient vanishes mod p, make the image step aside."""
+    char, exts = DIVISION_DOMAINS[name]
+    dom = build_domain(char, exts, ())
+    p = next(rings._image_primes(dom), None)
+    verdicts = []
+    real = unipoly._remainder_mod_p
+    monkeypatch.setattr(unipoly, "_remainder_mod_p", lambda f, g: verdicts.append(real(f, g)) or verdicts[-1])
+
+    def coeff(special=None):
+        leaves = [rng.randrange(char) if char else mpq(rng.randint(-9, 9), rng.randint(1, 4))
+                  for _ in range(getattr(dom, "dim", 1))]
+        if special is not None:
+            leaves[0] = special
+        return tower_from_leaves(dom, leaves)
+
+    def poly(deg, lead=None):
+        coeffs = {e: coeff() for e in range(deg)}
+        coeffs[deg] = dom.one() if lead is None else lead
+        return UniPoly(dom, coeffs)
+
+    def check(g, f):
+        exact = _division_outcome(lambda: (lambda q, r: q if r.is_zero() else None)(*f.divrem(g)))
+        verdicts.clear()
+        assert _division_outcome(lambda: g.divides_exactly(f)) == exact, (g, f)
+        return verdicts[0]
+
+    rejected = 0
+    for _ in range(8):
+        g = poly(rng.randint(1, 3), rng.choice([None, coeff()]))
+        if dom.is_zero(g.lc()):
+            continue
+        h, r = poly(rng.randint(0, 3), coeff()), poly(rng.randint(0, int(g.degree()) - 1), coeff())
+        for f in (g * h, g * h + r, poly(rng.randint(0, 5), coeff())):
+            rejected += check(g, f)
+    if p is None:
+        assert not rejected
+        return
+    assert rejected
+    # a denominator at p, in a divisible and a non-divisible pair, and a
+    # divisor whose image drops its degree
+    over_p = coeff(mpq(1, p))
+    g, x = poly(2), UniPoly.gen(dom)
+    for f in (g * (x + UniPoly.constant(dom, over_p)), g * x + UniPoly.constant(dom, over_p)):
+        assert unipoly._poly_mod_p(f, p) is None
+        assert not check(g, f)
+    g = poly(2, dom.from_int(p))
+    assert unipoly._poly_mod_p(g, p) is None
+    assert not check(g, g * x) and not check(g, poly(4))
+    if name == "Q[t]/(t^2 - 1)[I]":
+        # a zero-divisor lead t - 1 is no unit of the image either, and the
+        # division over the domain raises Euclid's error
+        g = poly(2, dom.from_base(dom.base.sub(dom.base.gen(), dom.base.one())))
+        assert not check(g, poly(4))
+        assert isinstance(_division_outcome(lambda: g.divides_exactly(poly(4))), tuple)
+
+
 def test_a_prime_dividing_a_denominator_gives_no_image_verdict():
     # p divides a denominator of c, so that prime builds no image of f and
     # polys_coprime decides at the next prime or exactly; p is the first
