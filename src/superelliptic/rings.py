@@ -52,17 +52,16 @@ product is divided once by the gcd with its denominator (Knuth, TAOCP
 vol. 2, 4.5.1), so a product makes no rational number; over F_p the
 residues are multiplied as integers and reduced once mod p.  When the top
 step's base is a certified field (Q, F_p, or a certified tower over Q,
-below), the inverse takes one of two routes.  A top step K[t]/(m) whose
-automorphisms over K m alone makes known (a quadratic m, or a cyclotomic
-polynomial) inverts by conjugates: a^-1 = c / N(a), where c is the
-product of a's images under the automorphisms other than the identity and
-N(a) = a c lies in K (Cohen, GTM 138, 4.2-4.3).  The automorphisms are
-written out once per tower signature, like the product, and N(a) is
-inverted by the base's own inverse, which takes the same route a step
-down.  Any other step solves the multiplication matrix (fraction-free
-over Q, mod p over F_p).  A zero norm or a singular matrix (a is no
-unit), or any other base, falls back to extended Euclid, which raises
-:class:`ZeroDivisorError` with the factor of this step's modulus.  Towers
+below), a top step K[t]/(m) whose automorphisms over K m alone makes
+known (a quadratic m, or a cyclotomic polynomial) inverts by conjugates:
+a^-1 = c / N(a), where c is the product of a's images under the
+automorphisms other than the identity and N(a) = a c lies in K (Cohen,
+GTM 138, 4.2-4.3).  The automorphisms are written out once per tower
+signature, like the product, and N(a) is inverted by the base's own
+inverse, which takes the same route a step down.  Any other step, a norm
+that is no unit of K (a is no unit), and any other base take extended
+Euclid, which raises :class:`ZeroDivisorError` with the factor of this
+step's modulus.  Towers
 over a ``FunctionField``, and towers of total degree above 64, multiply
 stepwise, by one convolution (``_ul_mul``) and one division
 (``_ul_divmod``).
@@ -99,7 +98,7 @@ p-adic lifting (``_q_roots``) and the modulus of a finite field
 ``_mod_p_image``, with its map on raws, built once per (domain, p) and
 kept on the domain: Q maps to F_p by reduction, a certified tower to F_p
 by its first root chain at p, and any other tower over Q to its tower
-image over F_p, which takes the matrix inverse exactly when its source
+image over F_p, which inverts by conjugates exactly when its source
 does.  One rule picks the primes of Q and of every tower over Q
 (``_image_primes``): the first three below 2^31 at which the domain has
 an image.  One rule says when p is good for a polynomial: p divides no
@@ -233,8 +232,9 @@ class Domain:
         return self.mul(a, self.inv(b))
 
     def exact_div(self, a: El, b: El) -> El:
-        """Division known to be exact in the domain (used by fraction-free
-        elimination); the default works for fields."""
+        """Division known to be exact in the domain (used by the
+        subresultant PRS and ``discriminant``); the default works for
+        fields."""
         return self.div(a, b)
 
     def pow(self, a: El, n: int) -> El:
@@ -570,7 +570,8 @@ class _MulTable(NamedTuple):
     the identity, so that a * c is the norm of a, which lies in K
     (``QuotientRing.inv``).  Each automorphism is K-linear, so on the flat
     coordinates it is an integer matrix over one denominator, written out
-    like the product (``_compile_cofactor``).
+    like the product (``_compile_cofactor``).  A table with neither logs
+    nor a cofactor inverts by extended Euclid, off the table.
     """
 
     den: int
@@ -810,26 +811,6 @@ def _table_for(ring: "QuotientRing") -> _MulTable | None:
     return table
 
 
-def _solve_mod_p(m: list, p: int) -> tuple | None:
-    """The solution mod p of the square system whose augmented integer
-    matrix is m (one right-hand column), by Gauss-Jordan elimination; None
-    when the square part is singular mod p."""
-    dim = len(m)
-    m = [[v % p for v in r] for r in m]
-    for col in range(dim):
-        piv = next((r for r in range(col, dim) if m[r][col]), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        s = pow(m[col][col], -1, p)
-        top = m[col] = [v * s % p for v in m[col]]
-        for r in range(dim):
-            f = m[r][col]
-            if f and r != col:
-                m[r] = [(u - f * v) % p for u, v in zip(m[r], top)]
-    return tuple(r[dim] for r in m)
-
-
 class QuotientRing(Domain):
     """One extension step K[t]/(m(t)) with monic modulus m.
 
@@ -857,17 +838,16 @@ class QuotientRing(Domain):
     loop step, index or branch per table constant.  It reduces once: one
     gcd with the denominator over Q, one ``% p`` per leaf over F_p.  Any
     other tower takes ``_schoolbook_mul``, looked up on each product.
-    When the base is a certified field, ``inv`` divides the product c of
-    a's conjugates by the norm N(a) = a c, which lies in the base and is
-    inverted there, where the top step has automorphisms known from its
-    modulus (``_conjugate_inv``: a quadratic or cyclotomic step), and
-    solves the table's multiplication matrix where it has none
-    (``_table_inv``, for example Q(cbrt(2/3)) or a cubic modulus over F_p).
-    It takes extended Euclid when the norm is no unit of the base or the
-    matrix is singular, so that the error carries the factor of this
-    step's modulus, and when the base is not certified: a unit can meet a
-    zero-divisor leading coefficient in Euclid over a non-field base, and
-    that error is part of the contract.
+    When the base is a certified field and the top step has automorphisms
+    known from its modulus (a quadratic or cyclotomic step), ``inv``
+    divides the product c of a's conjugates by the norm N(a) = a c, which
+    lies in the base and is inverted there (``_conjugate_inv``).  Every
+    other element takes extended Euclid (``_euclid_inv``): a step with no
+    known automorphism, for example Q(cbrt(2/3)) or a cubic modulus over
+    F_p; a norm that is no unit of the base, so that the error carries the
+    factor of this step's modulus; and a base that is not certified, where
+    a unit can meet a zero-divisor leading coefficient, an error that is
+    part of the contract.
 
     One step F_p[w]/(m) of order at most ``_SMALL_FIELD_ORDER`` whose
     modulus passes Rabin's test is a field, and ``mul`` and ``inv`` there
@@ -1009,9 +989,10 @@ class QuotientRing(Domain):
             if table.log is not None:
                 # log holds the q elements, so q - 1 = len(log) - 1
                 return table.exp[len(table.log) - 1 - table.log[a]]
-            out = self._table_inv(a) if table.cofactor is None else self._conjugate_inv(a)
-            if out is not None:
-                return out
+            if table.cofactor is not None:
+                out = self._conjugate_inv(a)
+                if out is not None:
+                    return out
         return self._euclid_inv(a)
 
     def _conjugate_inv(self, a):
@@ -1072,51 +1053,6 @@ class QuotientRing(Domain):
             # s0 - quo*s1
             pairs = itertools.zip_longest(s0, _ul_mul(base, quo, s1), fillvalue=base.zero())
             s0, s1 = s1, [base.sub(x, y) for x, y in pairs]
-
-    def _table_inv(self, a):
-        """a^-1 by a Gauss-Jordan solve of N y = e_0, where column j of the
-        integer matrix N holds the table coordinates of a * e_j; None when N
-        is singular (a is a zero divisor).  The route of a top step with no
-        known automorphism (``_MulTable.cofactor`` is None); it builds N from
-        the rows on each call, and a step with conjugates inverts faster by
-        them (``_conjugate_inv``).  Over F_p the solve runs mod p and
-        a^-1 = y.  Over Q, with a = (nums, da), column j is da * den times
-        the flat coordinates of a * e_j, the solve is fraction-free
-        (Bareiss's exact divisions) and ends with prev * y = r for the last
-        pivot prev, so a^-1 = (da * den * r, prev), its sign moved to r when
-        prev < 0."""
-        table, dim, p = self._table, self.dim, self.char
-        nums, da = a if self._over_q else (a, 1)
-        rows = table.rows
-        m = [[0] * (dim + 1) for _ in range(dim)]
-        for i, x in enumerate(nums):
-            if x:
-                row = rows[i]
-                for j in range(dim):
-                    for k, c in row[j]:
-                        m[k][j] += x * c
-        m[0][dim] = 1
-        if p:
-            return _solve_mod_p(m, p)
-        prev = 1
-        for col in range(dim):
-            piv = next((r for r in range(col, dim) if m[r][col]), None)
-            if piv is None:
-                return None
-            m[col], m[piv] = m[piv], m[col]
-            top = m[col]
-            p = top[col]
-            for r in range(dim):
-                if r == col:
-                    continue
-                cur = m[r]
-                f = cur[col]
-                m[r] = [(p * u - f * v) // prev for u, v in zip(cur, top)]
-            prev = p
-        scale = da * table.den
-        if prev < 0:
-            scale, prev = -scale, -prev
-        return _canonical([r[dim] * scale for r in m], prev)
 
     def is_zero(self, a):
         return a == self._zero
@@ -2263,8 +2199,9 @@ def _tower_image(dom: Domain, p: int) -> tuple[Domain, Any]:
     def build():
         base_p, base_reduce = _tower_image(dom.base, p)
         image = QuotientRing(base_p, dom.name, tuple(map(base_reduce, dom.minpoly)), field=True)
-        # The matrix solve inverts exactly the units of the image, which
-        # certifies a gcd mod p even where the image is no field.  A source
+        # The image inverts by conjugates where its source does; every
+        # route returns a true inverse or raises, so a gcd mod p that runs
+        # through is certified even where the image is no field.  A source
         # that may raise ZeroDivisorError on a unit (Euclid over an
         # uncertified base) keeps Euclid in its image, so no verdict hides
         # that error.

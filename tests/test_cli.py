@@ -118,6 +118,10 @@ def test_exit_codes():
         # extra automorphism has order 2: an odd n fails the divisibility test
         (["classify", "--fixture", "dihedral_b(3)", "--n", "3", "(x^3 + 3*x)*(x^2 - 1)"], 3,
          "GroupError", "extra automorphism order 2 must divide n = 3"),
+        (["invariants", "--delta", "4", "--n", "6", "x^8 + 3*x^4 + 1"], 3, "CoverError",
+         "delta = 4 must divide n = 6"),
+        (["classify", "--fixture", "s4", "--n", "2", "x^7+1"], 3, "DecompositionError",
+         "polynomial is not invariant under the fixture generators"),
     ],
 )
 def test_exit_codes_of_input_errors(argv, code, kind, message):
@@ -195,6 +199,28 @@ def test_transport_over_reducible_modulus():
     assert json.loads(text)["result"]["polynomial"] == (
         "(6*t + 7)*x^3 + (28*t + 34)*x^2 + (48*t + 51)*x + (18*t + 35)"
     )
+
+
+CUBIC = ["--ext", "c:t^3-2"]
+
+
+@pytest.mark.parametrize("argv, result", [
+    (["invariants", "--delta", "3", *CUBIC, "c*x^6 + x^3 + 1"],
+     '{"convention": "r-i", "delta": 3, "path": "corrected", "r": 2, "u": ["c^2", "2"]}, '
+     '"schema": 1, "warnings": ["no exact rescaling root in the domain; corrected invariants '
+     'used", "r = 2: the residual action is cyclic, not dihedral; invariants are degenerate"]}'),
+    (["transport", "--entry", "c", "1", "1", "c+2", *CUBIC, "x^3+c*x+1"],
+     '{"degree_drop": 0, "polynomial": "(c^2 + 3)*x^3 + (7*c^2 + 4*c + 10)*x^2 + '
+     '(9*c^2 + 21*c + 20)*x + (10*c^2 + 16*c + 13)"}, "schema": 1, "warnings": []}'),
+    (["transport", "--entry", "c", "1", "1", "c+2", *CUBIC, "--char", "7", "x^3+c*x+1"],
+     '{"degree_drop": 0, "polynomial": "(c^2 + 3)*x^3 + (4*c + 3)*x^2 + (2*c^2 + 6)*x + '
+     '(3*c^2 + 2*c + 6)"}, "schema": 1, "warnings": []}'),
+])
+def test_reports_over_a_cubic_extension(argv, result):
+    # Q(cbrt 2) has no automorphism known from its modulus, so its inverses
+    # take extended Euclid; F_7[c]/(c^3 - 2) inverts by its log tables
+    head = f'{{"command": "{argv[0]}", "error": null, "exit": 0, "ok": true, "result": '
+    assert run(argv) == (0, head + result)
 
 
 def test_zero_divisor_over_non_field_base():

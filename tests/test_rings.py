@@ -787,10 +787,12 @@ def _zero_divisors(dom):
 
 
 def test_inverse_routes_agree_on_units_and_zero_divisors(rng):
-    """On every table tower, ``inv`` equals the Bareiss solve and extended
-    Euclid on seeded units and returns canonical raws, and each zero divisor
-    raises Euclid's error: its message, factor and domain.  Where the top
-    step has conjugates, a times their product lies in the base."""
+    """On every table tower, ``inv`` equals extended Euclid on seeded units,
+    returns canonical raws and is a's inverse under the table product, and
+    each zero divisor raises Euclid's error: its message, factor and domain.
+    Where the top step has conjugates, a times their product lies in the
+    base, the conjugate inverse equals Euclid's and rejects each zero
+    divisor."""
     reducible = 0
     for dom in _table_towers():
         p, table = dom.char, dom._table
@@ -809,11 +811,12 @@ def test_inverse_routes_agree_on_units_and_zero_divisors(rng):
                     dom.inv(a)
                 assert (str(err.value), err.value.factor, err.value.domain) == (
                     str(euclid), euclid.factor, euclid.domain), (dom, a)
-                assert dom._table_inv(a) is None
+                assert table.cofactor is None or dom._conjugate_inv(a) is None
                 continue
             assert a not in planted, (dom, a)
             out = dom.inv(a)
-            assert out == expected == dom._table_inv(a), (dom, a)
+            assert out == expected and dom.is_one(dom.mul(a, out)), (dom, a)
+            assert table.cofactor is None or dom._conjugate_inv(a) == expected, (dom, a)
             if p:
                 assert all(type(x) is int and 0 <= x < p for x in out)
             else:
@@ -821,16 +824,16 @@ def test_inverse_routes_agree_on_units_and_zero_divisors(rng):
     assert reducible == 5
 
 
-def test_inverse_over_q_i_zeta5_runs_no_bareiss_solve(monkeypatch, rng):
+def test_inverse_over_q_i_zeta5_runs_no_euclid(monkeypatch, rng):
     """Q(i, zeta5) inverts by the conjugates of its cyclotomic step and of
-    Q(i); a step with no known automorphism, here Q(cbrt(2/3)), solves its
-    matrix."""
+    Q(i); a step with no known automorphism, here Q(cbrt(2/3)), takes
+    extended Euclid once."""
     K = zeta5_field()
     cbrt = adjoin(QQ, "c", (mpq(-2, 3), QQ.zero(), QQ.zero(), QQ.one()))
     assert K._table.cofactor and K.base._table.cofactor and cbrt._table.cofactor is None
     solved = []
-    real = QuotientRing._table_inv
-    monkeypatch.setattr(QuotientRing, "_table_inv", lambda self, a: solved.append(self) or real(self, a))
+    real = QuotientRing._euclid_inv
+    monkeypatch.setattr(QuotientRing, "_euclid_inv", lambda self, a: solved.append(self) or real(self, a))
     a = _dense(K, rng)
     assert K.is_one(K.mul(a, K.inv(a)))
     assert not solved
@@ -890,7 +893,7 @@ def test_log_route_matches_the_table_route_on_every_pair(p, t):
     for a in elements:
         assert all(F.mul(a, b) == F._schoolbook_mul(a, b) for b in elements)
         if not F.is_zero(a):
-            assert F.inv(a) == F._table_inv(a)
+            assert F.inv(a) == F._euclid_inv(a)
 
 
 @pytest.mark.parametrize("p, t", [(3, 7), (2, 12)])
@@ -901,7 +904,7 @@ def test_log_route_matches_the_table_route_on_seeded_pairs(p, t, rng):
         a, b = (tuple(rng.randrange(p) for _ in range(t)) for _ in range(2))
         assert F.mul(a, b) == F._schoolbook_mul(a, b)
         if not F.is_zero(a):
-            assert F.inv(a) == F._table_inv(a)
+            assert F.inv(a) == F._euclid_inv(a)
 
 
 def test_reducible_two_step_and_large_towers_over_fp_get_no_log_tables():
@@ -1009,14 +1012,13 @@ def test_tower_raws_over_q_are_canonical(name, rng):
 
 
 def test_table_inverse_makes_the_denominator_positive():
-    """The norm, and Bareiss's last pivot, the determinant, are here
-    negative: the conjugate inverse and the Bareiss solve both move the
-    sign to the numerators."""
+    """The norm is here negative: the conjugate inverse moves its sign to
+    the numerators, as extended Euclid does."""
     K = sqrt3()
     a = K.from_coeffs([mpq(1), mpq(1)])  # 1 + s3, norm 1 - 3 = -2
     inverse = K.inv(a)
     assert K.coords(inverse) == (mpq(-1, 2), mpq(1, 2))
-    assert inverse == K._table_inv(a) == ((-1, 1), 2)
+    assert inverse == K._euclid_inv(a) == ((-1, 1), 2)
 
 
 # -- tower paths the other tests leave unrun -----------------------------------
