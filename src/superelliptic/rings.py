@@ -66,16 +66,10 @@ over a ``FunctionField``, and towers of total degree above 64, multiply
 stepwise, by one convolution (``_ul_mul``) and one division
 (``_ul_divmod``).
 
-A field F_q = F_p[w]/(m) with q at most ``_SMALL_FIELD_ORDER`` (4096),
-one step over a prime field whose modulus passes Rabin's test, also keeps
-log and exp tables on its shared table, at the powers of its first
-primitive element in ``iter_elements`` order (``multiplicative_generator``;
-the multiplicative half of the Zech-logarithm representation: Huber, IEEE
-Trans. Inf. Theory 36, 1990; Lidl and Niederreiter, *Finite Fields*,
-ch. 9): a product is ``exp[log a + log b]`` and an inverse
-``exp[q - 1 - log a]``, with the same raws.  A reducible modulus
-over F_p, and every tower of two or more steps over F_p, keeps the
-integer table, and its zero divisors raise as before.
+A small field such as F_9 = F_3[w]/(w^2 + 1) is no special case: it
+multiplies by its generated product and inverts by conjugates.  A
+reducible modulus over F_p has a table too, and inverting one of its zero
+divisors raises from Euclid with the factor.
 
 A tower over Q is *certified* a field when each step is: one quadratic
 step over Q by its discriminant, which is not a square in Q, and any other
@@ -555,31 +549,20 @@ class _MulTable(NamedTuple):
     integer constants, where a loop over the rows pays an index, a tuple
     unpacking and a branch for every constant on every product.
 
-    A small field F_q (``_has_logs``) also holds log and exp tables at the
-    powers of its primitive element g (``multiplicative_generator``), with
-    n = q - 1, and ``prod`` is a lookup in them:
-    ``exp[i]`` is g^(i mod n) for 0 <= i <= 2n - 2, so that a product of
-    nonzero elements is ``exp[log a + log b]`` with no reduction of the
-    exponent, and an inverse is ``exp[n - log a]``.  ``log`` maps the raw
-    g^i to i, and zero to 2n - 1, where the zero padding of ``exp``
-    starts: any sum with the log of zero lands in it.
-
     ``cofactor`` is set when the top step K[t]/(m) has automorphisms over
     K known from m alone (``_conjugate_generators``): it maps a raw a to
     the product c of its images under every such automorphism other than
     the identity, so that a * c is the norm of a, which lies in K
     (``QuotientRing.inv``).  Each automorphism is K-linear, so on the flat
     coordinates it is an integer matrix over one denominator, written out
-    like the product (``_compile_cofactor``).  A table with neither logs
-    nor a cofactor inverts by extended Euclid, off the table.
+    like the product (``_compile_cofactor``).  A table with no cofactor
+    inverts by extended Euclid, off the table.
     """
 
     den: int
     rows: tuple
     kept: dict
     prod: Callable
-    log: dict | None = None
-    exp: tuple | None = None
     cofactor: Callable | None = None
 
 
@@ -596,7 +579,7 @@ _TABLE_MAX_DIM = 64
 # somewhere between 1,000 and 3,000 terms
 _SUM_CHUNK = 100
 # finite domains up to this order are searched element by element (roots,
-# n-th roots), and fields F_p[w]/(m) up to it multiply by log tables
+# n-th roots)
 _SMALL_FIELD_ORDER = 4096
 _ZERO = mpq(0)
 
@@ -763,26 +746,6 @@ def _compile_cofactor(ring: "QuotientRing", prod: Callable) -> Callable | None:
     return namespace["cofactor"]
 
 
-def _has_logs(ring: "QuotientRing") -> bool:
-    """Whether ring is a field F_p[w]/(m) of order at most
-    ``_SMALL_FIELD_ORDER``: one step over a prime field whose modulus
-    passes Rabin's test."""
-    p = ring.char
-    return (isinstance(ring.base, PrimeField) and p**ring.degree <= _SMALL_FIELD_ORDER
-            and _fp_irreducible(list(ring.minpoly), p))
-
-
-def _log_tables(ring: "QuotientRing") -> tuple[dict, tuple]:
-    """The log and exp tables of a small field (see ``_MulTable``), from
-    q - 3 products by its table's generated product."""
-    n = ring.order - 1
-    powers = ring.powers(multiplicative_generator(ring), n - 1)
-    exp = tuple(powers + powers[:-1] + [ring.zero()] * (2 * n))
-    log = {v: i for i, v in enumerate(powers)}
-    log[ring.zero()] = 2 * n - 1
-    return log, exp
-
-
 def _table_for(ring: "QuotientRing") -> _MulTable | None:
     """The shared table of a tower over Q or F_p of total degree at most
     ``_TABLE_MAX_DIM``, else None.  The chain test comes first, so that
@@ -793,18 +756,9 @@ def _table_for(ring: "QuotientRing") -> _MulTable | None:
     table = _TABLES.pop(sig, None)
     if table is None:
         table = _build_table(ring)
-        # the generator search, the powers and the conjugations below
-        # multiply by the table's product (table.prod)
+        # the conjugations below multiply by the table's product
         ring._prod = table.prod
-        if _has_logs(ring):
-            log, exp = _log_tables(ring)
-
-            def prod(a, b):
-                return exp[log[a] + log[b]]
-
-            table = table._replace(log=log, exp=exp, prod=prod)
-        else:
-            table = table._replace(cofactor=_compile_cofactor(ring, table.prod))
+        table = table._replace(cofactor=_compile_cofactor(ring, table.prod))
         if len(_TABLES) >= _TABLES_MAX:
             del _TABLES[next(iter(_TABLES))]
     _TABLES[sig] = table
@@ -849,12 +803,6 @@ class QuotientRing(Domain):
     a unit can meet a zero-divisor leading coefficient, an error that is
     part of the contract.
 
-    One step F_p[w]/(m) of order at most ``_SMALL_FIELD_ORDER`` whose
-    modulus passes Rabin's test is a field, and ``mul`` and ``inv`` there
-    are lookups in its log and exp tables (module docstring).  A reducible
-    modulus over F_p, and towers of two or more steps over F_p, keep the
-    integer table.
-
     ``field=True`` is the caller's word, and ``is_field`` reports it.  The
     certificate (module docstring) is what the arithmetic trusts: a tower
     over Q is certified when each step's modulus is irreducible mod p at a
@@ -884,7 +832,6 @@ class QuotientRing(Domain):
         # every attribute is set here: one added later to an instance makes
         # each attribute read of it slower, in mul and inv too
         self._kept: dict = {}
-        # set before the table: building a field's log tables runs pow
         self._zero, self._one = self.zero(), self.one()
         # the table's product (``mul``), picked here once; None for a ring
         # with no table, whose ``mul`` looks up ``_schoolbook_mul``
@@ -984,15 +931,10 @@ class QuotientRing(Domain):
     def inv(self, a):
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
-        if self._flat_inv:
-            table = self._table
-            if table.log is not None:
-                # log holds the q elements, so q - 1 = len(log) - 1
-                return table.exp[len(table.log) - 1 - table.log[a]]
-            if table.cofactor is not None:
-                out = self._conjugate_inv(a)
-                if out is not None:
-                    return out
+        if self._flat_inv and self._table.cofactor is not None:
+            out = self._conjugate_inv(a)
+            if out is not None:
+                return out
         return self._euclid_inv(a)
 
     def _conjugate_inv(self, a):

@@ -122,6 +122,7 @@ def test_exit_codes():
          "delta = 4 must divide n = 6"),
         (["classify", "--fixture", "s4", "--n", "2", "x^7+1"], 3, "DecompositionError",
          "polynomial is not invariant under the fixture generators"),
+        (["deltas", "5"], 3, "CoverError", "need a nonconstant polynomial"),
     ],
 )
 def test_exit_codes_of_input_errors(argv, code, kind, message):
@@ -217,8 +218,8 @@ CUBIC = ["--ext", "c:t^3-2"]
      '(3*c^2 + 2*c + 6)"}, "schema": 1, "warnings": []}'),
 ])
 def test_reports_over_a_cubic_extension(argv, result):
-    # Q(cbrt 2) has no automorphism known from its modulus, so its inverses
-    # take extended Euclid; F_7[c]/(c^3 - 2) inverts by its log tables
+    # Q(cbrt 2) and F_7[c]/(c^3 - 2) have no automorphism known from their
+    # modulus, so their inverses take extended Euclid
     head = f'{{"command": "{argv[0]}", "error": null, "exit": 0, "ok": true, "result": '
     assert run(argv) == (0, head + result)
 

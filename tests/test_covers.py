@@ -5,6 +5,7 @@ from superelliptic import (
     CoverError,
     CyclicCover,
     DeltaForm,
+    DomainMismatchError,
     PrimeField,
     QuotientRing,
     SharedBranchPointError,
@@ -17,6 +18,7 @@ from superelliptic import (
     normalize,
     recenter,
 )
+from superelliptic.catalog import gaussian_field
 from superelliptic.covers import OUTSIDE_EQ2
 from superelliptic.parser import build_domain, parse_expression
 
@@ -82,6 +84,11 @@ def test_genus_large_char3_curve():
 
 
 def test_cover_validation():
+    with pytest.raises(CoverError, match="at least one branch factor is required"):
+        CyclicCover(3, ())
+    QI = gaussian_field()
+    with pytest.raises(DomainMismatchError):
+        CyclicCover(3, ((P([-1, 1]), 1), (UniPoly.from_int_list(QI, [-2, 1]), 1)))
     with pytest.raises(CoverError):
         CyclicCover(3, ((P([1, -2, 1]), 1),))  # (x-1)^2 not squarefree
     with pytest.raises(CoverError):

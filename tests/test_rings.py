@@ -133,8 +133,8 @@ def _domains_for_axioms():
     FF = FunctionField(QQ, ("a", "b"))
     F7 = PrimeField(7)
     eps = QuotientRing(FF, "e", (FF.neg(FF.one()), FF.zero(), FF.zero(), FF.one()))
-    # one domain of each family: F_9 (log tables), F_3[e]/(e^2 - 1) (no log
-    # tables), F_7(a) and Q(i)(a) as well
+    # one domain of each family: F_9 (a field), F_3[e]/(e^2 - 1) (with zero
+    # divisors), F_7(a) and Q(i)(a) as well
     return [QQ, F7, K, FF, eps, finite_field(3, 2), adjoin(PrimeField(3), "e", (2, 0, 1)),
             FunctionField(F7, ("a",)), FunctionField(gaussian_field(), ("a",))]
 
@@ -686,14 +686,11 @@ def test_equal_towers_share_one_table(monkeypatch):
     assert len(compiled) == 1 and K1._prod is K2._prod is K1._table.prod
     s = K2.gen()
     assert K2.mul(s, s) == K2.from_int(7)
-    # a field F_q shares its log tables too: a CLI request's tower over F_3
-    # finds those of the catalog's F_9
-    logs = []
-    real_logs = rings._log_tables
-    monkeypatch.setattr(rings, "_log_tables", lambda ring: logs.append(ring) or real_logs(ring))
+    # a CLI request's tower over F_3 finds the table of the catalog's F_9
     F9 = adjoin(PrimeField(3), "w", (1, 0, 1), field=True)
+    built = len(builds)
     request = build_domain(3, [("w", "t^2+1")], ())
-    assert len(logs) == 1 and request._table is F9._table and F9._table.log is not None
+    assert len(builds) == built and request._table is F9._table
     assert request._prod is F9._prod is F9._table.prod
 
 
@@ -878,7 +875,7 @@ def test_nested_route_over_parameters_prime_fields_and_large_degree():
     assert big.mul(big.pow(w, 64), w) == big.from_int(2)
 
 
-# -- log tables of the small fields F_p[w]/(m) ------------------------------
+# -- small fields F_p[w]/(m) ------------------------------------------------
 
 
 def _small_field(p, t):
@@ -886,20 +883,23 @@ def _small_field(p, t):
 
 
 @pytest.mark.parametrize("p, t", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2)])
-def test_log_route_matches_the_table_route_on_every_pair(p, t):
+def test_small_field_products_and_inverses_match_on_every_pair(p, t):
     F = _small_field(p, t)
-    assert F._table.log is not None
+    # a quadratic field inverts by conjugates, a cubic one by Euclid
+    assert (F._table.cofactor is not None) == (t == 2)
     elements = list(F.iter_elements())
     for a in elements:
         assert all(F.mul(a, b) == F._schoolbook_mul(a, b) for b in elements)
         if not F.is_zero(a):
             assert F.inv(a) == F._euclid_inv(a)
+            if t == 2:
+                assert F._conjugate_inv(a) == F.inv(a)
 
 
 @pytest.mark.parametrize("p, t", [(3, 7), (2, 12)])
-def test_log_route_matches_the_table_route_on_seeded_pairs(p, t, rng):
+def test_small_field_products_and_inverses_match_on_seeded_pairs(p, t, rng):
     F = _small_field(p, t)
-    assert F._table.log is not None and F.order <= rings._SMALL_FIELD_ORDER
+    assert F._table is not None and F.order <= rings._SMALL_FIELD_ORDER
     for _ in range(200):
         a, b = (tuple(rng.randrange(p) for _ in range(t)) for _ in range(2))
         assert F.mul(a, b) == F._schoolbook_mul(a, b)
@@ -907,13 +907,13 @@ def test_log_route_matches_the_table_route_on_seeded_pairs(p, t, rng):
             assert F.inv(a) == F._euclid_inv(a)
 
 
-def test_reducible_two_step_and_large_towers_over_fp_get_no_log_tables():
+def test_reducible_two_step_and_large_towers_over_fp_are_tabled():
     R = adjoin(PrimeField(3), "e", (2, 0, 1))  # e^2 - 1
     S = adjoin(PrimeField(5), "e", (0, 4, 0, 1))  # e^3 - e
     F9 = _small_field(3, 2)
     F81 = adjoin(F9, "v", (F9.gen(), F9.zero(), F9.one()), field=True)
     for dom in (R, S, F81, _small_field(2, 13)):
-        assert dom._table is not None and dom._table.log is None
+        assert dom._table is not None
     # a zero divisor still raises with the factor extended Euclid finds
     for dom, a, factor in (
         (R, (2, 1), (2, 1)),
