@@ -40,7 +40,7 @@ from .rings import (QQ, Domain, El, PrimeField, QuotientRing, _cyclotomic, _leas
 from .unipoly import INF, Mobius, UniPoly, mobius_transport
 from .groups import (
     GroupFixture, GroupError, SpecialOrbit, group_elements, orbit_image,
-    orbit_points, orbit_polynomial,
+    orbit_points, points_polynomial,
 )
 from .parser import build_domain, parse_expression
 
@@ -142,7 +142,7 @@ def _orbit_from_seed(elements, seed, expected_size: int, name: str) -> SpecialOr
     if len(pts) != expected_size:
         raise GroupError(f"orbit {name}: got {len(pts)} points, expected {expected_size}")
     has_inf = any(p is INF for p in pts)
-    return SpecialOrbit(name, orbit_polynomial(elements, seed), has_inf)
+    return SpecialOrbit(name, points_polynomial(elements[0].domain, pts), has_inf)
 
 
 def _orbit_from_transport(std: SpecialOrbit, q: Mobius, name: str) -> SpecialOrbit:

@@ -41,7 +41,7 @@ from .groups import (
     is_invariant,
     orbit_decomposition,
     orbit_points,
-    orbit_polynomial,
+    points_polynomial,
 )
 from .invariants import (
     InvariantError,
@@ -255,7 +255,7 @@ def _cmd_orbit(args):
         seed = parse_constant(args.seed, dom)
     elements = fx.elements()
     pts = orbit_points(elements, seed)
-    poly = orbit_polynomial(elements, seed)
+    poly = points_polynomial(dom, pts)
     return {
         "fixture": fx.name,
         "orbit_polynomial": str(poly),

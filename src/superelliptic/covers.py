@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .rings import Domain, DomainMismatchError, El, _ul_mul
+from .rings import Domain, DomainMismatchError, El, up_mul
 from .unipoly import UniPoly, compose, polys_coprime, resultant, squarefree_test, support_gcd
 
 OUTSIDE_EQ2 = "ramification at infinity is partial (n does not divide d but gcd(n, d) > 1)"
@@ -270,4 +270,6 @@ def merge(dfa: DeltaForm, dfb: DeltaForm) -> DeltaForm:
     coprime = polys_coprime(fa, fb) if dom.is_field else not dom.is_zero(resultant(fa, fb))
     if not coprime:
         raise SharedBranchPointError("shared branch point: resultant of the factors is zero")
-    return DeltaForm(dom, dfa.delta, tuple(_ul_mul(dom, dfa.coeffs, dfb.coeffs)))
+    # the product of fa and fb has its terms at multiples of delta too
+    prod, zero = up_mul(dom, fa.coeffs, fb.coeffs), dom.zero()
+    return DeltaForm(dom, dfa.delta, tuple(prod.get(dfa.delta * i, zero) for i in range(dfa.r + dfb.r + 1)))

@@ -116,12 +116,16 @@ def orbit_polynomial(elements: list[Mobius], seed) -> UniPoly:
     """Monic polynomial whose roots are the finite points of the orbit of
     the seed; infinity, when in the orbit, is simply dropped (the degree is
     the orbit size minus one in that case)."""
-    dom = elements[0].domain
+    return points_polynomial(elements[0].domain, orbit_points(elements, seed))
+
+
+def points_polynomial(dom: Domain, pts: list) -> UniPoly:
+    """The monic polynomial whose roots are the finite points of pts, as
+    :func:`orbit_points` lists them; INF is dropped."""
     out = UniPoly.one(dom)
-    for pt in orbit_points(elements, seed):
-        if pt is INF:
-            continue
-        out = out * UniPoly(dom, {1: dom.one(), 0: dom.neg(pt)})
+    for pt in pts:
+        if pt is not INF:
+            out = out * UniPoly(dom, {1: dom.one(), 0: dom.neg(pt)})
     return out
 
 
@@ -233,7 +237,7 @@ class GroupFixture:
                 + (f" ({name})" if name else ""),
                 name or "special",
             )
-        return orbit_polynomial(elements, seed)
+        return points_polynomial(dom, pts)
 
     def _locate_special(self, dom: Domain, seed: El) -> str | None:
         for orb in self.special_orbits:
@@ -408,15 +412,11 @@ def orbit_decomposition(f: UniPoly, fixture: GroupFixture) -> OrbitReport:
             counts[orb.name] = 0
             continue
         orb_poly = orb.poly if orb.poly.domain == dom else orb.poly.map_domain(dom)
+        # f is squarefree, so no orbit divides it twice
         quo = orb_poly.divides_exactly(rem)
         if quo is None:
             counts[orb.name] = 0
             continue
-        if orb_poly.divides_exactly(quo) is not None:
-            raise DecompositionError(
-                f"special orbit {orb.name} divides with multiplicity > 1; "
-                "the branch divisor is not squarefree"
-            )
         counts[orb.name] = 1
         rem = quo
     deg = int(rem.degree()) if rem.coeffs else 0
@@ -484,9 +484,6 @@ def _rational_invariants(f: UniPoly, delta: int) -> tuple | None:
 def _recover_parameters(
     fixture: GroupFixture, dom: Domain, cofactor: UniPoly, t: int
 ) -> tuple[tuple | None, UniPoly]:
-    one = UniPoly.one(dom)
-    if t == 0:
-        return (), one
     if fixture.template_kind == "seed":
         return _recover_seeds(fixture, dom, cofactor, t)
     if fixture.template_kind == "a4":

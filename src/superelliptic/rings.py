@@ -61,10 +61,11 @@ signature, like the product, and N(a) is inverted by the base's own
 inverse, which takes the same route a step down.  Any other step, a norm
 that is no unit of K (a is no unit), and any other base take extended
 Euclid, which raises :class:`ZeroDivisorError` with the factor of this
-step's modulus.  Towers
-over a ``FunctionField``, and towers of total degree above 64, multiply
-stepwise, by one convolution (``_ul_mul``) and one division
-(``_ul_divmod``).
+step's modulus.  Towers over a ``FunctionField``, and towers of total
+degree above 64, multiply stepwise, by the univariate kernel: one product
+(``up_mul``) and one long division (``up_divrem``) of sparse ``{exponent:
+raw}`` dicts over any base, which ``UniPoly``, the steps' products,
+reductions and Euclid, ``covers.merge`` and ``_cyclotomic`` share.
 
 A small field such as F_9 = F_3[w]/(w^2 + 1) is no special case: it
 multiplies by its generated product and inverts by conjugates.  A
@@ -478,50 +479,56 @@ class PrimeField(Domain):
 
 
 # ---------------------------------------------------------------------------
-# the stepwise kernel: one convolution and one division of coefficient lists
-# (constant term first) over any base, for QuotientRing products and inverses
+# the univariate kernel: one product and one long division of {exponent: raw}
+# dicts over any base; a dense coefficient list enters as its nonzero entries
 # ---------------------------------------------------------------------------
 
 
-def _ul_deg(base: Domain, c: list) -> int:
-    for i in range(len(c) - 1, -1, -1):
-        if not base.is_zero(c[i]):
-            return i
-    return -1
+def up_mul(base: Domain, f: dict, g: dict) -> dict:
+    """The product of two {exponent: raw} dicts, by one loop: each term
+    product is summed into its exponent, the first one stored as it is,
+    and zero sums are dropped once, at the end (over a base with zero
+    divisors a single product can be zero too)."""
+    if len(f) > len(g):
+        f, g = g, f
+    mul, add, is_zero = base.mul, base.add, base.is_zero
+    out: dict = {}
+    get = out.get
+    terms = g.items()
+    for e1, c1 in f.items():
+        for e2, c2 in terms:
+            e = e1 + e2
+            p = mul(c1, c2)
+            s = get(e)
+            out[e] = p if s is None else add(s, p)
+    return {e: c for e, c in out.items() if not is_zero(c)}
 
 
-def _ul_mul(base: Domain, a, b) -> list:
-    """Schoolbook product of coefficient lists, with no product formed for
-    a zero entry."""
-    add, mul, is_zero = base.add, base.mul, base.is_zero
-    out = [base.zero()] * (len(a) + len(b) - 1)
-    nb = [(j, y) for j, y in enumerate(b) if not is_zero(y)]
-    for i, x in enumerate(a):
-        if not is_zero(x):
-            for j, y in nb:
-                out[i + j] = add(out[i + j], mul(x, y))
-    return out
-
-
-def _ul_divmod(base: Domain, a, b) -> tuple[list, list]:
-    """Long division of coefficient lists, with no product formed for a zero
-    entry of b; leading coeff of b must be invertible."""
-    db = _ul_deg(base, b)
-    if db < 0:
+def up_divrem(base: Domain, f: dict, g: dict) -> tuple[dict, dict]:
+    """Quotient and remainder of {exponent: raw} dicts with no zero raw;
+    the leading coefficient of g must be invertible.  A monic g needs no
+    product by 1 (raws are canonical, :class:`Domain`), and each step drops
+    its leading term with no product, since f_k - q lc(g) is exactly
+    zero."""
+    if not g:
         raise ZeroDivisionError("division by zero polynomial")
-    # a monic divisor needs no product by 1: raws are canonical (Domain)
-    lead_inv = None if base.is_one(b[db]) else base.inv(b[db])
-    nb = [(i, y) for i, y in enumerate(b[:db]) if not base.is_zero(y)]
-    rem = list(a)
-    dr = _ul_deg(base, rem)
-    quo = [base.zero()] * max(dr - db + 1, 0)
-    for k in range(dr, db - 1, -1):
-        if not base.is_zero(rem[k]):
-            f = rem[k] if lead_inv is None else base.mul(rem[k], lead_inv)
-            quo[k - db] = f
-            rem[k] = base.zero()  # rem[k] - f * b[db] is exactly zero
-            for i, y in nb:
-                rem[k - db + i] = base.sub(rem[k - db + i], base.mul(f, y))
+    dg = max(g)
+    lead_inv = None if base.is_one(g[dg]) else base.inv(g[dg])
+    low = [(e - dg, c) for e, c in g.items() if e != dg]
+    mul, sub, is_zero, zero = base.mul, base.sub, base.is_zero, base.zero()
+    rem, quo = dict(f), {}
+    for k in range(max(rem, default=-1), dg - 1, -1):
+        c = rem.pop(k, None)
+        if c is None:
+            continue
+        q = quo[k - dg] = c if lead_inv is None else mul(c, lead_inv)
+        for e, y in low:
+            t = k + e
+            v = sub(rem.get(t, zero), mul(q, y))
+            if is_zero(v):
+                rem.pop(t, None)
+            else:
+                rem[t] = v
     return quo, rem
 
 
@@ -662,27 +669,20 @@ def _term(c: int, name: str) -> str:
 
 def _cyclotomic(n: int) -> list[int]:
     """The n-th cyclotomic polynomial, constant term first, as the product
-    of (x^d - 1)^mu(n/d) over the divisors d of n: the factors with
+    of (x^d - 1)^mu(n/d) over the divisors d of n, over Z: the factors with
     mu = 1 are multiplied in first, so that each division by one with
-    mu = -1 is exact."""
+    mu = -1, a monic divisor, is exact."""
     primes = [q for q in range(2, n + 1) if n % q == 0 and _is_prime(q)]
-    f, divisors = [1], []
+    f, divisors = {0: 1}, []
     for picked in itertools.product((False, True), repeat=len(primes)):
         d = n // math.prod(q for q, x in zip(primes, picked) if x)
         if sum(picked) % 2:
             divisors.append(d)
-            continue
-        # (x^d - 1) f
-        f = [-c for c in f] + [0] * d
-        for i, c in enumerate(f[: len(f) - d]):
-            f[i + d] -= c
+        else:
+            f = up_mul(ZZ, f, {d: 1, 0: -1})
     for d in divisors:
-        # f = q (x^d - 1), so q[k - d] = f[k] + q[k], from the top
-        q = [0] * (len(f) - d)
-        for k in range(len(f) - 1, d - 1, -1):
-            q[k - d] = f[k] + (q[k] if k < len(q) else 0)
-        f = q
-    return f
+        f = up_divrem(ZZ, f, {d: 1, 0: -1})[0]
+    return [f.get(e, 0) for e in range(max(f) + 1)]
 
 
 def _conjugate_generators(ring: "QuotientRing") -> list:
@@ -779,7 +779,7 @@ class QuotientRing(Domain):
     tuple of leaf raws.  Only this module knows that layout; other
     code reads the base coordinates through :meth:`coords` and builds
     values from them through :meth:`from_coeffs`.  Off the table, products,
-    reductions and extended Euclid run on ``_ul_mul`` and ``_ul_divmod`` over
+    reductions and extended Euclid run on ``up_mul`` and ``up_divrem`` over
     the base, which must invert the leading coefficients Euclid meets; a
     field base always does.  Inverting a nonzero noninvertible element
     raises :class:`ZeroDivisorError` with a discovered proper factor of ``m``.
@@ -820,6 +820,7 @@ class QuotientRing(Domain):
         self.base = base
         self.name = name
         self.minpoly = tuple(minpoly)
+        self._modulus = self._terms(minpoly)
         self.degree = deg
         self.char = base.char
         self.is_field = bool(field)
@@ -890,9 +891,18 @@ class QuotientRing(Domain):
 
     def from_coeffs(self, coeffs) -> tuple:
         """Element from an iterable of base raws (constant first), reducing mod m."""
-        d = self.degree
-        _, rem = _ul_divmod(self.base, coeffs, self.minpoly)
-        return self._join(rem[:d] + [self.base.zero()] * (d - len(rem)))
+        return self._reduce(self._terms(coeffs))
+
+    def _terms(self, coeffs) -> dict:
+        """The {exponent: raw} dict of base raws listed constant first, as
+        the univariate kernel takes it: zero raws left out."""
+        is_zero = self.base.is_zero
+        return {e: c for e, c in enumerate(coeffs) if not is_zero(c)}
+
+    def _reduce(self, f: dict) -> tuple:
+        """The element of an {exponent: base raw} dict, reduced mod m."""
+        rem, zero = up_divrem(self.base, f, self._modulus)[1], self.base.zero()
+        return self._join([rem.get(e, zero) for e in range(self.degree)])
 
     def add(self, a, b):
         if not self._over_q:
@@ -922,7 +932,7 @@ class QuotientRing(Domain):
 
     def _schoolbook_mul(self, a, b):
         """Schoolbook product of the base coordinates, then reduction mod m."""
-        return self.from_coeffs(_ul_mul(self.base, self.coords(a), self.coords(b)))
+        return self._reduce(up_mul(self.base, self._terms(self.coords(a)), self._terms(self.coords(b))))
 
     def scale(self, a, c):
         mul = self.base.mul
@@ -975,26 +985,20 @@ class QuotientRing(Domain):
         no constant, or the base's own where a leading coefficient on the
         way is a zero divisor of a base that is no field."""
         base = self.base
-        r0, r1 = list(self.minpoly), list(self.coords(a))
-        s0, s1 = [base.zero()], [base.one()]
-        while True:
-            d1 = _ul_deg(base, r1)
-            if d1 < 0:
-                # gcd is r0
-                d0 = _ul_deg(base, r0)
-                if d0 == 0:
-                    return self.from_coeffs(_ul_mul(base, s0, [base.inv(r0[0])]))
-                factor = tuple(_ul_mul(base, r0[: d0 + 1], [base.inv(r0[d0])]))
-                raise ZeroDivisorError(
-                    f"zero divisor in {self!r}: modulus has factor of degree {d0}",
-                    self.base,
-                    factor,
-                )
-            quo, rem = _ul_divmod(base, r0, r1)
+        r0, r1 = self._modulus, self._terms(self.coords(a))
+        s0, s1 = {}, {0: base.one()}
+        while r1:
+            quo, rem = up_divrem(base, r0, r1)
             r0, r1 = r1, rem
-            # s0 - quo*s1
-            pairs = itertools.zip_longest(s0, _ul_mul(base, quo, s1), fillvalue=base.zero())
-            s0, s1 = s1, [base.sub(x, y) for x, y in pairs]
+            s0, s1 = s1, mp_sub(base, s0, up_mul(base, quo, s1))
+        # the gcd is r0, made monic
+        d0 = max(r0)
+        lead_inv = {0: base.inv(r0[d0])}
+        if d0 == 0:
+            return self._reduce(up_mul(base, s0, lead_inv))
+        factor, zero = up_mul(base, r0, lead_inv), base.zero()
+        raise ZeroDivisorError(f"zero divisor in {self!r}: modulus has factor of degree {d0}", base,
+                               tuple(factor.get(e, zero) for e in range(d0 + 1)))
 
     def is_zero(self, a):
         return a == self._zero

@@ -35,10 +35,15 @@ from .rings import (
     _mod_p_image,
     _shift_by_one,
     embed,
+    mp_add,
     mp_exact_div,
     mp_gcd,
     mp_mul,
+    mp_neg,
+    mp_sub,
     tower_chain,
+    up_divrem,
+    up_mul,
 )
 
 NEG_INF = float("-inf")
@@ -99,6 +104,13 @@ class UniPoly:
         self.coeffs = cc
 
     # -- constructors ---------------------------------------------------
+
+    @classmethod
+    def _of(cls, domain: Domain, coeffs: dict) -> "UniPoly":
+        """The polynomial of a dict that holds no zero raw, taken as it is."""
+        p = cls.__new__(cls)
+        p.domain, p.coeffs = domain, coeffs
+        return p
 
     @classmethod
     def zero(cls, domain: Domain) -> "UniPoly":
@@ -168,57 +180,21 @@ class UniPoly:
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         self._same(other)
-        dom = self.domain
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            if e in out:
-                s = dom.add(out[e], c)
-                if dom.is_zero(s):
-                    del out[e]
-                else:
-                    out[e] = s
-            else:
-                out[e] = c
-        p = UniPoly.__new__(UniPoly)
-        p.domain, p.coeffs = dom, out
-        return p
+        return UniPoly._of(self.domain, mp_add(self.domain, self.coeffs, other.coeffs))
 
     def __neg__(self) -> "UniPoly":
-        dom = self.domain
-        p = UniPoly.__new__(UniPoly)
-        p.domain = dom
-        p.coeffs = {e: dom.neg(c) for e, c in self.coeffs.items()}
-        return p
+        return UniPoly._of(self.domain, mp_neg(self.domain, self.coeffs))
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
+        self._same(other)
+        return UniPoly._of(self.domain, mp_sub(self.domain, self.coeffs, other.coeffs))
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         self._same(other)
-        dom = self.domain
-        if not self.coeffs or not other.coeffs:
-            return UniPoly.zero(dom)
-        _check_cap(max(self.coeffs) + max(other.coeffs))
-        mul, add, is_zero = dom.mul, dom.add, dom.is_zero
         f, g = self.coeffs, other.coeffs
-        if len(f) > len(g):
-            f, g = g, f
-        out: dict[int, El] = {}
-        for e1, c1 in f.items():
-            for e2, c2 in g.items():
-                e = e1 + e2
-                p = mul(c1, c2)
-                if e in out:
-                    s = add(out[e], p)
-                    if is_zero(s):
-                        del out[e]
-                    else:
-                        out[e] = s
-                elif not is_zero(p):
-                    out[e] = p
-        q = UniPoly.__new__(UniPoly)
-        q.domain, q.coeffs = dom, out
-        return q
+        if f and g:
+            _check_cap(max(f) + max(g))
+        return UniPoly._of(self.domain, up_mul(self.domain, f, g))
 
     def __pow__(self, n: int) -> "UniPoly":
         if n < 0:
@@ -262,29 +238,8 @@ class UniPoly:
         """Quotient and remainder; the divisor's leading coefficient must be
         invertible."""
         self._same(other)
-        dom = self.domain
-        if not other.coeffs:
-            raise ZeroDivisionError("division by zero polynomial")
-        dg = max(other.coeffs)
-        lead = other.coeffs[dg]
-        # a monic divisor needs no product by 1: raws are canonical (Domain)
-        lead_inv = None if dom.is_one(lead) else dom.inv(lead)
-        rem = dict(self.coeffs)
-        quo: dict[int, El] = {}
-        while rem:
-            dr = max(rem)
-            if dr < dg:
-                break
-            f = rem[dr] if lead_inv is None else dom.mul(rem[dr], lead_inv)
-            quo[dr - dg] = f
-            for e, c in other.coeffs.items():
-                t = e + dr - dg
-                v = dom.sub(rem.get(t, dom.zero()), dom.mul(f, c))
-                if dom.is_zero(v):
-                    rem.pop(t, None)
-                else:
-                    rem[t] = v
-        return UniPoly(dom, quo), UniPoly(dom, rem)
+        quo, rem = up_divrem(self.domain, self.coeffs, other.coeffs)
+        return UniPoly._of(self.domain, quo), UniPoly._of(self.domain, rem)
 
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return self.divrem(other)[1]

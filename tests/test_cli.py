@@ -10,6 +10,14 @@ from superelliptic.cli import run
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
+
+def _named_rows(rows: dict) -> list:
+    """The rows of a parametrization, each with an id of its own: its name,
+    then its values after argv, as pytest joins them.  A row added anywhere
+    renames no other.  The names are those the rows were first recorded
+    under, when pytest numbered the argv of each row."""
+    return [pytest.param(*row, id="-".join([name, *map(str, row[1:])])) for name, row in rows.items()]
+
 GOLDEN_CASES = {
     "invariants_s6": ["invariants", "--delta", "3", "--param", "a", "x^6 + a*x^3 + 1"],
     "invariants_s9": [
@@ -88,42 +96,42 @@ def test_exit_codes():
 
 @pytest.mark.parametrize(
     "argv, code, kind, message",
-    [
-        (["genus", "--n", "2", "x^3 + sqrt(x)"], 4, "parse", "sqrt() takes a single integer literal"),
-        (["genus", "--n", "2", "(x^3 + 1"], 4, "parse", "expected ')'"),
-        (["genus", "--n", "2", "--ext", "t:t^2+1", "--ext", "t:t^2+2", "x^3+t"], 2, "ValueError",
-         "duplicate extension generator 't'"),
-        (["genus", "--n", "2", "--ext", "tt^2+1", "x^3+1"], 2, "ValueError", "--ext needs NAME:MINPOLY"),
-        (["genus", "--n", "1", "x^3+1"], 3, "CoverError", "cover order n must be at least 2"),
-        (["genus", "--n", "2", "5"], 3, "CoverError", "branch factors must be nonconstant"),
-        (["genus", "--n", "2", "--max-degree", "-1", "x^2+1"], 2, "ValueError",
-         "degree cap must be positive"),
-        (["genus", "--n", "2", "--max-degree", "0", "x^2+1"], 2, "ValueError",
-         "degree cap must be positive"),
-        (["classify", "--fixture", "cyclic(3)", "--n", "-3", "x^3-5"], 3, "CoverError",
-         "cover order n must be at least 2"),
-        (["classify", "--fixture", "s4", "--n", "0", "(x^8+14*x^4+1)^3 - 7*(x^5-x)^4"], 3, "CoverError",
-         "cover order n must be at least 2"),
-        (["invariants", "--delta", "1", "--n", "-2", "x^3+x+1"], 3, "CoverError",
-         "cover order n must be at least 2"),
-        (["invariants", "--delta", "1", "--n", "0", "x^3+x+1"], 3, "CoverError",
-         "cover order n must be at least 2"),
-        (["locus", "--delta", "1", "--n", "-2", "x^3+x+1"], 3, "CoverError",
-         "cover order n must be at least 2"),
-        (["locus", "--delta", "1", "--n", "1", "x^3+x+1"], 3, "CoverError",
-         "cover order n must be at least 2"),
-        (["classify", "--fixture", "dihedral(4)", "--n", "6", "x^8 + 3*x^4 + 1"], 3, "GroupError",
-         "extra automorphism order 4 must divide n = 6"),
+    _named_rows({
+        "argv0": (["genus", "--n", "2", "x^3 + sqrt(x)"], 4, "parse", "sqrt() takes a single integer literal"),
+        "argv1": (["genus", "--n", "2", "(x^3 + 1"], 4, "parse", "expected ')'"),
+        "argv2": (["genus", "--n", "2", "--ext", "t:t^2+1", "--ext", "t:t^2+2", "x^3+t"], 2, "ValueError",
+                  "duplicate extension generator 't'"),
+        "argv3": (["genus", "--n", "2", "--ext", "tt^2+1", "x^3+1"], 2, "ValueError", "--ext needs NAME:MINPOLY"),
+        "argv4": (["genus", "--n", "1", "x^3+1"], 3, "CoverError", "cover order n must be at least 2"),
+        "argv5": (["genus", "--n", "2", "5"], 3, "CoverError", "branch factors must be nonconstant"),
+        "argv6": (["genus", "--n", "2", "--max-degree", "-1", "x^2+1"], 2, "ValueError",
+                  "degree cap must be positive"),
+        "argv7": (["genus", "--n", "2", "--max-degree", "0", "x^2+1"], 2, "ValueError",
+                  "degree cap must be positive"),
+        "argv8": (["classify", "--fixture", "cyclic(3)", "--n", "-3", "x^3-5"], 3, "CoverError",
+                  "cover order n must be at least 2"),
+        "argv9": (["classify", "--fixture", "s4", "--n", "0", "(x^8+14*x^4+1)^3 - 7*(x^5-x)^4"], 3, "CoverError",
+                  "cover order n must be at least 2"),
+        "argv10": (["invariants", "--delta", "1", "--n", "-2", "x^3+x+1"], 3, "CoverError",
+                   "cover order n must be at least 2"),
+        "argv11": (["invariants", "--delta", "1", "--n", "0", "x^3+x+1"], 3, "CoverError",
+                   "cover order n must be at least 2"),
+        "argv12": (["locus", "--delta", "1", "--n", "-2", "x^3+x+1"], 3, "CoverError",
+                   "cover order n must be at least 2"),
+        "argv13": (["locus", "--delta", "1", "--n", "1", "x^3+x+1"], 3, "CoverError",
+                   "cover order n must be at least 2"),
+        "argv14": (["classify", "--fixture", "dihedral(4)", "--n", "6", "x^8 + 3*x^4 + 1"], 3, "GroupError",
+                   "extra automorphism order 4 must divide n = 6"),
         # the orbits B0 (x^3 + 3x) and B1 (x^2 - 1) of dihedral_b(3), whose
         # extra automorphism has order 2: an odd n fails the divisibility test
-        (["classify", "--fixture", "dihedral_b(3)", "--n", "3", "(x^3 + 3*x)*(x^2 - 1)"], 3,
-         "GroupError", "extra automorphism order 2 must divide n = 3"),
-        (["invariants", "--delta", "4", "--n", "6", "x^8 + 3*x^4 + 1"], 3, "CoverError",
-         "delta = 4 must divide n = 6"),
-        (["classify", "--fixture", "s4", "--n", "2", "x^7+1"], 3, "DecompositionError",
-         "polynomial is not invariant under the fixture generators"),
-        (["deltas", "5"], 3, "CoverError", "need a nonconstant polynomial"),
-    ],
+        "argv15": (["classify", "--fixture", "dihedral_b(3)", "--n", "3", "(x^3 + 3*x)*(x^2 - 1)"], 3,
+                   "GroupError", "extra automorphism order 2 must divide n = 3"),
+        "argv16": (["invariants", "--delta", "4", "--n", "6", "x^8 + 3*x^4 + 1"], 3, "CoverError",
+                   "delta = 4 must divide n = 6"),
+        "argv17": (["classify", "--fixture", "s4", "--n", "2", "x^7+1"], 3, "DecompositionError",
+                   "polynomial is not invariant under the fixture generators"),
+        "argv18": (["deltas", "5"], 3, "CoverError", "need a nonconstant polynomial"),
+    }),
 )
 def test_exit_codes_of_input_errors(argv, code, kind, message):
     got, text = run(argv)
@@ -205,18 +213,18 @@ def test_transport_over_reducible_modulus():
 CUBIC = ["--ext", "c:t^3-2"]
 
 
-@pytest.mark.parametrize("argv, result", [
-    (["invariants", "--delta", "3", *CUBIC, "c*x^6 + x^3 + 1"],
-     '{"convention": "r-i", "delta": 3, "path": "corrected", "r": 2, "u": ["c^2", "2"]}, '
-     '"schema": 1, "warnings": ["no exact rescaling root in the domain; corrected invariants '
-     'used", "r = 2: the residual action is cyclic, not dihedral; invariants are degenerate"]}'),
-    (["transport", "--entry", "c", "1", "1", "c+2", *CUBIC, "x^3+c*x+1"],
-     '{"degree_drop": 0, "polynomial": "(c^2 + 3)*x^3 + (7*c^2 + 4*c + 10)*x^2 + '
-     '(9*c^2 + 21*c + 20)*x + (10*c^2 + 16*c + 13)"}, "schema": 1, "warnings": []}'),
-    (["transport", "--entry", "c", "1", "1", "c+2", *CUBIC, "--char", "7", "x^3+c*x+1"],
-     '{"degree_drop": 0, "polynomial": "(c^2 + 3)*x^3 + (4*c + 3)*x^2 + (2*c^2 + 6)*x + '
-     '(3*c^2 + 2*c + 6)"}, "schema": 1, "warnings": []}'),
-])
+@pytest.mark.parametrize("argv, result", _named_rows({
+    "argv0": (["invariants", "--delta", "3", *CUBIC, "c*x^6 + x^3 + 1"],
+              '{"convention": "r-i", "delta": 3, "path": "corrected", "r": 2, "u": ["c^2", "2"]}, '
+              '"schema": 1, "warnings": ["no exact rescaling root in the domain; corrected invariants '
+              'used", "r = 2: the residual action is cyclic, not dihedral; invariants are degenerate"]}'),
+    "argv1": (["transport", "--entry", "c", "1", "1", "c+2", *CUBIC, "x^3+c*x+1"],
+              '{"degree_drop": 0, "polynomial": "(c^2 + 3)*x^3 + (7*c^2 + 4*c + 10)*x^2 + '
+              '(9*c^2 + 21*c + 20)*x + (10*c^2 + 16*c + 13)"}, "schema": 1, "warnings": []}'),
+    "argv2": (["transport", "--entry", "c", "1", "1", "c+2", *CUBIC, "--char", "7", "x^3+c*x+1"],
+              '{"degree_drop": 0, "polynomial": "(c^2 + 3)*x^3 + (4*c + 3)*x^2 + (2*c^2 + 6)*x + '
+              '(3*c^2 + 2*c + 6)"}, "schema": 1, "warnings": []}'),
+}))
 def test_reports_over_a_cubic_extension(argv, result):
     # Q(cbrt 2) and F_7[c]/(c^3 - 2) have no automorphism known from their
     # modulus, so their inverses take extended Euclid
@@ -407,10 +415,10 @@ def test_batch_of_many_towers_keeps_a_bounded_table_cache(tmp_path, capsys, monk
     assert len(rings._TABLES) == rings._TABLES_MAX
 
 
-@pytest.mark.parametrize("argv, exit_code", [
-    (["--ext", "t:t^3-t", "x^5+t*x+I"], 3),
-    (["--ext", "i:t^2+1", "--ext", "e:t^4-5*t^2+6", "x^5+e*x+i"], 0),
-])
+@pytest.mark.parametrize("argv, exit_code", _named_rows({
+    "argv0": (["--ext", "t:t^3-t", "x^5+t*x+I"], 3),
+    "argv1": (["--ext", "i:t^2+1", "--ext", "e:t^4-5*t^2+6", "x^5+e*x+i"], 0),
+}))
 def test_a_rebuilt_reducible_tower_searches_mod_p_once(argv, exit_code, monkeypatch):
     # each request builds its tower anew; equal towers share their table,
     # and with it the refused certificate and the roots mod p found for it
@@ -439,12 +447,12 @@ GENUS_2_OF_A_QUINTIC = (
 )
 
 
-@pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("argv", _named_rows({
     # sqrt(3) names a declared generator, so the sugar adjoins nothing
-    ["genus", "--n", "2", "--ext", "sqrt3:t^2-3", "x^5+sqrt(3)*x+1"],
+    "argv0": (["genus", "--n", "2", "--ext", "sqrt3:t^2-3", "x^5+sqrt(3)*x+1"],),
     # 4 is a square in Q, so sqrt(4) is the constant 2 and adjoins nothing
-    ["genus", "--n", "2", "x^5+sqrt(4)*x+1"],
-])
+    "argv1": (["genus", "--n", "2", "x^5+sqrt(4)*x+1"],),
+}))
 def test_sqrt_sugar_that_adjoins_nothing(argv):
     assert run(argv) == (0, GENUS_2_OF_A_QUINTIC)
 

@@ -378,6 +378,18 @@ def test_decomposition_requires_squarefree():
         orbit_decomposition(b * b, d3)
 
 
+@pytest.mark.parametrize("name, orbit, param", [("dihedral(3)", "B-", 5), ("s4", "B2", 7)],
+                         ids=["dihedral(3)", "s4"])
+def test_a_special_orbit_squared_times_a_template_is_not_squarefree(name, orbit, param):
+    # the squarefree test rejects f before any orbit is divided out, so an
+    # orbit that divides f twice never reaches the orbit loop
+    fx = fixture_by_name(name)
+    dom = fx.domain
+    b = fx.orbit(orbit).poly
+    with pytest.raises(DecompositionError, match="^branch polynomial must be squarefree$"):
+        orbit_decomposition(b * b * fx.generic_template(dom, dom.from_int(param)), fx)
+
+
 def test_pgl_decomposition_char3():
     pgl = fixture_by_name("pgl(3,2)")
     dom = pgl.domain

@@ -449,7 +449,7 @@ def test_coprimality_over_q_i_zeta5_runs_tables_in_the_image(monkeypatch):
     for p in rings._image_primes(K):
         assert rings._mod_p_image(K, p)[0]._flat_inv
     inside, verdicts, hits = [], [], []
-    real_mul, real_divmod = QuotientRing._schoolbook_mul, rings._ul_divmod
+    real_mul, real_reduce = QuotientRing._schoolbook_mul, QuotientRing._reduce
 
     def image_step(real, verdict):
         # the reduction of one polynomial, or one gcd, with the verdict it gives
@@ -469,17 +469,19 @@ def test_coprimality_over_q_i_zeta5_runs_tables_in_the_image(monkeypatch):
             hits.append("_schoolbook_mul")
         return real_mul(self, a, b)
 
-    def divmod_(*args):
+    def reduce(self, f):
+        # the reduction mod a tower's modulus that from_coeffs, the stepwise
+        # product and extended Euclid end in
         if inside:
-            hits.append("_ul_divmod")
-        return real_divmod(*args)
+            hits.append("_reduce")
+        return real_reduce(self, f)
 
     b0 = a5_fixture().orbit("B0").poly
     f = UniPoly(K, {e: to_k(c) for e, c in b0.coeffs.items()})
     monkeypatch.setattr(unipoly, "_poly_mod_p", image_step(unipoly._poly_mod_p, False))
     monkeypatch.setattr(unipoly, "poly_gcd", image_step(unipoly.poly_gcd, True))
     monkeypatch.setattr(QuotientRing, "_schoolbook_mul", schoolbook)
-    monkeypatch.setattr(rings, "_ul_divmod", divmod_)
+    monkeypatch.setattr(QuotientRing, "_reduce", reduce)
     assert f.domain == K and f.degree() == 20
     assert squarefree_test(f)
     assert verdicts == [True] and not hits
