@@ -270,6 +270,5 @@ def merge(dfa: DeltaForm, dfb: DeltaForm) -> DeltaForm:
     coprime = polys_coprime(fa, fb) if dom.is_field else not dom.is_zero(resultant(fa, fb))
     if not coprime:
         raise SharedBranchPointError("shared branch point: resultant of the factors is zero")
-    # the product of fa and fb has its terms at multiples of delta too
-    prod, zero = up_mul(dom, fa.coeffs, fb.coeffs), dom.zero()
-    return DeltaForm(dom, dfa.delta, tuple(prod.get(dfa.delta * i, zero) for i in range(dfa.r + dfb.r + 1)))
+    prod, zero = up_mul(dom, dict(enumerate(dfa.coeffs)), dict(enumerate(dfb.coeffs))), dom.zero()
+    return DeltaForm(dom, dfa.delta, tuple(prod.get(i, zero) for i in range(dfa.r + dfb.r + 1)))

@@ -120,8 +120,7 @@ def orbit_polynomial(elements: list[Mobius], seed) -> UniPoly:
 
 
 def points_polynomial(dom: Domain, pts: list) -> UniPoly:
-    """The monic polynomial whose roots are the finite points of pts, as
-    :func:`orbit_points` lists them; INF is dropped."""
+    """The monic polynomial with the finite points of pts as roots; INF is dropped."""
     out = UniPoly.one(dom)
     for pt in pts:
         if pt is not INF:

@@ -16,8 +16,8 @@ F7 = PrimeField(7)
 
 
 def _param_poly(F, rng, deg=1):
-    """A seeded rational function of a over F, as a quotient of two small
-    polynomials."""
+    """A seeded element of F = K(a): a small polynomial in a, divided by
+    a + k half the time."""
     a, out = F.param("a"), F.zero()
     for _ in range(deg + 1):
         out = F.add(F.mul(out, a), F.from_int(rng.randint(-4, 4)))
@@ -167,9 +167,10 @@ def test_stepwise_tower_products_and_inverses_over_f7_a():
     assert _tower_route(FunctionField(F7, ("a",)), 3502) == TOWER_OVER_F7_A
 
 
-@pytest.mark.parametrize("F, seed, expected", [(QQ, 3503, "q"), (F7, 3504, "f7")], ids=["q", "f7"])
+@pytest.mark.parametrize("F, seed, expected", [(QQ, 3503, EUCLID_OVER_Q), (F7, 3504, EUCLID_OVER_F7)],
+                         ids=["q", "f7"])
 def test_euclid_inverses_mod_c3_minus_2(F, seed, expected):
-    assert _euclid_route(F, seed) == {"q": EUCLID_OVER_Q, "f7": EUCLID_OVER_F7}[expected]
+    assert _euclid_route(F, seed) == expected
 
 
 def test_euclid_reports_a_planted_zero_divisor():
